@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -46,11 +45,24 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
+# JSON ``embedder`` keys and the EmbedderConfig fields they set; the
+# dimension is always the model's code_dim (query switching).
+EMBEDDER_KEYS = {
+    "hops": "hops",
+    "aggregator": "aggregator",
+    "virtualization": "virtualization",
+    "direction": "use_edge_direction",
+    "labels": "use_edge_labels",
+    "concat_cap": "concat_cap",
+    "activation": "activation",
+}
+
+# Ablation axes (each an ``embedder`` key) and the values they accept.
 ABLATION_AXES = {
-    "aggregator": ("mean", "pooling", "lstm"),
-    "hops": ("1", "2"),
-    "direction": ("on", "off"),
-    "labels": ("on", "off"),
+    "aggregator": {"mean": "mean", "pooling": "pooling", "lstm": "lstm"},
+    "hops": {"1": 1, "2": 2},
+    "direction": {"on": True, "off": False},
+    "labels": {"on": True, "off": False},
 }
 
 
@@ -67,28 +79,20 @@ class PipelineConfig:
     test_data: Optional[str] = None
     checkpoint: Optional[str] = None
     model: ModelConfig = field(default_factory=ModelConfig)
-    embedder_hops: int = 2
-    embedder_aggregator: str = "lstm"
-    embedder_virtualization: str = "mean"
-    embedder_direction: bool = True
-    embedder_labels: bool = True
-    embedder_concat_cap: Optional[int] = None
-    embedder_activation: str = "tanh"
+    embedder: EmbedderConfig = field(
+        default_factory=lambda: EmbedderConfig(dim=ModelConfig().code_dim)
+    )
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
-    workers: int = 1
 
-    def embedder_config(self) -> EmbedderConfig:
-        return EmbedderConfig(
-            dim=self.model.code_dim,
-            hops=self.embedder_hops,
-            aggregator=self.embedder_aggregator,
-            virtualization=self.embedder_virtualization,
-            use_edge_direction=self.embedder_direction,
-            use_edge_labels=self.embedder_labels,
-            concat_cap=self.embedder_concat_cap,
-            activation=self.embedder_activation,
-        )
+    def validate(self) -> None:
+        """Check the model, embedder and training settings together."""
+        try:
+            self.model.validate()
+            self.embedder.validate()
+            self.train_cfg.validate()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid configuration: {exc}") from exc
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -124,20 +128,18 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
         if "model" in raw:
             cfg.model = ModelConfig(**raw["model"])
         emb = raw.get("embedder", {})
-        cfg.embedder_hops = emb.get("hops", cfg.embedder_hops)
-        cfg.embedder_aggregator = emb.get("aggregator", cfg.embedder_aggregator)
-        cfg.embedder_virtualization = emb.get("virtualization", cfg.embedder_virtualization)
-        cfg.embedder_direction = emb.get("direction", cfg.embedder_direction)
-        cfg.embedder_labels = emb.get("labels", cfg.embedder_labels)
-        cfg.embedder_concat_cap = emb.get("concat_cap", cfg.embedder_concat_cap)
-        cfg.embedder_activation = emb.get("activation", cfg.embedder_activation)
+        unknown = sorted(set(emb) - set(EMBEDDER_KEYS))
+        if unknown:
+            raise ConfigError(f"config file {path}: unknown embedder keys {unknown}")
+        cfg.embedder = EmbedderConfig(
+            dim=cfg.model.code_dim, **{EMBEDDER_KEYS[k]: v for k, v in emb.items()}
+        )
         if "train" in raw:
             tr = dict(raw["train"])
             if "initial_types" in tr:
                 tr["initial_types"] = tuple(tr["initial_types"])
             cfg.train_cfg = TrainConfig(**tr)
         cfg.seed = raw.get("seed", cfg.seed)
-        cfg.workers = raw.get("workers", cfg.workers)
     except TypeError as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
     return cfg
@@ -153,8 +155,6 @@ def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineC
         cfg.model = replace(cfg.model, max_len=args.max_len)
     if getattr(args, "reach_filter", False):
         cfg.train_cfg = replace(cfg.train_cfg, reach_filter=True)
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     return cfg
 
 
@@ -203,7 +203,7 @@ def _build_model(cfg: PipelineConfig, adg, train_pairs) -> Seq2SeqModel:
         code_vocab=code_vocab,
         adg=adg,
         config=cfg.model,
-        embedder_config=cfg.embedder_config(),
+        embedder_config=cfg.embedder,
         seed=cfg.seed,
     )
 
@@ -258,9 +258,8 @@ def cmd_generate(cfg: PipelineConfig, description: str, out) -> int:
 
 def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> metrics_mod.MetricReport:
     node_embeddings = model.embed_nodes()
-
-    def generate_one(desc):
-        return beam_search(
+    candidates = [
+        beam_search(
             model,
             desc,
             width=cfg.model.beam_width,
@@ -269,13 +268,8 @@ def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> metrics_
             reach_filter=cfg.train_cfg.reach_filter,
             initial_types=cfg.train_cfg.initial_types,
         )
-
-    descriptions = [d for d, _ in pairs]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            candidates = list(pool.map(generate_one, descriptions))
-    else:
-        candidates = [generate_one(d) for d in descriptions]
+        for desc, _ in pairs
+    ]
     eval_pairs = metrics_mod.make_pairs(candidates, [c for _, c in pairs])
     return metrics_mod.evaluate_pairs(eval_pairs)
 
@@ -310,19 +304,6 @@ def _parse_axes(specs: Sequence[str]) -> list[tuple[str, str]]:
     return variants
 
 
-def _variant_config(cfg: PipelineConfig, axis: str, value: str) -> PipelineConfig:
-    out = replace(cfg)
-    if axis == "aggregator":
-        out.embedder_aggregator = value
-    elif axis == "hops":
-        out.embedder_hops = int(value)
-    elif axis == "direction":
-        out.embedder_direction = value == "on"
-    elif axis == "labels":
-        out.embedder_labels = value == "on"
-    return out
-
-
 def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
     cfg.require("graph", "train_data", "test_data")
     if not os.path.exists(cfg.graph):
@@ -334,7 +315,8 @@ def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
     test_pairs = read_pairs(cfg.test_data)
     rows = []
     for axis, value in variants:
-        vcfg = _variant_config(cfg, axis, value)
+        setting = {EMBEDDER_KEYS[axis]: ABLATION_AXES[axis][value]}
+        vcfg = replace(cfg, embedder=replace(cfg.embedder, **setting))
         model = _build_model(vcfg, adg, train_pairs)
         train(model, train_pairs, valid_pairs, vcfg.train_cfg)
         report = _evaluate_model(vcfg, model, test_pairs)
@@ -395,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-len", type=int, dest="max_len", help="generation length cap")
         p.add_argument("--reach-filter", action="store_true", dest="reach_filter",
                        help="mask methods whose inputs are not yet available")
-        p.add_argument("--workers", type=int, help="evaluation worker threads")
 
     p = sub.add_parser("build-graph", help="build and dump the dependency graph")
     common(p)
@@ -440,6 +421,7 @@ def run(argv: Sequence[str], out=None) -> int:
         if args.command == "gen-synthetic":
             return cmd_gen_synthetic(args, out)
         cfg = _apply_overrides(_load_config(args.config), args)
+        cfg.validate()
         if args.command == "build-graph":
             if args.signatures:
                 cfg.signatures = args.signatures

@@ -122,45 +122,41 @@ def virtualize_group(
     raise ValueError(f"unknown virtualization kind {kind!r}")
 
 
-def node_groups(adg: Adg, node_id: int, config: EmbedderConfig) -> list[tuple[int, ...]]:
-    """Neighbor groups of a node in canonical order, honoring the direction
+def node_groups(
+    adg: Adg, node_id: int, config: EmbedderConfig
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Neighbor groups of a node in canonical order, as the groups before the
+    node and the groups after it in invocation order, honoring the direction
     and label switches.
 
-    Directed+labelled: provider groups per incoming tag (tags lexicographic),
-    then consumer groups per outgoing tag.  Without labels, each side forms a
-    single group.  Without direction, both sides merge into one undirected
-    neighborhood (still split per tag when labels are on).  Members are
-    node-id ascending; empty groups are dropped.
+    Directed+labelled: provider groups per incoming tag (tags lexicographic)
+    before the node, consumer groups per outgoing tag after it.  Without
+    labels, each side forms a single group.  Without direction there are no
+    sides: both merge into one undirected neighborhood (still split per tag
+    when labels are on), all after the node.  Members are node-id ascending;
+    empty groups are dropped.
     """
     fwd = adg.forward_members(node_id)
     bwd = adg.backward_members(node_id)
-    groups: list[tuple[int, ...]] = []
     if config.use_edge_direction:
         if config.use_edge_labels:
-            for tag in sorted(fwd):
-                groups.append(fwd[tag])
-            for tag in sorted(bwd):
-                groups.append(bwd[tag])
-        else:
-            all_fwd = sorted({u for ids in fwd.values() for u in ids})
-            all_bwd = sorted({u for ids in bwd.values() for u in ids})
-            if all_fwd:
-                groups.append(tuple(all_fwd))
-            if all_bwd:
-                groups.append(tuple(all_bwd))
+            return [fwd[tag] for tag in sorted(fwd)], [bwd[tag] for tag in sorted(bwd)]
+        all_fwd = tuple(sorted({u for ids in fwd.values() for u in ids}))
+        all_bwd = tuple(sorted({u for ids in bwd.values() for u in ids}))
+        return [all_fwd] if all_fwd else [], [all_bwd] if all_bwd else []
+    groups: list[tuple[int, ...]] = []
+    if config.use_edge_labels:
+        for tag in sorted(set(fwd) | set(bwd)):
+            merged = sorted(set(fwd.get(tag, ())) | set(bwd.get(tag, ())))
+            groups.append(tuple(merged))
     else:
-        if config.use_edge_labels:
-            for tag in sorted(set(fwd) | set(bwd)):
-                merged = sorted(set(fwd.get(tag, ())) | set(bwd.get(tag, ())))
-                groups.append(tuple(merged))
-        else:
-            merged = sorted(
-                {u for ids in fwd.values() for u in ids}
-                | {u for ids in bwd.values() for u in ids}
-            )
-            if merged:
-                groups.append(tuple(merged))
-    return groups
+        merged = sorted(
+            {u for ids in fwd.values() for u in ids}
+            | {u for ids in bwd.values() for u in ids}
+        )
+        if merged:
+            groups.append(tuple(merged))
+    return [], groups
 
 
 def build_ordered_set(
@@ -169,23 +165,25 @@ def build_ordered_set(
     prev_embeddings: Mapping[int, Tensor],
     config: EmbedderConfig,
 ) -> list[Tensor]:
-    """Ordered feature sequence for one node's hop update: the node's own
-    previous embedding first, then one virtualized feature per neighbor group
-    (providers precede consumers, reflecting invocation order).
+    """Ordered feature sequence for one node's hop update in invocation
+    order: one virtualized feature per provider group, the node's own
+    previous embedding, then one per consumer group.  Without edge direction
+    there are no sides, so the node comes first.
 
     Under concat virtualization the self element is zero-padded to the group
     width so the sequence stays dimension-uniform.
     """
-    adg.node(node_id)
+    before, after = node_groups(adg, node_id, config)
     self_vec = prev_embeddings[node_id]
     if config.virtualization == "concat":
         self_vec = virtualize_group([self_vec], "concat", config.concat_cap)
-    sequence = [self_vec]
-    for members in node_groups(adg, node_id, config):
-        vectors = [prev_embeddings[u] for u in members]
-        sequence.append(
-            virtualize_group(vectors, config.virtualization, config.concat_cap)
+    sequence = [
+        virtualize_group(
+            [prev_embeddings[u] for u in members], config.virtualization, config.concat_cap
         )
+        for members in before + after
+    ]
+    sequence.insert(len(before), self_vec)
     return sequence
 
 
@@ -249,7 +247,8 @@ def embed_tensors(
     def groups_of(m: int) -> list[tuple[int, ...]]:
         got = groups_cache.get(m)
         if got is None:
-            got = groups_cache[m] = node_groups(adg, m, config)
+            before, after = node_groups(adg, m, config)
+            got = groups_cache[m] = before + after
         return got
 
     def level(k: int, m: int) -> Tensor:

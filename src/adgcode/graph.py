@@ -286,22 +286,14 @@ class Adg:
                 counter -= 1
         return counter == 0
 
-    def neighbors_forward(self, node_id: int) -> dict[str, frozenset[int]]:
-        """Provider nodes of incoming edges, grouped by edge tag."""
-        self.node(node_id)
-        return {tag: frozenset(ids) for tag, ids in self._fwd[node_id].items()}
-
-    def neighbors_backward(self, node_id: int) -> dict[str, frozenset[int]]:
-        """Consumer nodes of outgoing edges, grouped by edge tag."""
-        self.node(node_id)
-        return {tag: frozenset(ids) for tag, ids in self._bwd[node_id].items()}
-
     def forward_members(self, node_id: int) -> Mapping[str, tuple[int, ...]]:
-        """Internal ordered view of providers per tag (ids ascending)."""
+        """Provider nodes of incoming edges per edge tag (ids ascending)."""
+        self.node(node_id)
         return self._fwd[node_id]
 
     def backward_members(self, node_id: int) -> Mapping[str, tuple[int, ...]]:
-        """Internal ordered view of consumers per tag (ids ascending)."""
+        """Consumer nodes of outgoing edges per edge tag (ids ascending)."""
+        self.node(node_id)
         return self._bwd[node_id]
 
     def degree_stats(self, node_id: int) -> DegreeStats:

@@ -132,7 +132,6 @@ class TrainConfig:
     patience: int = 10
     warmup_steps: int = 4000
     seed: int = 0
-    teacher_forcing: bool = True
     reach_filter: bool = False
     initial_types: tuple[str, ...] = ()
 
@@ -314,7 +313,6 @@ class Seq2SeqModel:
         node_embeddings: dict[int, Tensor],
         train: bool = False,
         rng: Optional[np.random.Generator] = None,
-        teacher_forcing: bool = True,
     ) -> Tensor:
         """Mean cross-entropy over the code sequence plus the end marker."""
         encoder_states, state = self.encode(desc_ids, train, rng)
@@ -325,14 +323,8 @@ class Seq2SeqModel:
             query = self.decoder_query(prev, node_embeddings)
             logits, state = self.decode_step(query, state, encoder_states, train, rng)
             losses.append(neural.softmax_xent(logits, target))
-            prev = target if teacher_forcing else int(np.argmax(logits.data))
+            prev = target
         return neural.mean_of(losses)
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    m = np.max(x)
-    shifted = x - m
-    return shifted - math.log(np.sum(np.exp(shifted)))
 
 
 def _masked_log_probs(
@@ -349,7 +341,7 @@ def _masked_log_probs(
     so the surviving entries stay the model's own log-probabilities.  EOS is
     never masked, so every step has at least one selectable token.
     """
-    lp = _log_softmax(logits)
+    lp = neural.log_softmax(logits)
     lp[list(_NEVER_EMITTED_IDS)] = -np.inf
     if reach_filter:
         for token_id, node_id in model.api_node_of_token_id.items():
@@ -541,20 +533,10 @@ def train(
         for start in range(0, len(encoded), config.batch_size):
             batch = [encoded[i] for i in order[start : start + config.batch_size]]
             step += 1
-            if config.teacher_forcing:
-                needed = _referenced_nodes(model, batch)
-            else:
-                needed = sorted(set(model.api_node_of_token_id.values()))
-            node_embeddings = (
-                emb_mod.embed_tensors(model.adg, model.embedder_params, model.embedder_config, needed)
-                if needed
-                else {}
-            )
+            node_embeddings = model.embed_nodes(_referenced_nodes(model, batch))
             losses = [
                 model.sequence_loss(
-                    desc_ids, code_ids, node_embeddings,
-                    train=True, rng=dropout_rng,
-                    teacher_forcing=config.teacher_forcing,
+                    desc_ids, code_ids, node_embeddings, train=True, rng=dropout_rng
                 )
                 for desc_ids, code_ids in batch
             ]
@@ -636,7 +618,8 @@ class _Reader:
 
 def load_checkpoint(data: bytes) -> Seq2SeqModel:
     """Rebuild a model from checkpoint bytes; rejects bad headers, truncated
-    tables, shape mismatches, and trailing garbage without partial effects."""
+    tables, undecodable names, shape mismatches, non-finite values, and
+    trailing garbage without partial effects."""
     reader = _Reader(data)
     if reader.take(len(CHECKPOINT_HEADER)) != CHECKPOINT_HEADER:
         raise CheckpointFormatError("bad checkpoint header")
@@ -664,18 +647,23 @@ def load_checkpoint(data: bytes) -> Seq2SeqModel:
         )
     loaded = {}
     for _ in range(count):
-        name = reader.take(reader.u32()).decode("utf-8")
+        try:
+            name = reader.take(reader.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"bad parameter name: {exc}") from exc
         ndim = reader.u32()
         shape = tuple(reader.u32() for _ in range(ndim))
-        n_values = int(np.prod(shape)) if shape else 1
-        raw = reader.take(4 * n_values)
         if name not in params:
             raise CheckpointFormatError(f"unexpected parameter {name!r}")
         if params[name].data.shape != shape:
             raise CheckpointFormatError(
                 f"parameter {name!r} shape {shape} does not match {params[name].data.shape}"
             )
-        loaded[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        raw = reader.take(4 * params[name].data.size)
+        value = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(value)):
+            raise CheckpointFormatError(f"parameter {name!r} holds non-finite values")
+        loaded[name] = value
     if len(loaded) != len(params):
         raise CheckpointFormatError("duplicate parameter rows in checkpoint")
     if not reader.done():

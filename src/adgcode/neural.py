@@ -109,16 +109,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), bw=bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return Tensor(out_data, parents=(a, b), bw=bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; scalars broadcast against vectors."""
     out_data = a.data * b.data
@@ -324,46 +314,28 @@ def weighted_sum(weights: Tensor, vectors: Sequence[Tensor]) -> Tensor:
     return Tensor(out_data, parents=(weights,) + tuple(vectors), bw=bw)
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Stabilized log-softmax of a non-empty 1-D array: the maximum is
+    subtracted before exponentiating."""
+    shifted = x - np.max(x)
+    return shifted - math.log(np.sum(np.exp(shifted)))
+
+
 def softmax_xent(logits: Tensor, target: int) -> Tensor:
-    """Fused stabilized softmax + negative log-likelihood of ``target``."""
+    """Fused stabilized softmax + negative log-likelihood of ``target``; the
+    gradient is ``softmax(logits) - onehot(target)``."""
     n = logits.data.shape[0]
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range for {n} logits")
-    m = np.max(logits.data)
-    shifted = logits.data - m
-    e = np.exp(shifted)
-    total = np.sum(e)
-    probs = e / total
-    loss = math.log(total) - shifted[target]
+    log_probs = log_softmax(logits.data)
+    probs = np.exp(log_probs)
 
     def bw(g):
         d = probs * g
         d[target] -= g
         _accum(logits, d)
 
-    return Tensor(np.asarray(loss), parents=(logits,), bw=bw)
-
-
-def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Loss ``-log p(target)`` and gradient ``p - onehot(target)``.
-
-    Stabilized by max subtraction; raises ValueError when the target index is
-    out of range or no logits are given.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.shape[0] == 0:
-        raise ValueError("logits must be a non-empty 1-D array")
-    if not 0 <= target < logits.shape[0]:
-        raise ValueError(f"target {target} out of range for {logits.shape[0]} logits")
-    m = np.max(logits)
-    shifted = logits - m
-    e = np.exp(shifted)
-    total = np.sum(e)
-    probs = e / total
-    loss = float(math.log(total) - shifted[target])
-    grad = probs.copy()
-    grad[target] -= 1.0
-    return loss, grad
+    return Tensor(np.asarray(-log_probs[target]), parents=(logits,), bw=bw)
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -525,15 +497,6 @@ class Adam:
             m = self.m[p.name] = self.beta1 * self.m[p.name] + (1.0 - self.beta1) * g
             v = self.v[p.name] = self.beta2 * self.v[p.name] + (1.0 - self.beta2) * (g * g)
             p.data = p.data - lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-
-def adam_step(state: Adam, lr: float) -> None:
-    """One optimizer update of ``state``'s parameters at learning rate ``lr``."""
-    state.step(lr)
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

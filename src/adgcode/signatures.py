@@ -236,10 +236,6 @@ def parse_signatures(text: str) -> SignatureCorpus:
     )
 
 
-def emit_signatures(corpus: SignatureCorpus) -> str:
-    return corpus.canonical_text()
-
-
 def link_api_tokens(vocabulary: Iterable[str], adg: Adg) -> dict[str, int]:
     """Map each vocabulary token that names a graph method to its node id."""
     index: dict[str, int] = {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,20 @@ def random_adg(rng: np.random.Generator, n_types: int, n_methods: int):
     hierarchy = random_hierarchy(rng, n_types)
     methods = random_methods(rng, n_methods, hierarchy)
     return build_adg(methods, hierarchy), methods, hierarchy
+
+
+def corrupt_parameter(blob: bytes, name: str, kind: str) -> bytes:
+    """Checkpoint bytes with one parameter row damaged: ``"name"`` writes byte
+    0xff into the row's name, ``"nan"`` makes its first value a float32 NaN."""
+    at = blob.index(struct.pack("<I", len(name)) + name.encode("utf-8")) + 4
+    out = bytearray(blob)
+    if kind == "name":
+        out[at] = 0xFF
+    else:
+        ndim = struct.unpack_from("<I", blob, at + len(name))[0]
+        first = at + len(name) + 4 + 4 * ndim
+        out[first : first + 4] = struct.pack("<f", float("nan"))
+    return bytes(out)
 
 
 @pytest.fixture

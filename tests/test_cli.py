@@ -14,6 +14,8 @@ from adgcode.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE
 from adgcode.graph import load_graph
 from adgcode.model import TrainingDivergedError, generate_greedy, load_checkpoint
 
+from conftest import corrupt_parameter
+
 
 def run_cli(args):
     out = io.StringIO()
@@ -215,6 +217,14 @@ class TestGenerateCommand:
         code, _ = run_cli(["generate", "--config", trained, "hello there"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("kind", ["name", "nan"])
+    def test_corrupt_parameter_row_is_data_error(self, trained, workspace, kind):
+        path = workspace / "model.ckpt"
+        path.write_bytes(corrupt_parameter(path.read_bytes(), "att.w", kind))
+        code, out = run_cli(["generate", "--config", trained, "hello there"])
+        assert code == EXIT_DATA
+        assert out == ""
+
 
 class TestEvaluateCommand:
     def test_report_format_and_exit(self, workspace):
@@ -230,13 +240,35 @@ class TestEvaluateCommand:
         values = lines[1].split("\t")
         assert len(values) == 9
 
-    def test_workers_flag_matches_serial(self, workspace):
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "command, patch, setting",
+        [
+            (["generate", "--beam", "0", "call m1"], {}, "beam_width"),
+            (["train"], {"model": {"beam_width": 0}}, "beam_width"),
+            (["train"], {"embedder": {"aggregator": "gru"}}, "aggregator"),
+            (["train"], {"train": {"batch_size": 0}}, "batch_size"),
+            (["train"], {"embedder": {"aggregater": "mean"}}, "aggregater"),
+        ],
+        ids=["beam-flag", "beam-width", "aggregator", "batch-size", "unknown-embedder-key"],
+    )
+    def test_bad_value_is_usage_error(self, workspace, capsys, command, patch, setting):
         cfg = write_config(workspace)
-        run_cli(["build-graph", "--config", cfg])
-        run_cli(["train", "--config", cfg])
-        _, serial = run_cli(["evaluate", "--config", cfg])
-        _, parallel = run_cli(["evaluate", "--config", cfg, "--workers", "4"])
-        assert serial == parallel
+        assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
+        raw = json.loads((workspace / "config.json").read_text())
+        for section, values in patch.items():
+            raw[section].update(values)
+        (workspace / "config.json").write_text(json.dumps(raw))
+        capsys.readouterr()
+        code, _ = run_cli([command[0], "--config", cfg, *command[1:]])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert setting in lines[0]
+        assert "Traceback" not in err
+        assert not (workspace / "model.ckpt").exists()
 
 
 class TestAblateCommand:

@@ -33,6 +33,7 @@ def _sigmoid(x):
 
 
 def naive_groups(adg, m, config):
+    """Neighbor groups split around the node: (before it, after it)."""
     fwd: dict[str, set[int]] = {}
     bwd: dict[str, set[int]] = {}
     for e in adg.edges:
@@ -40,26 +41,27 @@ def naive_groups(adg, m, config):
             fwd.setdefault(e.tag, set()).add(e.head)
         if e.head == m:
             bwd.setdefault(e.tag, set()).add(e.tail)
-    groups = []
     if config.use_edge_direction:
         if config.use_edge_labels:
-            groups += [sorted(fwd[t]) for t in sorted(fwd)]
-            groups += [sorted(bwd[t]) for t in sorted(bwd)]
+            before = [sorted(fwd[t]) for t in sorted(fwd)]
+            after = [sorted(bwd[t]) for t in sorted(bwd)]
         else:
             all_f = sorted(set().union(*fwd.values())) if fwd else []
             all_b = sorted(set().union(*bwd.values())) if bwd else []
-            groups += [g for g in (all_f, all_b) if g]
+            before = [all_f] if all_f else []
+            after = [all_b] if all_b else []
+        return before, after
+    groups = []
+    if config.use_edge_labels:
+        for t in sorted(set(fwd) | set(bwd)):
+            groups.append(sorted(fwd.get(t, set()) | bwd.get(t, set())))
     else:
-        if config.use_edge_labels:
-            for t in sorted(set(fwd) | set(bwd)):
-                groups.append(sorted(fwd.get(t, set()) | bwd.get(t, set())))
-        else:
-            merged = set()
-            for ids in list(fwd.values()) + list(bwd.values()):
-                merged |= ids
-            if merged:
-                groups.append(sorted(merged))
-    return groups
+        merged = set()
+        for ids in list(fwd.values()) + list(bwd.values()):
+            merged |= ids
+        if merged:
+            groups.append(sorted(merged))
+    return [], groups
 
 
 def naive_embed(adg, params, config):
@@ -79,7 +81,12 @@ def naive_embed(adg, params, config):
         nxt = {}
         for m in range(adg.num_nodes):
             self_vec = h[m] if config.virtualization == "mean" else virt([h[m]])
-            seq = [self_vec] + [virt([h[u] for u in g]) for g in naive_groups(adg, m, config)]
+            before, after = naive_groups(adg, m, config)
+            seq = (
+                [virt([h[u] for u in g]) for g in before]
+                + [self_vec]
+                + [virt([h[u] for u in g]) for g in after]
+            )
             if config.aggregator == "mean":
                 agg = np.mean(np.stack(seq), axis=0)
             elif config.aggregator == "pooling":
@@ -168,11 +175,11 @@ class TestOrderedSet:
         prev = self._embeddings(chain_adg)
         config = EmbedderConfig(dim=3)
         seq = build_ordered_set(chain_adg, 2, prev, config)
-        # self, providers of C (m2), providers of D (m3), consumers via E (m5)
+        # providers of C (m2), providers of D (m3), self, consumers via E (m5)
         assert len(seq) == 4
-        assert np.allclose(seq[0].data, prev[2].data)
-        assert np.allclose(seq[1].data, prev[0].data)
-        assert np.allclose(seq[2].data, prev[1].data)
+        assert np.allclose(seq[0].data, prev[0].data)
+        assert np.allclose(seq[1].data, prev[1].data)
+        assert np.allclose(seq[2].data, prev[2].data)
         assert np.allclose(seq[3].data, prev[3].data)
 
     def test_label_ablation_changes_group_count(self, chain_adg):
@@ -190,6 +197,7 @@ class TestOrderedSet:
         # tags C, D, E each with one neighbor
         seq = build_ordered_set(chain_adg, 2, prev, undirected)
         assert len(seq) == 1 + 3
+        assert seq[0] is prev[2]  # no sides, so the node stays first
 
     def test_group_counts_match_edge_oracle(self):
         rng = np.random.default_rng(21)
@@ -200,9 +208,11 @@ class TestOrderedSet:
                     dim=2, use_edge_labels=labels, use_edge_direction=direction
                 )
                 for m in range(adg.num_nodes):
-                    assert node_groups(adg, m, config) == [
-                        tuple(g) for g in naive_groups(adg, m, config)
-                    ]
+                    before, after = naive_groups(adg, m, config)
+                    assert node_groups(adg, m, config) == (
+                        [tuple(g) for g in before],
+                        [tuple(g) for g in after],
+                    )
 
     def test_unknown_node_rejected(self, chain_adg):
         config = EmbedderConfig(dim=3)

@@ -279,22 +279,22 @@ class TestReachability:
 
 class TestNeighbors:
     def test_forward_toy(self, toy_adg):
-        assert toy_adg.neighbors_forward(3) == {"C": {1}, "D": {2}}
+        assert toy_adg.forward_members(3) == {"C": (1,), "D": (2,)}
 
     def test_backward_toy(self, toy_adg):
-        assert toy_adg.neighbors_backward(1) == {"C": {3}}
+        assert toy_adg.backward_members(1) == {"C": (3,)}
 
     def test_isolated_node_empty(self):
         hierarchy = TypeHierarchy([ParamType("C")])
         adg = build_adg([ApiMethodNode(0, "m", (), ("C",))], hierarchy)
-        assert adg.neighbors_forward(0) == {}
-        assert adg.neighbors_backward(0) == {}
+        assert adg.forward_members(0) == {}
+        assert adg.backward_members(0) == {}
 
     def test_unknown_node_raises(self, toy_adg):
         with pytest.raises(UnknownNodeError):
-            toy_adg.neighbors_forward(42)
+            toy_adg.forward_members(42)
         with pytest.raises(UnknownNodeError):
-            toy_adg.neighbors_backward(42)
+            toy_adg.backward_members(42)
 
     def test_matches_edge_filter_oracle(self):
         rng = np.random.default_rng(17)
@@ -307,11 +307,11 @@ class TestNeighbors:
                     fwd_oracle.setdefault(e.tag, set()).add(e.head)
                 if e.head == m:
                     bwd_oracle.setdefault(e.tag, set()).add(e.tail)
-            assert adg.neighbors_forward(m) == {
-                t: frozenset(s) for t, s in fwd_oracle.items()
+            assert adg.forward_members(m) == {
+                t: tuple(sorted(s)) for t, s in fwd_oracle.items()
             }
-            assert adg.neighbors_backward(m) == {
-                t: frozenset(s) for t, s in bwd_oracle.items()
+            assert adg.backward_members(m) == {
+                t: tuple(sorted(s)) for t, s in bwd_oracle.items()
             }
 
 

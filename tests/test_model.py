@@ -33,6 +33,8 @@ from adgcode.model import (
 from adgcode.signatures import parse_signatures
 from adgcode.synthetic import SyntheticSpec, generate
 
+from conftest import corrupt_parameter
+
 
 def tiny_model(seed=0, **overrides):
     """Small model over a 4-method pipeline graph and a fixed mini-corpus."""
@@ -490,6 +492,13 @@ class TestCheckpoint:
         blob = save_checkpoint(model)
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(blob + b"\x00")
+
+    @pytest.mark.parametrize("kind", ["name", "nan"])
+    def test_corrupt_parameter_row_rejected(self, kind):
+        model, _ = tiny_model()
+        blob = corrupt_parameter(save_checkpoint(model), "att.w", kind)
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(blob)
 
     def test_generation_equivalent_after_round_trip(self):
         model, pairs = tiny_model(seed=19)
