@@ -117,6 +117,11 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path}: the top level must be a JSON object")
+    for block in ("paths", "model", "embedder", "train"):
+        if not isinstance(raw.get(block, {}), dict):
+            raise ConfigError(f"config file {path}: {block!r} must be a JSON object")
     try:
         paths = raw.get("paths", {})
         cfg.signatures = paths.get("signatures", cfg.signatures)

@@ -11,6 +11,9 @@ hop-k vectors read only hop-(k-1) vectors.
 
 from __future__ import annotations
 
+import functools
+import numbers
+import typing
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -27,6 +30,28 @@ VIRTUALIZATIONS = ("mean", "concat")
 ACTIVATIONS = ("tanh", "relu")
 
 
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    return typing.get_type_hints(cls)
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError for a field annotated ``bool`` that holds a non-bool,
+    an ``int`` (or ``Optional[int]``) field that holds a bool or a non-integer,
+    or a ``float`` field that holds a bool or a non-number."""
+    for name, kind in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if kind is bool:
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be true or false, got {value!r}")
+        elif kind is int or (kind == Optional[int] and value is not None):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        elif kind is float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EmbedderConfig:
     dim: int
@@ -39,6 +64,7 @@ class EmbedderConfig:
     activation: str = "tanh"
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.dim < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {self.dim}")
         if self.hops < 1:

@@ -7,7 +7,9 @@ inverted index from parameter types to consumer nodes, so each provider is
 matched against index buckets instead of against every other node.
 
 A constructed :class:`Adg` is immutable and safe for concurrent readers;
-reachability queries keep their counters in caller-local state.
+reachability queries keep their counters in caller-local state.  The
+matrices behind the vector reach query are built on first use; two readers
+racing there build equal tables.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 GRAPH_HEADER = "ADG-GRAPH-v1"
 DEFAULT_EDGE_CAP = 50_000_000
@@ -231,6 +235,7 @@ class Adg:
             {tag: tuple(sorted(ids)) for tag, ids in by_tag.items()}
             for by_tag in bwd
         )
+        self._reach_tables: Optional[tuple[dict[str, int], np.ndarray, np.ndarray]] = None
 
     @property
     def nodes(self) -> tuple[ApiMethodNode, ...]:
@@ -285,6 +290,36 @@ class Adg:
             if any(self._hierarchy.matches_lenient(a, req) for a in avail):
                 counter -= 1
         return counter == 0
+
+    def reachability(self, node_ids: Sequence[int], available: Iterable[str]) -> np.ndarray:
+        """``is_reachable`` for many nodes as one vector op: a bool array with
+        one entry per id in ``node_ids``.
+
+        Uses a node-by-type matrix of required input types and a
+        type-satisfies-type matrix with the semantics of
+        :meth:`TypeHierarchy.matches_lenient`, both built on first use.
+        """
+        ids = np.asarray(node_ids, dtype=np.intp)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self._nodes)):
+            bad = ids[(ids < 0) | (ids >= len(self._nodes))][0]
+            raise UnknownNodeError(f"unknown node id {bad}")
+        if self._reach_tables is None:
+            self._reach_tables = self._build_reach_tables()
+        type_index, required, satisfies = self._reach_tables
+        provided = [type_index[a] for a in set(available) if a in type_index]
+        satisfied = satisfies[provided].any(axis=0)
+        return ~(required[ids] & ~satisfied).any(axis=1)
+
+    def _build_reach_tables(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+        names = sorted(self._hierarchy.names)
+        type_index = {name: i for i, name in enumerate(names)}
+        required = np.zeros((len(self._nodes), len(names)), dtype=bool)
+        for node in self._nodes:
+            required[node.id, [type_index[t] for t in set(node.inputs)]] = True
+        satisfies = np.zeros((len(names), len(names)), dtype=bool)
+        for name, i in type_index.items():
+            satisfies[i, [type_index[r] for r in (name, *self._hierarchy.ancestors(name))]] = True
+        return type_index, required, satisfies
 
     def forward_members(self, node_id: int) -> Mapping[str, tuple[int, ...]]:
         """Provider nodes of incoming edges per edge tag (ids ascending)."""

@@ -22,7 +22,7 @@ import numpy as np
 from . import embedder as emb_mod
 from . import metrics as metrics_mod
 from . import neural
-from .embedder import EmbedderConfig, EmbedderParams
+from .embedder import EmbedderConfig, EmbedderParams, check_field_types
 from .graph import Adg, dump_graph, load_graph
 from .neural import LstmParams, Parameter, Tensor
 from .signatures import link_api_tokens
@@ -112,6 +112,7 @@ class ModelConfig:
     max_len: int = 200
 
     def validate(self) -> None:
+        check_field_types(self)
         for name in ("word_dim", "code_dim", "hidden_dim", "mlp_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -136,6 +137,7 @@ class TrainConfig:
     initial_types: tuple[str, ...] = ()
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if self.eval_interval < 1 or self.patience < 1:
@@ -156,9 +158,11 @@ class TrainRecord:
 
 @dataclass
 class BeamHypothesis:
+    """One live or finished beam entry; the decoder states of the live
+    entries are the rows of one [W, h] pair held by ``beam_search``."""
+
     tokens: tuple[int, ...]
     logp: float
-    state: tuple[Tensor, Tensor]
     finished: bool
     available: frozenset[str]
 
@@ -214,6 +218,9 @@ class Seq2SeqModel:
         self.api_node_of_token_id = {
             code_vocab.id(tok): node_id for tok, node_id in self.api_index.items()
         }
+        # The same links as two aligned arrays, for the reach filter's mask.
+        self.api_token_ids = np.fromiter(self.api_node_of_token_id, dtype=np.intp)
+        self.api_node_ids = np.fromiter(self.api_node_of_token_id.values(), dtype=np.intp)
 
     def parameters(self) -> list[Parameter]:
         """All trainable parameters in canonical (sorted-name) order."""
@@ -239,9 +246,9 @@ class Seq2SeqModel:
         desc_ids: Sequence[int],
         train: bool = False,
         rng: Optional[np.random.Generator] = None,
-    ) -> tuple[list[Tensor], tuple[Tensor, Tensor]]:
+    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Lookup, windowed ReLU feature layers, then an LSTM sweep; returns
-        every hidden state and the final (h, c)."""
+        the hidden states stacked as a [T, h] memory and the final (h, c)."""
         if len(desc_ids) == 0:
             raise ValueError("cannot encode an empty description")
         xs = [neural.row(self.desc_lut, i) for i in desc_ids]
@@ -255,10 +262,10 @@ class Seq2SeqModel:
         for x in feats:
             h, c = neural.lstm_cell(x, h, c, self.enc_lstm)
             states.append(h)
-        exposed = states
+        memory = neural.stack(states)
         if train and p > 0.0:
-            exposed = [neural.dropout(s, p, True, rng) for s in states]
-        return exposed, (h, c)
+            memory = neural.dropout(memory, p, True, rng)
+        return memory, (h, c)
 
     # -- embedder bridge ---------------------------------------------------
 
@@ -291,19 +298,21 @@ class Seq2SeqModel:
         self,
         query: Tensor,
         state: tuple[Tensor, Tensor],
-        encoder_states: Sequence[Tensor],
+        memory: Tensor,
         train: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Attend with the current state, feed [query; context] through the
-        decoder LSTM, then a two-layer perceptron over [state; context]."""
+        """Attend over the [T, h] encoder memory with the current state, feed
+        [query; context] through the decoder LSTM, then a two-layer
+        perceptron over [state; context].  The query and state are one row of
+        shape [d] or N independent rows of shape [N, d]."""
         h_prev, c_prev = state
-        _, context = neural.attention(encoder_states, h_prev, self.att_w)
+        _, context = neural.attention(memory, h_prev, self.att_w)
         h, c = neural.lstm_cell(neural.concat([query, context]), h_prev, c_prev, self.dec_lstm)
-        hid = neural.relu(neural.add(neural.matmul(self.out_w1, neural.concat([h, context])), self.out_b1))
+        hid = neural.relu(neural.linear(neural.concat([h, context]), self.out_w1, self.out_b1))
         if train and self.config.dropout > 0.0:
             hid = neural.dropout(hid, self.config.dropout, True, rng)
-        logits = neural.add(neural.matmul(self.out_w2, hid), self.out_b2)
+        logits = neural.linear(hid, self.out_w2, self.out_b2)
         return logits, (h, c)
 
     def sequence_loss(
@@ -315,13 +324,13 @@ class Seq2SeqModel:
         rng: Optional[np.random.Generator] = None,
     ) -> Tensor:
         """Mean cross-entropy over the code sequence plus the end marker."""
-        encoder_states, state = self.encode(desc_ids, train, rng)
+        memory, state = self.encode(desc_ids, train, rng)
         targets = list(code_ids) + [EOS_ID]
         prev = BOS_ID
         losses = []
         for target in targets:
             query = self.decoder_query(prev, node_embeddings)
-            logits, state = self.decode_step(query, state, encoder_states, train, rng)
+            logits, state = self.decode_step(query, state, memory, train, rng)
             losses.append(neural.softmax_xent(logits, target))
             prev = target
         return neural.mean_of(losses)
@@ -330,23 +339,25 @@ class Seq2SeqModel:
 def _masked_log_probs(
     model: Seq2SeqModel,
     logits: np.ndarray,
-    available: frozenset[str],
+    availables: Sequence[frozenset[str]],
     reach_filter: bool,
 ) -> np.ndarray:
-    """Log-probabilities of the next token, with unselectable ids at -inf.
+    """Log-probabilities of the next token for each row of [N, V] ``logits``,
+    with unselectable ids at -inf.
 
     ``_NEVER_EMITTED_IDS`` (PAD, BOS, UNK) are always masked; with
     ``reach_filter`` so are API methods whose required input types are not in
-    ``available``.  Masks apply after the log-softmax without renormalizing,
-    so the surviving entries stay the model's own log-probabilities.  EOS is
-    never masked, so every step has at least one selectable token.
+    row i's ``availables[i]``.  Masks apply after the log-softmax without
+    renormalizing, so the surviving entries stay the model's own
+    log-probabilities.  EOS is never masked, so every row has at least one
+    selectable token.
     """
     lp = neural.log_softmax(logits)
-    lp[list(_NEVER_EMITTED_IDS)] = -np.inf
+    lp[:, list(_NEVER_EMITTED_IDS)] = -np.inf
     if reach_filter:
-        for token_id, node_id in model.api_node_of_token_id.items():
-            if not model.adg.is_reachable(node_id, available):
-                lp[token_id] = -np.inf
+        for row, available in zip(lp, availables):
+            reachable = model.adg.reachability(model.api_node_ids, available)
+            row[model.api_token_ids[~reachable]] = -np.inf
     return lp
 
 
@@ -357,6 +368,32 @@ def _advance_available(
     if node_id is None:
         return available
     return available | set(model.adg.node(node_id).outputs)
+
+
+def _decoder_start(model: Seq2SeqModel, desc_tokens: Sequence[str]) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    """Encoder memory and the decoder's initial state as one [1, h] row."""
+    desc_ids = model.desc_vocab.encode(desc_tokens)
+    if not desc_ids:
+        raise ValueError("cannot generate from an empty description")
+    memory, (h, c) = model.encode(desc_ids)
+    return memory, (neural.stack([h]), neural.stack([c]))
+
+
+def _next_log_probs(
+    model: Seq2SeqModel,
+    prevs: Sequence[int],
+    availables: Sequence[frozenset[str]],
+    state: tuple[Tensor, Tensor],
+    memory: Tensor,
+    node_embeddings: dict[int, Tensor],
+    reach_filter: bool,
+) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
+    """One decoder step for N rows at once: row i continues after token
+    ``prevs[i]`` from row i of ``state``.  Returns the masked [N, V]
+    log-probabilities and the new [N, h] state."""
+    query = neural.stack([model.decoder_query(p, node_embeddings) for p in prevs])
+    logits, state = model.decode_step(query, state, memory)
+    return _masked_log_probs(model, logits.data, availables, reach_filter), state
 
 
 def generate_greedy(
@@ -372,23 +409,21 @@ def generate_greedy(
     to the smallest token id.
 
     Never emits ``⟨PAD⟩``, ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the
-    log-softmax, like methods the reach filter rejects.
+    log-softmax, like methods the reach filter rejects.  Each step is the
+    beam search step with one row, so beam width 1 gives the same tokens.
     """
     max_len = model.config.max_len if max_len is None else max_len
     if node_embeddings is None:
         node_embeddings = model.embed_nodes()
-    desc_ids = model.desc_vocab.encode(desc_tokens)
-    if not desc_ids:
-        raise ValueError("cannot generate from an empty description")
-    encoder_states, state = model.encode(desc_ids)
+    memory, state = _decoder_start(model, desc_tokens)
     prev = BOS_ID
     available = frozenset(initial_types)
     out: list[str] = []
     for _ in range(max_len):
-        query = model.decoder_query(prev, node_embeddings)
-        logits, state = model.decode_step(query, state, encoder_states)
-        lp = _masked_log_probs(model, logits.data, available, reach_filter)
-        token_id = int(np.argmax(lp))  # argmax takes the first (smallest id) on ties
+        lp, state = _next_log_probs(
+            model, [prev], [available], state, memory, node_embeddings, reach_filter
+        )
+        token_id = int(np.argmax(lp[0]))  # argmax takes the first (smallest id) on ties
         if token_id == EOS_ID:
             break
         out.append(model.code_vocab.token(token_id))
@@ -409,13 +444,15 @@ def beam_search(
 ) -> list[str]:
     """Beam generation with length-normalized ranking.
 
-    Each live hypothesis expands by its top-``width`` successors; hypotheses
-    reaching the end marker or the length limit are frozen into a completed
-    pool, and the best completed hypothesis by normalized score wins (ties
-    break toward the lexicographically smaller token id sequence).  Never
-    emits ``⟨PAD⟩``, ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the
-    log-softmax, like methods the reach filter rejects, so hypothesis scores
-    remain the model's own log-probabilities.
+    Each live hypothesis expands by its top-``width`` successors (ties break
+    toward the smaller token id); hypotheses reaching the end marker or the
+    length limit are frozen into a completed pool, and the best completed
+    hypothesis by normalized score wins (ties break toward the
+    lexicographically smaller token id sequence).  All live hypotheses
+    advance as the rows of one decoder step.  Never emits ``⟨PAD⟩``,
+    ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the log-softmax, like
+    methods the reach filter rejects, so hypothesis scores remain the model's
+    own log-probabilities.
     """
     width = model.config.beam_width if width is None else width
     max_len = model.config.max_len if max_len is None else max_len
@@ -423,47 +460,46 @@ def beam_search(
         raise ValueError(f"beam width must be >= 1, got {width}")
     if node_embeddings is None:
         node_embeddings = model.embed_nodes()
-    desc_ids = model.desc_vocab.encode(desc_tokens)
-    if not desc_ids:
-        raise ValueError("cannot generate from an empty description")
-    encoder_states, state = model.encode(desc_ids)
-    live = [
-        BeamHypothesis(
-            tokens=(), logp=0.0, state=state, finished=False,
-            available=frozenset(initial_types),
-        )
-    ]
+    memory, state = _decoder_start(model, desc_tokens)
+    live = [BeamHypothesis(tokens=(), logp=0.0, finished=False, available=frozenset(initial_types))]
     completed: list[BeamHypothesis] = []
     for _ in range(max_len):
-        expansions: list[BeamHypothesis] = []
-        for hyp in live:
-            prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
-            query = model.decoder_query(prev, node_embeddings)
-            logits, new_state = model.decode_step(query, hyp.state, encoder_states)
-            lp = _masked_log_probs(model, logits.data, hyp.available, reach_filter)
-            order = sorted(range(lp.shape[0]), key=lambda j: (-lp[j], j))
-            for token_id in order[:width]:
-                if lp[token_id] == -np.inf:
+        lp, (h, c) = _next_log_probs(
+            model,
+            [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live],
+            [hyp.available for hyp in live],
+            state, memory, node_embeddings, reach_filter,
+        )
+        order = np.argsort(-lp, axis=1, kind="stable")[:, :width]
+        expansions: list[tuple[float, tuple[int, ...], int]] = []  # (-logp, tokens, parent row)
+        for row, hyp in enumerate(live):
+            for token_id in order[row].tolist():
+                token_lp = lp[row, token_id]
+                if token_lp == -np.inf:
                     continue
                 tokens = hyp.tokens + (token_id,)
-                successor = BeamHypothesis(
-                    tokens=tokens,
-                    logp=hyp.logp + float(lp[token_id]),
-                    state=new_state,
-                    finished=token_id == EOS_ID or len(tokens) >= max_len,
-                    available=_advance_available(model, hyp.available, token_id),
-                )
-                if successor.finished:
-                    completed.append(successor)
+                logp = hyp.logp + float(token_lp)
+                if token_id == EOS_ID or len(tokens) >= max_len:
+                    available = _advance_available(model, hyp.available, token_id)
+                    completed.append(BeamHypothesis(tokens, logp, True, available))
                 else:
-                    expansions.append(successor)
+                    expansions.append((-logp, tokens, row))
         if not expansions:
             break
-        expansions.sort(key=lambda h: (-h.logp, h.tokens))
-        live = expansions[:width]
+        # ranked by (-logp, tokens); token sequences are distinct, so the row never decides
+        expansions.sort()
+        kept = expansions[:width]
+        live = [
+            BeamHypothesis(
+                tokens, -neg_logp, False, _advance_available(model, live[row].available, tokens[-1])
+            )
+            for neg_logp, tokens, row in kept
+        ]
+        rows = [row for _, _, row in kept]
+        state = (neural.take_rows(h, rows), neural.take_rows(c, rows))
     if not completed:  # max_len freezes everything, so this needs live fallback only
         completed = live
-    best = min(completed, key=lambda h: (-h.score(), h.tokens))
+    best = min(completed, key=lambda hyp: (-hyp.score(), hyp.tokens))
     out = [t for t in best.tokens if t != EOS_ID]
     return [model.code_vocab.token(t) for t in out]
 

@@ -4,8 +4,9 @@ multiplicative attention, stabilized softmax/cross-entropy, inverted dropout,
 Glorot initialization, Adam with an inverse-square-root warmup schedule.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
-topological sweep.  All randomness comes from explicitly passed numpy
-Generators.
+topological sweep.  The layers take one vector of shape [d] or N independent
+rows of shape [N, d]; beam search advances its hypotheses as such rows.
+All randomness comes from explicitly passed numpy Generators.
 """
 
 from __future__ import annotations
@@ -149,10 +150,10 @@ def mean_of(ts: Sequence[Tensor]) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix @ vector or matrix @ matrix."""
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul needs 2-D @ 1/2-D, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    """Matrix @ vector, vector @ matrix, or matrix @ matrix."""
+    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2) or a.data.ndim + b.data.ndim < 3:
+        raise ShapeError(f"matmul needs a matrix operand, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
 
@@ -162,6 +163,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, np.outer(g, b.data))
             _accum(b, a.data.T @ g)
 
+    elif a.data.ndim == 1:
+
+        def bw(g):
+            _accum(a, b.data @ g)
+            _accum(b, np.outer(a.data, g))
+
     else:
 
         def bw(g):
@@ -169,6 +176,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return Tensor(out_data, parents=(a, b), bw=bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w.T + b`` for ``x`` of shape [d] or [N, d] as one tape node; the
+    bias gradient sums over rows."""
+    if w.data.ndim != 2 or x.data.ndim not in (1, 2) or x.data.shape[-1] != w.data.shape[1]:
+        raise ShapeError(f"linear needs [d] or [N, d] @ [o, d].T, got {x.data.shape} and {w.data.shape}")
+    batched = x.data.ndim == 2
+    out_data = x.data @ w.data.T if batched else w.data @ x.data
+    if b is not None:
+        out_data = out_data + b.data
+    parents = (x, w) if b is None else (x, w, b)
+
+    def bw(g):
+        if batched:
+            _accum(x, g @ w.data)
+            _accum(w, g.T @ x.data)
+        else:
+            _accum(x, w.data.T @ g)
+            _accum(w, np.outer(g, x.data))
+        if b is not None:
+            _accum(b, g.sum(axis=0) if batched else g)
+
+    return Tensor(out_data, parents=parents, bw=bw)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -184,21 +215,49 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(ts: Sequence[Tensor]) -> Tensor:
+    """Join along the last axis; leading axes must agree."""
     if not ts:
         raise ValueError("concat of an empty sequence")
+    lead = ts[0].data.shape[:-1]
     for t in ts:
-        if t.data.ndim != 1:
-            raise ShapeError("concat handles 1-D tensors only")
-    out_data = np.concatenate([t.data for t in ts])
-    sizes = [t.data.shape[0] for t in ts]
+        if t.data.ndim not in (1, 2) or t.data.shape[:-1] != lead:
+            raise ShapeError("concat handles [d] or [N, d] tensors with equal leading axes")
+    out_data = np.concatenate([t.data for t in ts], axis=-1)
+    sizes = [t.data.shape[-1] for t in ts]
 
     def bw(g):
         off = 0
         for t, n in zip(ts, sizes):
-            _accum(t, g[off : off + n])
+            _accum(t, g[..., off : off + n])
             off += n
 
     return Tensor(out_data, parents=tuple(ts), bw=bw)
+
+
+def stack(ts: Sequence[Tensor]) -> Tensor:
+    """Same-shaped tensors as the rows of a new leading axis."""
+    if not ts:
+        raise ValueError("stack of an empty sequence")
+    out_data = np.stack([t.data for t in ts])
+
+    def bw(g):
+        for i, t in enumerate(ts):
+            _accum(t, g[i])
+
+    return Tensor(out_data, parents=tuple(ts), bw=bw)
+
+
+def take_rows(t: Tensor, idx: Sequence[int]) -> Tensor:
+    """Rows ``idx`` of ``t`` (repeats allowed); gradients scatter-add back."""
+    index = np.asarray(idx, dtype=np.intp)
+    out_data = t.data[index]
+
+    def bw(g):
+        grad = np.zeros_like(t.data)
+        np.add.at(grad, index, g)
+        _accum(t, grad)
+
+    return Tensor(out_data, parents=(t,), bw=bw)
 
 
 def vsum(a: Tensor) -> Tensor:
@@ -275,50 +334,24 @@ def row(table: Tensor, index: int) -> Tensor:
     return Tensor(out_data, parents=(table,), bw=bw)
 
 
-def stack_scalars(ts: Sequence[Tensor]) -> Tensor:
-    out_data = np.array([t.data for t in ts])
-
-    def bw(g):
-        for i, t in enumerate(ts):
-            _accum(t, g[i].reshape(()))
-
-    return Tensor(out_data, parents=tuple(ts), bw=bw)
-
-
 def softmax(a: Tensor) -> Tensor:
-    """Numerically stabilized softmax over a 1-D tensor."""
-    if a.data.ndim != 1 or a.data.shape[0] == 0:
-        raise ShapeError("softmax needs a non-empty 1-D tensor")
-    e = np.exp(a.data - np.max(a.data))
-    out_data = e / np.sum(e)
+    """Numerically stabilized softmax over the last axis."""
+    if a.data.ndim not in (1, 2) or a.data.shape[-1] == 0:
+        raise ShapeError("softmax needs a non-empty [n] or [N, n] tensor")
+    e = np.exp(a.data - np.max(a.data, axis=-1, keepdims=True))
+    out_data = e / np.sum(e, axis=-1, keepdims=True)
 
     def bw(g):
-        _accum(a, out_data * (g - np.dot(g, out_data)))
+        _accum(a, out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
 
     return Tensor(out_data, parents=(a,), bw=bw)
 
 
-def weighted_sum(weights: Tensor, vectors: Sequence[Tensor]) -> Tensor:
-    """Sum_i weights[i] * vectors[i] as a single tape node."""
-    if weights.data.shape != (len(vectors),):
-        raise ShapeError("one weight per vector required")
-    stacked = np.stack([v.data for v in vectors])
-    out_data = stacked.T @ weights.data
-
-    def bw(g):
-        _accum(weights, stacked @ g)
-        w = weights.data
-        for i, v in enumerate(vectors):
-            _accum(v, g * w[i])
-
-    return Tensor(out_data, parents=(weights,) + tuple(vectors), bw=bw)
-
-
 def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Stabilized log-softmax of a non-empty 1-D array: the maximum is
-    subtracted before exponentiating."""
-    shifted = x - np.max(x)
-    return shifted - math.log(np.sum(np.exp(shifted)))
+    """Stabilized log-softmax over the last axis of a non-empty array: the
+    maximum is subtracted before exponentiating."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def softmax_xent(logits: Tensor, target: int) -> Tensor:
@@ -408,17 +441,19 @@ class LstmParams:
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
     """One LSTM step: sigmoid input/forget/output gates and tanh candidate
-    over [h_prev, x]; returns (h, c)."""
+    over [h_prev, x]; returns (h, c).  Shapes are [d] or, for N independent
+    rows, [N, d]."""
     hidden = params.hidden_dim
-    if x.data.shape != (params.input_dim,):
-        raise ShapeError(f"lstm_cell input shape {x.data.shape}, expected ({params.input_dim},)")
-    if h_prev.data.shape != (hidden,) or c_prev.data.shape != (hidden,):
+    lead = x.data.shape[:-1]
+    if x.data.ndim not in (1, 2) or x.data.shape[-1] != params.input_dim:
+        raise ShapeError(f"lstm_cell input shape {x.data.shape}, expected [..., {params.input_dim}]")
+    if h_prev.data.shape != lead + (hidden,) or c_prev.data.shape != lead + (hidden,):
         raise ShapeError("lstm_cell state shapes do not match the cell size")
     z = concat([h_prev, x])
-    i = sigmoid(add(matmul(params.w_i, z), params.b_i))
-    f = sigmoid(add(matmul(params.w_f, z), params.b_f))
-    o = sigmoid(add(matmul(params.w_o, z), params.b_o))
-    c_tilde = tanh(add(matmul(params.w_c, z), params.b_c))
+    i = sigmoid(linear(z, params.w_i, params.b_i))
+    f = sigmoid(linear(z, params.w_f, params.b_f))
+    o = sigmoid(linear(z, params.w_o, params.b_o))
+    c_tilde = tanh(linear(z, params.w_c, params.b_c))
     c = add(mul(f, c_prev), mul(i, c_tilde))
     h = mul(o, tanh(c))
     return h, c
@@ -451,17 +486,16 @@ def window_relu_stack(
     return current
 
 
-def attention(
-    encoder_states: Sequence[Tensor], decoder_state: Tensor, w: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Multiplicative attention: scores h_t . (W s), softmax weights, and the
-    convex-combination context vector."""
-    if len(encoder_states) == 0:
-        raise ValueError("attention requires at least one encoder state")
-    projected = matmul(w, decoder_state)
-    scores = stack_scalars([dot(h, projected) for h in encoder_states])
+def attention(memory: Tensor, query: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
+    """Multiplicative attention over the [T, h] encoder ``memory``: scores
+    h_t . (W s) for a query s of shape [h] (or each row of [N, h]), softmax
+    weights over T, and the convex-combination context vector(s)."""
+    if memory.data.ndim != 2 or memory.data.shape[0] == 0:
+        raise ValueError("attention requires a [T, h] memory with at least one state")
+    projected = linear(query, w)
+    scores = linear(projected, memory)
     alphas = softmax(scores)
-    context = weighted_sum(alphas, list(encoder_states))
+    context = matmul(alphas, memory)
     return alphas, context
 
 

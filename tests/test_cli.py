@@ -250,8 +250,14 @@ class TestConfigValidation:
             (["train"], {"embedder": {"aggregator": "gru"}}, "aggregator"),
             (["train"], {"train": {"batch_size": 0}}, "batch_size"),
             (["train"], {"embedder": {"aggregater": "mean"}}, "aggregater"),
+            (["train"], {"embedder": {"direction": "off"}}, "direction"),
+            (["train"], {"model": {"beam_width": 2.5}}, "beam_width"),
+            (["train"], {"train": {"batch_size": True}}, "batch_size"),
         ],
-        ids=["beam-flag", "beam-width", "aggregator", "batch-size", "unknown-embedder-key"],
+        ids=[
+            "beam-flag", "beam-width", "aggregator", "batch-size", "unknown-embedder-key",
+            "direction-string", "beam-width-float", "batch-size-bool",
+        ],
     )
     def test_bad_value_is_usage_error(self, workspace, capsys, command, patch, setting):
         cfg = write_config(workspace)
@@ -269,6 +275,19 @@ class TestConfigValidation:
         assert setting in lines[0]
         assert "Traceback" not in err
         assert not (workspace / "model.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "raw", [[1], {"paths": []}, {"embedder": ["hops"]}], ids=["list", "paths-list", "embedder-list"]
+    )
+    def test_block_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code, _ = run_cli(["train", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestAblateCommand:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adgcode.graph import (
     ApiMethodNode,
@@ -275,6 +277,32 @@ class TestReachability:
     def test_undeclared_available_names_ignored(self, toy_adg):
         assert toy_adg.is_reachable(3, {"C", "D", "NotAType"}) is True
         assert toy_adg.is_reachable(3, {"NotAType"}) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_types=st.integers(1, 8),
+        n_methods=st.integers(1, 25),
+        picks=st.lists(st.integers(0, 9), max_size=10),
+    )
+    def test_vector_reachability_matches_counting_oracle(self, seed, n_types, n_methods, picks):
+        rng = np.random.default_rng(seed)
+        hierarchy = random_hierarchy(rng, n_types, parent_prob=0.6)
+        adg = build_adg(random_methods(rng, n_methods, hierarchy), hierarchy)
+        names = sorted(hierarchy.names) + ["NotAType", "T99"]
+        available = {names[i % len(names)] for i in picks}
+        all_ids = list(range(adg.num_nodes))
+        got = adg.reachability(all_ids, available)
+        assert got.dtype == bool
+        assert got.tolist() == [adg.is_reachable(n, available) for n in all_ids]
+        assert adg.reachability(all_ids[::-1], available).tolist() == got.tolist()[::-1]
+
+    def test_vector_reachability_unknown_node_raises(self, toy_adg):
+        with pytest.raises(UnknownNodeError):
+            toy_adg.reachability([0, 4], set())
+        with pytest.raises(UnknownNodeError):
+            toy_adg.reachability([-1], set())
+        assert toy_adg.reachability([], {"A"}).shape == (0,)
 
 
 class TestNeighbors:

@@ -12,6 +12,7 @@ import pytest
 from adgcode import neural
 from adgcode.embedder import EmbedderConfig
 from adgcode.graph import build_adg
+from adgcode import model as model_mod
 from adgcode.model import (
     BOS_ID,
     EOS_ID,
@@ -96,25 +97,24 @@ class TestEncode:
     def test_single_token_matches_manual_composition(self):
         model, _ = tiny_model()
         token_id = 4
-        states, (h, c) = model.encode([token_id])
+        memory, (h, c) = model.encode([token_id])
         x = neural.row(model.desc_lut, token_id)
         feats = neural.window_relu_stack([x], model.stack_weights, model.config.relu_window)
         h2, c2 = neural.lstm_cell(feats[0], neural.zeros(12), neural.zeros(12), model.enc_lstm)
-        assert len(states) == 1
-        assert np.allclose(states[0].data, h2.data, atol=1e-12)
+        assert memory.data.shape == (1, 12)
+        assert np.allclose(memory.data[0], h2.data, atol=1e-12)
         assert np.allclose(c.data, c2.data, atol=1e-12)
 
     def test_deterministic(self):
         model, _ = tiny_model()
         a, _ = model.encode([4, 5, 6])
         b, _ = model.encode([4, 5, 6])
-        for x, y in zip(a, b):
-            assert np.array_equal(x.data, y.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_five_token_composition_oracle(self):
         model, _ = tiny_model()
         ids = [4, 5, 6, 4, 5]
-        states, (h_final, c_final) = model.encode(ids)
+        memory, (h_final, c_final) = model.encode(ids)
         xs = [neural.row(model.desc_lut, i) for i in ids]
         feats = neural.window_relu_stack(xs, model.stack_weights, model.config.relu_window)
         h = neural.zeros(12)
@@ -123,9 +123,10 @@ class TestEncode:
         for f in feats:
             h, c = neural.lstm_cell(f, h, c, model.enc_lstm)
             expect.append(h)
-        assert len(states) == 5
-        for got, want in zip(states, expect):
-            assert np.allclose(got.data, want.data, atol=1e-12)
+        # the memory rows are the per-step hidden states, bit for bit
+        assert memory.data.shape == (5, 12)
+        for got, want in zip(memory.data, expect):
+            assert np.array_equal(got, want.data)
         assert np.allclose(h_final.data, h.data, atol=1e-12)
 
     def test_empty_rejected(self):
@@ -137,8 +138,8 @@ class TestEncode:
         model, _ = tiny_model()
         ids = model.desc_vocab.encode(["zzz-unknown"])
         assert ids == [UNK_ID]
-        states, _ = model.encode(ids)
-        assert np.all(np.isfinite(states[0].data))
+        memory, _ = model.encode(ids)
+        assert np.all(np.isfinite(memory.data))
 
 
 class TestDecoderQuery:
@@ -200,6 +201,23 @@ class TestDecodeStep:
         expect = neural.add(neural.matmul(model.out_w2, hid), model.out_b2)
         assert np.allclose(logits.data, expect.data, atol=1e-12)
         assert np.allclose(h1.data, h2.data, atol=1e-12)
+
+    def test_batched_rows_match_one_row_steps(self):
+        model, _ = tiny_model()
+        memory, _ = model.encode([4, 5, 6])
+        rng = np.random.default_rng(2)
+        q, h0, c0 = (rng.standard_normal((4, d)) for d in (8, 12, 12))
+        logits, (h1, c1) = model.decode_step(
+            neural.constant(q), (neural.constant(h0), neural.constant(c0)), memory
+        )
+        assert logits.data.shape == (4, len(model.code_vocab))
+        for i in range(4):
+            one, (h, c) = model.decode_step(
+                neural.constant(q[i]), (neural.constant(h0[i]), neural.constant(c0[i])), memory
+            )
+            assert np.allclose(logits.data[i], one.data, rtol=0.0, atol=1e-12)
+            assert np.allclose(h1.data[i], h.data, rtol=0.0, atol=1e-12)
+            assert np.allclose(c1.data[i], c.data, rtol=0.0, atol=1e-12)
 
 
 class TestLossSanity:
@@ -326,6 +344,29 @@ class TestGeneration:
         for width in (1, 2, 4):
             assert beam_search(model, desc, width=width, reach_filter=True) == []
 
+    def test_beam_step_is_batched(self, monkeypatch):
+        # EOS at -50 keeps every hypothesis alive to max_len, so width 5
+        # advances five rows per step where width 1 advances one
+        model, _ = tiny_model()
+        model.out_b2.data = model.out_b2.data.copy()
+        model.out_b2.data[EOS_ID] = -50.0
+        node_emb = model.embed_nodes()
+        created = [0]
+        init = neural.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(neural.Tensor, "__init__", counting_init)
+        counts = {}
+        for width in (1, 5):
+            created[0] = 0
+            out = beam_search(model, ("make", "c"), width=width, max_len=12, node_embeddings=node_emb)
+            assert len(out) == 12
+            counts[width] = created[0]
+        assert counts[5] < 1.5 * counts[1], counts
+
     def test_invalid_width_rejected(self):
         model, _ = tiny_model()
         with pytest.raises(ValueError):
@@ -405,6 +446,34 @@ class TestGeneration:
 
 
 class TestReachFilter:
+    def test_batched_mask_matches_per_token_loop(self):
+        spec = SyntheticSpec(n_types=6, n_methods=14, max_chain_len=3, corpus_size=16, seed=5)
+        corpus = generate(spec)
+        sig = parse_signatures(corpus.signature_text)
+        adg = build_adg(sig.nodes(), sig.hierarchy())
+        desc_vocab = Vocabulary.from_sequences(d for d, _ in corpus.pairs)
+        code_vocab = Vocabulary.from_sequences(c for _, c in corpus.pairs)
+        config = ModelConfig(word_dim=8, code_dim=8, hidden_dim=10, mlp_hidden=10)
+        model = Seq2SeqModel(desc_vocab, code_vocab, adg, config, EmbedderConfig(dim=8), seed=4)
+        assert len(model.api_node_of_token_id) >= 5
+        rng = np.random.default_rng(6)
+        names = sorted(adg.hierarchy.names) + ["NotAType"]
+        availables = [
+            frozenset(rng.choice(names, size=int(rng.integers(0, len(names) + 1)), replace=False))
+            for _ in range(40)
+        ]
+        logits = rng.standard_normal((len(availables), len(code_vocab)))
+        lp = model_mod._masked_log_probs(model, logits, availables, True)
+        for row, available in zip(lp, availables):
+            expect = {PAD_ID, BOS_ID, UNK_ID} | {
+                token_id
+                for token_id, node_id in model.api_node_of_token_id.items()
+                if not adg.is_reachable(node_id, available)
+            }
+            assert set(np.flatnonzero(row == -np.inf)) == expect
+        unfiltered = model_mod._masked_log_probs(model, logits, availables, False)
+        assert {int(j) for j in np.flatnonzero(np.isinf(unfiltered).any(axis=0))} == {PAD_ID, BOS_ID, UNK_ID}
+
     def test_generated_api_tokens_always_reachable(self):
         spec = SyntheticSpec(n_types=4, n_methods=8, max_chain_len=3, corpus_size=10, seed=3)
         corpus = generate(spec)

@@ -77,6 +77,12 @@ class TestTensorOps:
             lambda: neural.vsum(neural.mul(neural.matmul(w, x), weights)), [w, x]
         )
         assert err < 1e-4
+        v = tensor_param("v", rng, (4,))
+        probe = neural.constant(rng.standard_normal(6))
+        err = gradient_check(
+            lambda: neural.vsum(neural.mul(neural.matmul(v, w), probe)), [v, w]
+        )
+        assert err < 1e-4
         err = gradient_check(
             lambda: neural.vsum(
                 neural.mul(neural.add(neural.row(table, 1), neural.row(table, 3)), w3)
@@ -85,24 +91,56 @@ class TestTensorOps:
         )
         assert err < 1e-4
 
-    def test_weighted_sum_and_stack(self):
+    def test_stack_and_take_rows(self):
         rng = RNG(2)
-        ws = tensor_param("ws", rng, (3,))
         vs = [tensor_param(f"v{i}", rng, (4,)) for i in range(3)]
-        probe = neural.constant(rng.standard_normal(4))
+        probe = neural.constant(rng.standard_normal((3, 4)))
+        err = gradient_check(lambda: neural.vsum(neural.mul(neural.stack(vs), probe)), vs)
+        assert err < 1e-4
+        # repeated and dropped rows: gradients scatter-add, unused rows get zero
+        table = tensor_param("table", rng, (4, 3))
+        rows = [2, 0, 2, 2]
+        probe = neural.constant(rng.standard_normal((4, 3)))
         err = gradient_check(
-            lambda: neural.vsum(neural.mul(neural.weighted_sum(neural.softmax(ws), vs), probe)),
-            [ws] + vs,
+            lambda: neural.vsum(neural.mul(neural.take_rows(table, rows), probe)), [table]
         )
         assert err < 1e-4
-        scalars = [neural.dot(vs[0], vs[1]), neural.dot(vs[1], vs[2])]
-        err = gradient_check(
-            lambda: neural.vsum(
-                neural.stack_scalars([neural.dot(vs[0], vs[1]), neural.dot(vs[1], vs[2])])
-            ),
-            vs,
-        )
+        assert np.array_equal(neural.take_rows(table, rows).data, table.data[rows])
+        neural.zero_grads([table])
+        neural.vsum(neural.take_rows(table, rows)).backward()
+        assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 3.0, 0.0])
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_linear(self, rows):
+        rng = RNG(17)
+        shape = (6,) if rows is None else (rows, 6)
+        x = tensor_param("x", rng, shape)
+        w = tensor_param("w", rng, (4, 6))
+        b = tensor_param("b", rng, (4,))
+        probe = neural.constant(rng.standard_normal(shape[:-1] + (4,)))
+        for bias in (b, None):
+            err = gradient_check(
+                lambda: neural.vsum(neural.mul(neural.linear(x, w, bias), probe)), [x, w, b]
+            )
+            assert err < 1e-4
+        expect = x.data @ w.data.T + b.data
+        assert np.allclose(neural.linear(x, w, b).data, expect, atol=1e-12)
+        # rows of the batched form agree with the one-vector form
+        if rows is not None:
+            for i in range(rows):
+                one = neural.linear(neural.constant(x.data[i]), w, b).data
+                assert np.allclose(neural.linear(x, w, b).data[i], one, atol=1e-12)
+
+    def test_concat_last_axis(self):
+        rng = RNG(18)
+        a = tensor_param("a", rng, (3, 2))
+        b = tensor_param("b", rng, (3, 4))
+        probe = neural.constant(rng.standard_normal((3, 6)))
+        err = gradient_check(lambda: neural.vsum(neural.mul(neural.concat([a, b]), probe)), [a, b])
         assert err < 1e-4
+        assert np.array_equal(neural.concat([a, b]).data, np.hstack([a.data, b.data]))
+        with pytest.raises(ShapeError):
+            neural.concat([a, neural.constant(np.ones((2, 4)))])
 
     def test_backward_requires_scalar(self):
         t = Parameter("t", np.ones(3))
@@ -220,7 +258,7 @@ class TestAttention:
         h = neural.constant(rng.standard_normal(4))
         s = neural.constant(rng.standard_normal(4))
         w = neural.constant(rng.standard_normal((4, 4)))
-        alphas, ctx = attention([h], s, w)
+        alphas, ctx = attention(neural.stack([h]), s, w)
         assert np.allclose(alphas.data, [1.0])
         assert np.allclose(ctx.data, h.data)
 
@@ -230,7 +268,7 @@ class TestAttention:
         states = [h, h, h, h]
         s = neural.constant(rng.standard_normal(4))
         w = neural.constant(rng.standard_normal((4, 4)))
-        alphas, _ = attention(states, s, w)
+        alphas, _ = attention(neural.stack(states), s, w)
         assert np.allclose(alphas.data, 0.25)
 
     def test_matches_direct_formula(self):
@@ -239,7 +277,7 @@ class TestAttention:
         s_data = rng.standard_normal(5)
         w_data = rng.standard_normal((5, 5))
         alphas, ctx = attention(
-            [neural.constant(h) for h in hs_data],
+            neural.constant(np.stack(hs_data)),
             neural.constant(s_data),
             neural.constant(w_data),
         )
@@ -254,7 +292,7 @@ class TestAttention:
         rng = RNG(11)
         states = [neural.constant(rng.standard_normal(6)) for _ in range(5)]
         alphas, ctx = attention(
-            states, neural.constant(rng.standard_normal(6)),
+            neural.stack(states), neural.constant(rng.standard_normal(6)),
             neural.constant(rng.standard_normal((6, 6))),
         )
         assert abs(float(np.sum(alphas.data)) - 1.0) < 1e-12
@@ -272,15 +310,38 @@ class TestAttention:
         probe = neural.constant(rng.standard_normal(4))
 
         def loss():
-            _, ctx = attention(states, s, w)
+            _, ctx = attention(neural.stack(states), s, w)
             return neural.vsum(neural.mul(ctx, probe))
 
         err = gradient_check(loss, states + [s, w])
         assert err < 1e-4
 
+    def test_batched_query_gradients_and_rows(self):
+        rng = RNG(19)
+        memory = tensor_param("memory", rng, (5, 4))
+        queries = tensor_param("queries", rng, (3, 4))
+        w = tensor_param("w", rng, (4, 4))
+        probe = neural.constant(rng.standard_normal((3, 4)))
+        alpha_probe = neural.constant(rng.standard_normal((3, 5)))
+
+        def loss():
+            alphas, ctx = attention(memory, queries, w)
+            return neural.add(
+                neural.vsum(neural.mul(ctx, probe)), neural.vsum(neural.mul(alphas, alpha_probe))
+            )
+
+        err = gradient_check(loss, [memory, queries, w])
+        assert err < 1e-4
+        alphas, ctx = attention(memory, queries, w)
+        assert alphas.data.shape == (3, 5) and ctx.data.shape == (3, 4)
+        for i in range(3):
+            one_alpha, one_ctx = attention(memory, neural.constant(queries.data[i]), w)
+            assert np.allclose(alphas.data[i], one_alpha.data, atol=1e-12)
+            assert np.allclose(ctx.data[i], one_ctx.data, atol=1e-12)
+
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
-            attention([], neural.zeros(3), neural.constant(np.eye(3)))
+            attention(neural.constant(np.zeros((0, 3))), neural.zeros(3), neural.constant(np.eye(3)))
 
 
 def xent(logits, target):
