@@ -142,7 +142,13 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
         if "train" in raw:
             tr = dict(raw["train"])
             if "initial_types" in tr:
-                tr["initial_types"] = tuple(tr["initial_types"])
+                types = tr["initial_types"]
+                if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+                    raise ConfigError(
+                        f"config file {path}: initial_types must be a list of strings, "
+                        f"got {types!r}"
+                    )
+                tr["initial_types"] = tuple(types)
             cfg.train_cfg = TrainConfig(**tr)
         cfg.seed = raw.get("seed", cfg.seed)
     except TypeError as exc:
@@ -329,17 +335,7 @@ def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
     header = "\t".join(("variant",) + metrics_mod.COLUMN_ORDER)
     print(header, file=out)
     for label, report in rows:
-        values = report.as_dict()
-        cells = [label]
-        for col in metrics_mod.COLUMN_ORDER:
-            v = values[col]
-            if v is None:
-                cells.append("-")
-            elif col == "CIDEr":
-                cells.append(f"{v:.3f}")
-            else:
-                cells.append(f"{100.0 * v:.2f}")
-        print("\t".join(cells), file=out)
+        print("\t".join([label] + metrics_mod.report_cells(report)), file=out)
     return EXIT_OK
 
 

@@ -6,7 +6,10 @@ single features, arranged into an ordered sequence reflecting invocation
 order (providers, then the node, then consumers), reduced by an aggregator
 (order-sensitive LSTM, or order-insensitive mean/max-pooling), and pushed
 through a per-hop affine map plus nonlinearity.  Hop updates are synchronous:
-hop-k vectors read only hop-(k-1) vectors.
+hop-k vectors read only hop-(k-1) vectors.  Each hop runs as a few array ops
+over every node it needs: one gather and segment reduction per
+virtualization, one segment reduction or one batched LSTM pass per
+aggregation, one affine map.
 """
 
 from __future__ import annotations
@@ -123,31 +126,6 @@ class EmbedderParams:
         return out
 
 
-def virtualize_group(
-    members: Sequence[Tensor], kind: str, cap: Optional[int] = None
-) -> Tensor:
-    """Collapse one same-tag neighbor group into a single virtual feature.
-
-    mean: arithmetic mean.  concat: concatenation in the given (canonical
-    node-id) order, zero-padded up to ``cap`` members.
-    """
-    if not members:
-        raise ValueError("cannot virtualize an empty group")
-    if kind == "mean":
-        return neural.mean_of(members)
-    if kind == "concat":
-        if cap is None or cap < 1:
-            raise ValueError("concat virtualization requires a positive cap")
-        if len(members) > cap:
-            raise ValueError(f"group of {len(members)} exceeds the concat cap {cap}")
-        d = members[0].data.shape[0]
-        parts = list(members)
-        if len(members) < cap:
-            parts.append(neural.zeros((cap - len(members)) * d))
-        return neural.concat(parts)
-    raise ValueError(f"unknown virtualization kind {kind!r}")
-
-
 def node_groups(
     adg: Adg, node_id: int, config: EmbedderConfig
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -185,64 +163,47 @@ def node_groups(
     return [], groups
 
 
-def build_ordered_set(
-    adg: Adg,
-    node_id: int,
-    prev_embeddings: Mapping[int, Tensor],
-    config: EmbedderConfig,
-) -> list[Tensor]:
-    """Ordered feature sequence for one node's hop update in invocation
-    order: one virtualized feature per provider group, the node's own
-    previous embedding, then one per consumer group.  Without edge direction
-    there are no sides, so the node comes first.
-
-    Under concat virtualization the self element is zero-padded to the group
-    width so the sequence stays dimension-uniform.
-    """
-    before, after = node_groups(adg, node_id, config)
-    self_vec = prev_embeddings[node_id]
-    if config.virtualization == "concat":
-        self_vec = virtualize_group([self_vec], "concat", config.concat_cap)
-    sequence = [
-        virtualize_group(
-            [prev_embeddings[u] for u in members], config.virtualization, config.concat_cap
-        )
-        for members in before + after
-    ]
-    sequence.insert(len(before), self_vec)
-    return sequence
-
-
-def aggregate(
-    sequence: Sequence[Tensor],
-    aggregator: str,
-    lstm_params: Optional[LstmParams] = None,
-) -> Tensor:
-    """Reduce an ordered feature sequence to one vector.
-
-    lstm: final hidden state of a single-layer recurrent pass in sequence
-    order (order-sensitive).  mean / pooling: arithmetic mean / elementwise
-    max (order-insensitive).
-    """
-    if not sequence:
-        raise ValueError("cannot aggregate an empty sequence")
-    if aggregator == "mean":
-        return neural.mean_of(sequence)
-    if aggregator == "pooling":
-        return neural.max_of(sequence)
-    if aggregator == "lstm":
-        if lstm_params is None:
-            raise ValueError("lstm aggregation requires cell parameters")
-        h = neural.zeros(lstm_params.hidden_dim)
-        c = neural.zeros(lstm_params.hidden_dim)
-        for v in sequence:
-            h, c = neural.lstm_cell(v, h, c, lstm_params)
-        return h
-    raise ValueError(f"unknown aggregator {aggregator!r}")
-
-
 def _activation(name: str):
     return neural.tanh if name == "tanh" else neural.relu
+
+
+def _virtualize(z: Tensor, groups: Sequence[Sequence[int]], config: EmbedderConfig) -> Tensor:
+    """One virtual feature row per group of row indices into ``z``.
+
+    mean: the rows' arithmetic mean.  concat: the rows in group order, then
+    zeros up to ``concat_cap`` rows, joined into one [cap * d] row.
+    """
+    sizes = [len(g) for g in groups]
+    if config.virtualization == "mean":
+        flat = [u for g in groups for u in g]
+        return neural.segment_reduce(neural.take_rows(z, flat), sizes, "mean")
+    cap = config.concat_cap
+    if max(sizes) > cap:
+        raise ValueError(f"group of {max(sizes)} exceeds the concat cap {cap}")
+    slots = []
+    for j in range(cap):
+        rows = [g[j] if j < len(g) else 0 for g in groups]
+        present = neural.constant([[float(j < n)] for n in sizes])
+        slots.append(neural.mul(neural.take_rows(z, rows), present))
+    return neural.concat(slots)
+
+
+def _lstm_final(seq: Tensor, lengths: Sequence[int], cell: LstmParams) -> Tensor:
+    """Final LSTM hidden state of each run of ``lengths[i]`` consecutive rows
+    of ``seq``, all runs advanced together; a run that has ended keeps its
+    state."""
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    h = c = neural.zeros((len(lengths), cell.hidden_dim))
+    for t in range(int(lengths.max())):
+        live = lengths > t
+        x = neural.take_rows(seq, np.where(live, starts + t, starts))
+        h_new, c_new = neural.lstm_cell(x, h, c, cell)
+        step = neural.constant(live[:, None].astype(np.float64))
+        hold = neural.constant((~live)[:, None].astype(np.float64))
+        h = neural.add(neural.mul(h_new, step), neural.mul(h, hold))
+        c = neural.add(neural.mul(c_new, step), neural.mul(c, hold))
+    return h
 
 
 def embed_tensors(
@@ -253,9 +214,9 @@ def embed_tensors(
 ) -> dict[int, Tensor]:
     """Differentiable hop-K embeddings for ``needed`` nodes (default: all).
 
-    Hop-(k-1) values are memoized per node, so only the K-hop neighborhoods
-    of the requested nodes are computed; updates are synchronous by
-    construction.
+    Only the K-hop neighborhoods of the requested nodes are computed.  Each
+    hop is a few array ops over every node it needs, reading only the
+    previous hop's rows, so updates are synchronous.
     """
     config.validate()
     if params.base.data.shape != (adg.num_nodes, config.dim):
@@ -265,45 +226,42 @@ def embed_tensors(
         )
     if len(params.hop_weights) != config.hops:
         raise neural.ShapeError("one hop weight matrix per hop is required")
-    act = _activation(config.activation)
-    use_lstm = config.aggregator == "lstm"
-    groups_cache: dict[int, list[tuple[int, ...]]] = {}
-    memo: dict[tuple[int, int], Tensor] = {}
-
-    def groups_of(m: int) -> list[tuple[int, ...]]:
-        got = groups_cache.get(m)
-        if got is None:
-            before, after = node_groups(adg, m, config)
-            got = groups_cache[m] = before + after
-        return got
-
-    def level(k: int, m: int) -> Tensor:
-        key = (k, m)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if k == 0:
-            t = neural.row(params.base, m)
-        else:
-            prev = {m: level(k - 1, m)}
-            for members in groups_of(m):
-                for u in members:
-                    if u not in prev:
-                        prev[u] = level(k - 1, u)
-            sequence = build_ordered_set(adg, m, prev, config)
-            agg = aggregate(
-                sequence,
-                config.aggregator,
-                params.hop_lstms[k - 1] if use_lstm else None,
-            )
-            t = act(neural.matmul(params.hop_weights[k - 1], agg))
-        memo[key] = t
-        return t
-
     targets = list(range(adg.num_nodes)) if needed is None else sorted(set(needed))
     for m in targets:
         adg.node(m)
-    return {m: level(config.hops, m) for m in targets}
+    if not targets:
+        return {}
+    # Closure, top hop down: hop k needs its own nodes plus every member of
+    # their groups at hop k-1.  Each node's sequence is its groups before it,
+    # itself as a group of one, then its groups after it.
+    levels = [targets]
+    plans = []
+    for _ in range(config.hops):
+        groups: list[tuple[int, ...]] = []
+        lengths = []
+        for m in levels[-1]:
+            before, after = node_groups(adg, m, config)
+            sequence = before + [(m,)] + after
+            groups.extend(sequence)
+            lengths.append(len(sequence))
+        plans.append((groups, lengths))
+        levels.append(sorted({u for g in groups for u in g}))
+    levels.reverse()
+    plans.reverse()
+
+    act = _activation(config.activation)
+    z = neural.take_rows(params.base, levels[0])
+    for k, (groups, lengths) in enumerate(plans):
+        row_of = {m: i for i, m in enumerate(levels[k])}
+        seq = _virtualize(z, [[row_of[u] for u in g] for g in groups], config)
+        if config.aggregator == "lstm":
+            agg = _lstm_final(seq, lengths, params.hop_lstms[k])
+        elif config.aggregator == "mean":
+            agg = neural.segment_reduce(seq, lengths, "mean")
+        else:
+            agg = neural.segment_reduce(seq, lengths, "max")
+        z = act(neural.linear(agg, params.hop_weights[k]))
+    return {m: neural.row(z, i) for i, m in enumerate(targets)}
 
 
 def embed_all(

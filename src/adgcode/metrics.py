@@ -359,8 +359,9 @@ def evaluate_pairs(
 COLUMN_ORDER = ("Acc", "Bleu", "F1", "CIDEr", "RougeL", "Rouge1", "Rouge2", "RIBES", "PoV")
 
 
-def format_report(report: MetricReport, label: str = "") -> str:
-    """One header line and one value row; percentage scale except CIDEr."""
+def report_cells(report: MetricReport) -> list[str]:
+    """The report's values in ``COLUMN_ORDER``: CIDEr to three places, the
+    rest as percentages to two, ``-`` for a missing value."""
     values = report.as_dict()
     cells = []
     for col in COLUMN_ORDER:
@@ -371,8 +372,13 @@ def format_report(report: MetricReport, label: str = "") -> str:
             cells.append(f"{v:.3f}")
         else:
             cells.append(f"{100.0 * v:.2f}")
+    return cells
+
+
+def format_report(report: MetricReport, label: str = "") -> str:
+    """One header line and one value row; percentage scale except CIDEr."""
     header = "\t".join(COLUMN_ORDER)
-    row = "\t".join(cells)
+    row = "\t".join(report_cells(report))
     if label:
         return f"{label}\n{header}\n{row}"
     return f"{header}\n{row}"

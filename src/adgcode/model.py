@@ -146,6 +146,9 @@ class TrainConfig:
             raise ValueError("max_steps must be >= 1 when set")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
+        types = self.initial_types
+        if not isinstance(types, tuple) or not all(isinstance(t, str) for t in types):
+            raise TypeError(f"initial_types must be a tuple of strings, got {types!r}")
 
 
 @dataclass(frozen=True)

@@ -202,18 +202,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor(out_data, parents=parents, bw=bw)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape or a.data.ndim != 1:
-        raise ShapeError(f"dot needs equal 1-D shapes, got {a.data.shape} and {b.data.shape}")
-    out_data = np.dot(a.data, b.data)
-
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return Tensor(out_data, parents=(a, b), bw=bw)
-
-
 def concat(ts: Sequence[Tensor]) -> Tensor:
     """Join along the last axis; leading axes must agree."""
     if not ts:
@@ -260,6 +248,40 @@ def take_rows(t: Tensor, idx: Sequence[int]) -> Tensor:
     return Tensor(out_data, parents=(t,), bw=bw)
 
 
+def segment_reduce(x: Tensor, sizes: Sequence[int], kind: str) -> Tensor:
+    """Mean or elementwise max over runs of consecutive rows of a 2-D ``x``:
+    row i of the result reduces the ``sizes[i]`` rows after the previous
+    runs.  Max ties send the gradient to the earliest row of the run."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_reduce needs a 2-D tensor, got {x.data.shape}")
+    n = x.data.shape[0]
+    counts = np.asarray(sizes, dtype=np.intp)
+    if counts.ndim != 1 or np.any(counts < 1) or counts.sum() != n:
+        raise ValueError(f"segment sizes must be positive and cover the {n} rows")
+    starts = np.cumsum(counts) - counts
+    if kind == "mean":
+        inv = (1.0 / counts)[:, None]
+        out_data = np.add.reduceat(x.data, starts, axis=0) * inv
+
+        def bw(g):
+            _accum(x, np.repeat(g * inv, counts, axis=0))
+
+    elif kind == "max":
+        out_data = np.maximum.reduceat(x.data, starts, axis=0)
+        hit = x.data == np.repeat(out_data, counts, axis=0)
+        rows = np.where(hit, np.arange(n)[:, None], n)
+        first = np.minimum.reduceat(rows, starts, axis=0)
+
+        def bw(g):
+            grad = np.zeros_like(x.data)
+            np.put_along_axis(grad, first, g, axis=0)
+            _accum(x, grad)
+
+    else:
+        raise ValueError(f"unknown segment reduction {kind!r}")
+    return Tensor(out_data, parents=(x,), bw=bw)
+
+
 def vsum(a: Tensor) -> Tensor:
     """Sum of all entries as a scalar."""
     out_data = np.sum(a.data)
@@ -296,28 +318,6 @@ def relu(a: Tensor) -> Tensor:
         _accum(a, g * (a.data > 0.0))
 
     return Tensor(out_data, parents=(a,), bw=bw)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties route the gradient to the first operand."""
-    mask = a.data >= b.data
-    out_data = np.where(mask, a.data, b.data)
-
-    def bw(g):
-        _accum(a, g * mask)
-        _accum(b, g * ~mask)
-
-    return Tensor(out_data, parents=(a, b), bw=bw)
-
-
-def max_of(ts: Sequence[Tensor]) -> Tensor:
-    """Elementwise max over a sequence (ties go to the earliest member)."""
-    if not ts:
-        raise ValueError("max_of of an empty sequence")
-    out = ts[0]
-    for t in ts[1:]:
-        out = maximum(out, t)
-    return out
 
 
 def row(table: Tensor, index: int) -> Tensor:

@@ -1,6 +1,7 @@
-"""Embedder tests: virtualization, ordered sequences, aggregators, and full
-hop updates against a naive reference implementation that recomputes neighbor
-groups from the raw edge list and applies each update step literally."""
+"""Embedder tests: the segment reductions behind virtualization and
+aggregation, neighbor groups and sequence order, and full hop updates against
+a naive reference implementation that recomputes neighbor groups from the raw
+edge list and applies each update step literally."""
 
 from __future__ import annotations
 
@@ -9,21 +10,18 @@ import itertools
 import numpy as np
 import pytest
 
-from adgcode import neural
+from adgcode import embedder, neural
 from adgcode.embedder import (
     EmbedderConfig,
     EmbedderParams,
-    aggregate,
-    build_ordered_set,
     dump_embeddings,
     embed_all,
     embed_tensors,
     load_embeddings,
     node_groups,
-    virtualize_group,
 )
-from adgcode.graph import ApiMethodNode, ParamType, TypeHierarchy, build_adg
-from adgcode.neural import constant, gradient_check
+from adgcode.graph import ApiMethodNode, ParamType, TypeHierarchy, UnknownNodeError, build_adg
+from adgcode.neural import Parameter, constant, gradient_check, segment_reduce
 
 from conftest import random_adg
 
@@ -110,94 +108,117 @@ def naive_embed(adg, params, config):
     return h
 
 
-@pytest.fixture
-def chain_adg():
-    """m2 () -> C; m3 () -> D; m4 (C, D) -> E; m5 (E) -> F."""
-    hierarchy = TypeHierarchy([ParamType(n) for n in "CDEF"])
-    methods = [
-        ApiMethodNode(0, "m2", (), ("C",)),
-        ApiMethodNode(1, "m3", (), ("D",)),
-        ApiMethodNode(2, "m4", ("C", "D"), ("E",)),
-        ApiMethodNode(3, "m5", ("E",), ("F",)),
+def chain_methods(prefix=""):
+    """m2 () -> C; m3 () -> D; m4 (C, D) -> E; m5 (E) -> F, with every name
+    and type carrying ``prefix``."""
+    return [
+        (f"{prefix}m2", (), (f"{prefix}C",)),
+        (f"{prefix}m3", (), (f"{prefix}D",)),
+        (f"{prefix}m4", (f"{prefix}C", f"{prefix}D"), (f"{prefix}E",)),
+        (f"{prefix}m5", (f"{prefix}E",), (f"{prefix}F",)),
     ]
+
+
+def build_copies(prefixes):
+    """Disjoint copies of the chain graph, one per prefix."""
+    specs = [spec for prefix in prefixes for spec in chain_methods(prefix)]
+    hierarchy = TypeHierarchy([ParamType(f"{p}{t}") for p in prefixes for t in "CDEF"])
+    methods = [ApiMethodNode(i, name, ins, outs) for i, (name, ins, outs) in enumerate(specs)]
     return build_adg(methods, hierarchy)
 
 
+@pytest.fixture
+def chain_adg():
+    """m2 () -> C; m3 () -> D; m4 (C, D) -> E; m5 (E) -> F."""
+    return build_copies([""])
+
+
+def make_params(adg, config, seed=0):
+    return EmbedderParams.create(adg, config, np.random.default_rng(seed))
+
+
 class TestVirtualizeGroup:
+    """Mean virtualization is a segment mean; concat is checked through
+    ``embed_tensors``."""
+
     def test_singleton_mean(self):
-        v = constant(np.array([1.0, 2.0]))
-        assert np.allclose(virtualize_group([v], "mean").data, [1.0, 2.0])
+        v = np.array([[1.0, 2.0]])
+        assert np.array_equal(segment_reduce(constant(v), [1], "mean").data, v)
 
     def test_arithmetic_mean(self):
-        a = constant(np.array([1.0, 3.0]))
-        b = constant(np.array([3.0, 1.0]))
-        assert np.allclose(virtualize_group([a, b], "mean").data, [2.0, 2.0])
+        rows = constant(np.array([[1.0, 3.0], [3.0, 1.0], [5.0, -1.0]]))
+        out = segment_reduce(rows, [2, 1], "mean").data
+        assert np.allclose(out, [[2.0, 2.0], [5.0, -1.0]])
 
     def test_mean_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        vecs = [constant(rng.standard_normal(3)) for _ in range(5)]
-        base = virtualize_group(vecs, "mean").data
+        vecs = rng.standard_normal((5, 3))
+        base = segment_reduce(constant(vecs), [5], "mean").data
         for perm in itertools.permutations(range(5)):
-            permuted = virtualize_group([vecs[i] for i in perm], "mean").data
+            permuted = segment_reduce(constant(vecs[list(perm)]), [5], "mean").data
             assert np.allclose(permuted, base, atol=1e-12)
 
-    def test_concat_pads_to_cap(self):
-        a = constant(np.array([1.0, 2.0]))
-        b = constant(np.array([3.0, 4.0]))
-        out = virtualize_group([a, b], "concat", cap=3)
-        assert np.allclose(out.data, [1.0, 2.0, 3.0, 4.0, 0.0, 0.0])
+    def test_concat_pads_to_cap(self, chain_adg):
+        # Unlabelled, m4's provider group is (m2, m3), so a cap of 2 is full.
+        # Padding slots are zeros, so their weight columns cannot matter.
+        d = 3
+        tight = EmbedderConfig(dim=d, hops=1, aggregator="mean", virtualization="concat",
+                               concat_cap=2, use_edge_labels=False)
+        loose = EmbedderConfig(dim=d, hops=1, aggregator="mean", virtualization="concat",
+                               concat_cap=4, use_edge_labels=False)
+        p_tight = make_params(chain_adg, tight, seed=1)
+        p_loose = make_params(chain_adg, loose, seed=2)
+        p_loose.base.data[:] = p_tight.base.data
+        p_loose.hop_weights[0].data[:, : 2 * d] = p_tight.hop_weights[0].data
+        a = embed_all(chain_adg, p_tight, tight)
+        b = embed_all(chain_adg, p_loose, loose)
+        for m in a:
+            assert np.allclose(a[m], b[m], atol=1e-12)
 
-    def test_concat_overflow_rejected(self):
-        vecs = [constant(np.ones(2)) for _ in range(4)]
+    def test_concat_overflow_rejected(self, chain_adg):
+        config = EmbedderConfig(dim=2, virtualization="concat", concat_cap=1, use_edge_labels=False)
         with pytest.raises(ValueError, match="cap"):
-            virtualize_group(vecs, "concat", cap=3)
+            embed_tensors(chain_adg, make_params(chain_adg, config), config)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            virtualize_group([], "mean")
+            segment_reduce(constant(np.ones((3, 2))), [2, 0, 1], "mean")
 
 
 class TestOrderedSet:
-    def _embeddings(self, adg, d=3, seed=0):
-        rng = np.random.default_rng(seed)
-        return {m: constant(rng.standard_normal(d)) for m in range(adg.num_nodes)}
+    """Sequence layout: the groups from ``node_groups`` before the node, the
+    node itself, then the groups after it."""
 
     def test_isolated_node_only_self(self):
         hierarchy = TypeHierarchy([ParamType("C")])
         adg = build_adg([ApiMethodNode(0, "m", (), ("C",))], hierarchy)
-        prev = self._embeddings(adg)
-        config = EmbedderConfig(dim=3)
-        seq = build_ordered_set(adg, 0, prev, config)
-        assert len(seq) == 1
-        assert seq[0] is prev[0]
+        config = EmbedderConfig(dim=3, hops=1)
+        assert node_groups(adg, 0, config) == ([], [])
+        params = make_params(adg, config)
+        cell = params.hop_lstms[0]
+        h, _ = neural.lstm_cell(
+            constant(params.base.data[0]), neural.zeros(3), neural.zeros(3), cell
+        )
+        expect = np.tanh(params.hop_weights[0].data @ h.data)
+        assert np.allclose(embed_all(adg, params, config)[0], expect, atol=1e-12)
 
     def test_chain_node_group_layout(self, chain_adg):
-        prev = self._embeddings(chain_adg)
         config = EmbedderConfig(dim=3)
-        seq = build_ordered_set(chain_adg, 2, prev, config)
-        # providers of C (m2), providers of D (m3), self, consumers via E (m5)
-        assert len(seq) == 4
-        assert np.allclose(seq[0].data, prev[0].data)
-        assert np.allclose(seq[1].data, prev[1].data)
-        assert np.allclose(seq[2].data, prev[2].data)
-        assert np.allclose(seq[3].data, prev[3].data)
+        # providers of C (m2), providers of D (m3), then consumers via E (m5)
+        assert node_groups(chain_adg, 2, config) == ([(0,), (1,)], [(3,)])
 
     def test_label_ablation_changes_group_count(self, chain_adg):
-        prev = self._embeddings(chain_adg)
         labelled = EmbedderConfig(dim=3, use_edge_labels=True)
         unlabelled = EmbedderConfig(dim=3, use_edge_labels=False)
         # node m4: two in-tags and one out-tag when labelled; one
         # forward and one backward group when unlabelled
-        assert len(build_ordered_set(chain_adg, 2, prev, labelled)) == 1 + 2 + 1
-        assert len(build_ordered_set(chain_adg, 2, prev, unlabelled)) == 1 + 1 + 1
+        assert node_groups(chain_adg, 2, labelled) == ([(0,), (1,)], [(3,)])
+        assert node_groups(chain_adg, 2, unlabelled) == ([(0, 1)], [(3,)])
 
     def test_direction_ablation_merges_sides(self, chain_adg):
-        prev = self._embeddings(chain_adg)
         undirected = EmbedderConfig(dim=3, use_edge_direction=False)
-        # tags C, D, E each with one neighbor
-        seq = build_ordered_set(chain_adg, 2, prev, undirected)
-        assert len(seq) == 1 + 3
-        assert seq[0] is prev[2]  # no sides, so the node stays first
+        # tags C, D, E each with one neighbor; no sides, so the node stays first
+        assert node_groups(chain_adg, 2, undirected) == ([], [(0,), (1,), (3,)])
 
     def test_group_counts_match_edge_oracle(self):
         rng = np.random.default_rng(21)
@@ -216,40 +237,66 @@ class TestOrderedSet:
 
     def test_unknown_node_rejected(self, chain_adg):
         config = EmbedderConfig(dim=3)
-        with pytest.raises(Exception):
-            build_ordered_set(chain_adg, 99, self._embeddings(chain_adg), config)
+        params = make_params(chain_adg, config)
+        for bad in (99, -1):
+            with pytest.raises(UnknownNodeError):
+                embed_tensors(chain_adg, params, config, needed=[0, bad])
 
 
 class TestAggregate:
+    """Mean and pooling aggregation are segment reductions; LSTM order is
+    checked through ``embed_tensors``."""
+
     def test_mean_singleton_identity(self):
-        v = constant(np.array([0.5, -1.0]))
-        assert np.allclose(aggregate([v], "mean").data, v.data)
+        v = Parameter("v", np.array([[0.5, -1.0], [2.0, 3.0]]))
+        for kind in ("mean", "max"):
+            v.grad = None
+            out = segment_reduce(v, [1, 1], kind)
+            assert np.array_equal(out.data, v.data)
+            neural.vsum(neural.mul(out, constant([[1.0, 2.0], [3.0, 4.0]]))).backward()
+            assert np.array_equal(v.grad, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_max_pooling(self):
-        a = constant(np.array([1.0, -2.0]))
-        b = constant(np.array([0.0, 5.0]))
-        assert np.allclose(aggregate([a, b], "pooling").data, [1.0, 5.0])
+        x = Parameter("x", np.array([[1.0, -2.0], [0.0, 5.0], [1.0, 5.0], [7.0, 7.0]]))
+        out = segment_reduce(x, [3, 1], "max")
+        assert np.array_equal(out.data, [[1.0, 5.0], [7.0, 7.0]])
+        neural.vsum(out).backward()
+        # ties (1.0 in rows 0 and 2, 5.0 in rows 1 and 2) go to the earliest row
+        assert np.array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
-    def test_lstm_is_order_sensitive(self):
-        rng = np.random.default_rng(1)
-        cell = neural.LstmParams.create("agg", 4, 4, rng)
-        seq = [constant(rng.standard_normal(4)) for _ in range(3)]
-        forward = aggregate(seq, "lstm", cell).data
-        backward = aggregate(list(reversed(seq)), "lstm", cell).data
-        assert not np.allclose(forward, backward)
+    def test_lstm_is_order_sensitive(self, chain_adg, monkeypatch):
+        def swapped(adg, node_id, config):
+            before, after = node_groups(adg, node_id, config)
+            return after, before
+
+        for aggregator in ("lstm", "mean"):
+            config = EmbedderConfig(dim=4, hops=1, aggregator=aggregator)
+            params = make_params(chain_adg, config, seed=1)
+            forward = embed_all(chain_adg, params, config)[2]
+            with monkeypatch.context() as patch:
+                patch.setattr(embedder, "node_groups", swapped)
+                backward = embed_all(chain_adg, params, config)[2]
+            if aggregator == "lstm":
+                assert not np.allclose(forward, backward)
+            else:
+                assert np.allclose(forward, backward, atol=1e-12)
 
     def test_mean_pooling_permutation_invariance(self):
         rng = np.random.default_rng(2)
-        seq = [constant(rng.standard_normal(3)) for _ in range(4)]
-        for kind in ("mean", "pooling"):
-            base = aggregate(seq, kind).data
+        seq = rng.standard_normal((4, 3))
+        for kind in ("mean", "max"):
+            base = segment_reduce(constant(seq), [4], kind).data
             for perm in itertools.permutations(range(4)):
-                got = aggregate([seq[i] for i in perm], kind).data
+                got = segment_reduce(constant(seq[list(perm)]), [4], kind).data
                 assert np.allclose(got, base, atol=1e-12)
 
     def test_empty_sequence_rejected(self):
+        rows = constant(np.ones((3, 2)))
+        for sizes in ([2], [2, 2], []):
+            with pytest.raises(ValueError):
+                segment_reduce(rows, sizes, "max")
         with pytest.raises(ValueError):
-            aggregate([], "mean")
+            segment_reduce(rows, [3], "sum")
 
 
 class TestEmbedAll:
@@ -326,6 +373,29 @@ class TestEmbedAll:
         assert np.allclose(subset[2].data, full[2], atol=1e-12)
 
 
+    @pytest.mark.parametrize("aggregator", ["lstm", "pooling"])
+    def test_stays_batched(self, aggregator, monkeypatch):
+        # k disjoint chains: the tape must not grow with k beyond one row
+        # lookup per requested node.
+        config = EmbedderConfig(dim=3, hops=2, aggregator=aggregator)
+        counts = {}
+        for k in (1, 20):
+            adg = build_copies([f"c{i}_" for i in range(k)])
+            params = make_params(adg, config)
+            made = [0]
+            init = neural.Tensor.__init__
+
+            def counting_init(self, *args, **kwargs):
+                made[0] += 1
+                init(self, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(neural.Tensor, "__init__", counting_init)
+                embed_all(adg, params, config)
+            counts[k] = made[0] - adg.num_nodes
+        assert counts[20] < 1.5 * counts[1], counts
+
+
 class TestLocalityAndInvariance:
     def _union_neighbors(self, adg, m):
         out = set()
@@ -396,7 +466,7 @@ class TestEmbedderGradients:
 
         def loss():
             zs = embed_tensors(adg, params, config)
-            return neural.add_n([neural.dot(zs[m], probes[m]) for m in zs])
+            return neural.add_n([neural.vsum(neural.mul(zs[m], probes[m])) for m in zs])
 
         err = gradient_check(loss, params.parameters())
         assert err < 1e-4, f"{aggregator}: worst relative error {err}"

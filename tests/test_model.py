@@ -510,6 +510,12 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(model, [], [], TrainConfig())
 
+    def test_initial_types_must_be_strings(self):
+        TrainConfig(initial_types=("Reader",)).validate()
+        for bad in (("Reader", 1), ["Reader"], "Reader"):
+            with pytest.raises(TypeError, match="initial_types"):
+                TrainConfig(initial_types=bad).validate()
+
     def test_divergence_detected_with_step(self):
         model, pairs = tiny_model()
         model.out_b2.data = np.full(model.out_b2.data.shape, np.nan)

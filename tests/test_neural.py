@@ -53,11 +53,18 @@ class TestTensorOps:
             "tanh": lambda: neural.vsum(neural.mul(neural.tanh(a), weights)),
             "sigmoid": lambda: neural.vsum(neural.mul(neural.sigmoid(a), weights)),
             "relu": lambda: neural.vsum(neural.mul(neural.relu(a), weights)),
-            "maximum": lambda: neural.vsum(neural.maximum(a, b)),
-            "dot": lambda: neural.dot(a, b),
             "concat": lambda: neural.vsum(neural.concat([a, b])),
             "add_n": lambda: neural.vsum(neural.add_n([a, b, a])),
-            "max_of": lambda: neural.vsum(neural.max_of([a, b])),
+            "segment_mean": lambda: neural.vsum(
+                neural.mul(neural.segment_reduce(neural.stack([a, b, a]), [1, 2], "mean"), weights)
+            ),
+            "segment_max": lambda: neural.vsum(
+                neural.mul(neural.segment_reduce(neural.stack([a, b, a]), [2, 1], "max"), weights)
+            ),
+            # rows 0 and 2 are the same parameter, so they tie wherever b < a
+            "segment_max_tie": lambda: neural.vsum(
+                neural.mul(neural.segment_reduce(neural.stack([a, b, a]), [3], "max"), weights)
+            ),
             "softmax": lambda: neural.vsum(neural.mul(neural.softmax(a), weights)),
             "xent": lambda: neural.softmax_xent(a, 2),
         }
@@ -152,8 +159,6 @@ class TestTensorOps:
         b = neural.constant(np.ones(4))
         with pytest.raises(ShapeError):
             neural.matmul(a, b)
-        with pytest.raises(ShapeError):
-            neural.dot(neural.constant(np.ones(2)), neural.constant(np.ones(3)))
 
     def test_gradient_accumulates_over_shared_use(self):
         a = Parameter("a", np.array([2.0]))
