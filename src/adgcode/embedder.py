@@ -9,7 +9,7 @@ through a per-hop affine map plus nonlinearity.  Hop updates are synchronous:
 hop-k vectors read only hop-(k-1) vectors.  Each hop runs as a few array ops
 over every node it needs: one gather and segment reduction per
 virtualization, one segment reduction or one batched LSTM pass per
-aggregation, one affine map.
+aggregation (``neural.lstm_runs``), one affine map.
 """
 
 from __future__ import annotations
@@ -188,31 +188,14 @@ def _virtualize(z: Tensor, groups: Sequence[Sequence[int]], config: EmbedderConf
     return neural.concat(slots)
 
 
-def _lstm_final(seq: Tensor, lengths: Sequence[int], cell: LstmParams) -> Tensor:
-    """Final LSTM hidden state of each run of ``lengths[i]`` consecutive rows
-    of ``seq``, all runs advanced together; a run that has ended keeps its
-    state."""
-    lengths = np.asarray(lengths)
-    starts = np.cumsum(lengths) - lengths
-    h = c = neural.zeros((len(lengths), cell.hidden_dim))
-    for t in range(int(lengths.max())):
-        live = lengths > t
-        x = neural.take_rows(seq, np.where(live, starts + t, starts))
-        h_new, c_new = neural.lstm_cell(x, h, c, cell)
-        step = neural.constant(live[:, None].astype(np.float64))
-        hold = neural.constant((~live)[:, None].astype(np.float64))
-        h = neural.add(neural.mul(h_new, step), neural.mul(h, hold))
-        c = neural.add(neural.mul(c_new, step), neural.mul(c, hold))
-    return h
-
-
 def embed_tensors(
     adg: Adg,
     params: EmbedderParams,
     config: EmbedderConfig,
     needed: Optional[Sequence[int]] = None,
-) -> dict[int, Tensor]:
-    """Differentiable hop-K embeddings for ``needed`` nodes (default: all).
+) -> Tensor:
+    """Differentiable hop-K embeddings for ``needed`` nodes (default: all) as
+    the rows of one [n, dim] tensor, row i for the i-th smallest requested id.
 
     Only the K-hop neighborhoods of the requested nodes are computed.  Each
     hop is a few array ops over every node it needs, reading only the
@@ -230,7 +213,7 @@ def embed_tensors(
     for m in targets:
         adg.node(m)
     if not targets:
-        return {}
+        return neural.zeros((0, config.dim))
     # Closure, top hop down: hop k needs its own nodes plus every member of
     # their groups at hop k-1.  Each node's sequence is its groups before it,
     # itself as a group of one, then its groups after it.
@@ -255,21 +238,21 @@ def embed_tensors(
         row_of = {m: i for i, m in enumerate(levels[k])}
         seq = _virtualize(z, [[row_of[u] for u in g] for g in groups], config)
         if config.aggregator == "lstm":
-            agg = _lstm_final(seq, lengths, params.hop_lstms[k])
+            _, (agg, _) = neural.lstm_runs(seq, lengths, params.hop_lstms[k])
         elif config.aggregator == "mean":
             agg = neural.segment_reduce(seq, lengths, "mean")
         else:
             agg = neural.segment_reduce(seq, lengths, "max")
         z = act(neural.linear(agg, params.hop_weights[k]))
-    return {m: neural.row(z, i) for i, m in enumerate(targets)}
+    return z
 
 
 def embed_all(
     adg: Adg, params: EmbedderParams, config: EmbedderConfig
 ) -> dict[int, np.ndarray]:
     """Hop-K embedding vectors of every node as plain arrays."""
-    tensors = embed_tensors(adg, params, config)
-    return {m: t.data.copy() for m, t in tensors.items()}
+    z = embed_tensors(adg, params, config)
+    return {m: z.data[m].copy() for m in range(adg.num_nodes)}
 
 
 def dump_embeddings(embeddings: Mapping[int, np.ndarray]) -> str:

@@ -5,7 +5,8 @@ feature layers, and run through an LSTM encoder.  The decoder attends over
 encoder states each step; its query is the previous code token's embedding,
 except that tokens naming graph methods use the method's node embedding
 instead (query switching).  Training is teacher-forced joint optimization of
-encoder, embedder, and decoder under a single mean cross-entropy loss.
+encoder, embedder, and decoder under a single mean cross-entropy loss, each
+batch run as one padded pass over [B, ·] rows.
 """
 
 from __future__ import annotations
@@ -159,6 +160,16 @@ class TrainRecord:
     val_bleu: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class QueryTable:
+    """Decoder queries under query switching, as the rows of one table: the
+    ``code_lut`` rows, then the embedded nodes' rows.  ``row_of[t]`` is code
+    token t's row; -1 marks an API token whose node was not embedded."""
+
+    table: Tensor
+    row_of: np.ndarray
+
+
 @dataclass
 class BeamHypothesis:
     """One live or finished beam entry; the decoder states of the live
@@ -246,54 +257,58 @@ class Seq2SeqModel:
 
     def encode(
         self,
-        desc_ids: Sequence[int],
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        descs: Sequence[Sequence[int]],
+        feature_mask: Optional[Tensor] = None,
+        memory_mask: Optional[Tensor] = None,
     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Lookup, windowed ReLU feature layers, then an LSTM sweep; returns
-        the hidden states stacked as a [T, h] memory and the final (h, c)."""
-        if len(desc_ids) == 0:
+        """Lookup, windowed ReLU feature layers, then one LSTM sweep with the
+        descriptions ``descs`` as the rows of one [B, h] state.  Returns every
+        description's hidden states, one description after another, as a
+        [ΣT, h] memory, and the final (h, c) as [B, h] rows.  Training passes
+        inverted-dropout factors for the features and the memory."""
+        lengths = [len(d) for d in descs]
+        if not descs or min(lengths) == 0:
             raise ValueError("cannot encode an empty description")
-        xs = [neural.row(self.desc_lut, i) for i in desc_ids]
-        feats = neural.window_relu_stack(xs, self.stack_weights, self.config.relu_window)
-        p = self.config.dropout
-        if train and p > 0.0:
-            feats = [neural.dropout(x, p, True, rng) for x in feats]
-        h = neural.zeros(self.config.hidden_dim)
-        c = neural.zeros(self.config.hidden_dim)
-        states: list[Tensor] = []
-        for x in feats:
-            h, c = neural.lstm_cell(x, h, c, self.enc_lstm)
-            states.append(h)
-        memory = neural.stack(states)
-        if train and p > 0.0:
-            memory = neural.dropout(memory, p, True, rng)
-        return memory, (h, c)
+        x = neural.take_rows(self.desc_lut, [i for d in descs for i in d])
+        feats = neural.window_relu_stack(x, lengths, self.stack_weights, self.config.relu_window)
+        if feature_mask is not None:
+            feats = neural.mul(feats, feature_mask)
+        hs, state = neural.lstm_runs(feats, lengths, self.enc_lstm)
+        # hs[t] holds step t of every description: row t*B + b of the stack
+        order = [t * len(descs) + b for b, n in enumerate(lengths) for t in range(n)]
+        memory = neural.take_rows(neural.concat(hs, axis=0), order)
+        if memory_mask is not None:
+            memory = neural.mul(memory, memory_mask)
+        return memory, state
 
     # -- embedder bridge ---------------------------------------------------
 
-    def embed_nodes(self, needed: Optional[Sequence[int]] = None) -> dict[int, Tensor]:
-        """Differentiable node embeddings; default covers all linked nodes."""
+    def embed_nodes(self, needed: Optional[Sequence[int]] = None) -> QueryTable:
+        """Differentiable embeddings of the ``needed`` nodes (default: all
+        linked nodes), placed after the ``code_lut`` rows as the decoder's
+        query table."""
         if needed is None:
-            needed = sorted(set(self.api_node_of_token_id.values()))
-        if not needed:
-            return {}
-        return emb_mod.embed_tensors(
+            needed = self.api_node_of_token_id.values()
+        needed = sorted(set(needed))
+        slot = {m: len(self.code_vocab) + i for i, m in enumerate(needed)}
+        row_of = np.arange(len(self.code_vocab))
+        for token_id, node_id in self.api_node_of_token_id.items():
+            row_of[token_id] = slot.get(node_id, -1)
+        nodes = emb_mod.embed_tensors(
             self.adg, self.embedder_params, self.embedder_config, needed
         )
+        return QueryTable(neural.concat([self.code_lut, nodes], axis=0), row_of)
 
-    def decoder_query(self, prev_token_id: int, node_embeddings: dict[int, Tensor]) -> Tensor:
-        """Query switching: node embedding for tokens naming a graph method,
-        code-token lookup row otherwise."""
-        node_id = self.api_node_of_token_id.get(prev_token_id)
-        if node_id is not None:
-            vec = node_embeddings.get(node_id)
-            if vec is None:
-                raise KeyError(
-                    f"node {node_id} referenced by the query was not embedded"
-                )
-            return vec
-        return neural.row(self.code_lut, prev_token_id)
+    def decoder_query(self, prev_token_ids: Sequence[int], node_embeddings: QueryTable) -> Tensor:
+        """Query switching as one gather of [N, d] rows: the node embedding
+        for tokens naming a graph method, the code-token lookup row otherwise."""
+        rows = node_embeddings.row_of[np.asarray(prev_token_ids, dtype=np.intp)]
+        if np.any(rows < 0):
+            token_id = int(np.asarray(prev_token_ids)[rows < 0][0])
+            raise KeyError(
+                f"node {self.api_node_of_token_id[token_id]} referenced by the query was not embedded"
+            )
+        return neural.take_rows(node_embeddings.table, rows)
 
     # -- decoder -----------------------------------------------------------
 
@@ -302,41 +317,74 @@ class Seq2SeqModel:
         query: Tensor,
         state: tuple[Tensor, Tensor],
         memory: Tensor,
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        mask: Optional[Tensor] = None,
+        hidden_mask: Optional[Tensor] = None,
     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Attend over the [T, h] encoder memory with the current state, feed
+        """Attend over the encoder memory with the current state, feed
         [query; context] through the decoder LSTM, then a two-layer
-        perceptron over [state; context].  The query and state are one row of
-        shape [d] or N independent rows of shape [N, d]."""
+        perceptron over [state; context].  The query and state are N
+        independent rows of shape [N, d].  Training passes the attention
+        mask and inverted-dropout factors for the perceptron's hidden layer."""
         h_prev, c_prev = state
-        _, context = neural.attention(memory, h_prev, self.att_w)
+        _, context = neural.attention(memory, h_prev, self.att_w, mask)
         h, c = neural.lstm_cell(neural.concat([query, context]), h_prev, c_prev, self.dec_lstm)
         hid = neural.relu(neural.linear(neural.concat([h, context]), self.out_w1, self.out_b1))
-        if train and self.config.dropout > 0.0:
-            hid = neural.dropout(hid, self.config.dropout, True, rng)
+        if hidden_mask is not None:
+            hid = neural.mul(hid, hidden_mask)
         logits = neural.linear(hid, self.out_w2, self.out_b2)
         return logits, (h, c)
 
     def sequence_loss(
         self,
-        desc_ids: Sequence[int],
-        code_ids: Sequence[int],
-        node_embeddings: dict[int, Tensor],
+        batch: Sequence[tuple[Sequence[int], Sequence[int]]],
+        node_embeddings: QueryTable,
         train: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> Tensor:
-        """Mean cross-entropy over the code sequence plus the end marker."""
-        memory, state = self.encode(desc_ids, train, rng)
-        targets = list(code_ids) + [EOS_ID]
-        prev = BOS_ID
-        losses = []
-        for target in targets:
-            query = self.decoder_query(prev, node_embeddings)
-            logits, state = self.decode_step(query, state, memory, train, rng)
-            losses.append(neural.softmax_xent(logits, target))
-            prev = target
-        return neural.mean_of(losses)
+        """Teacher-forced loss of a batch of (description ids, code ids)
+        pairs: the mean over pairs of each pair's mean cross-entropy over its
+        code sequence plus the end marker.
+
+        The batch runs as one padded pass over [B, ·] rows; each decoder row
+        attends only to its own description's states.  Training draws the
+        inverted-dropout factors pair by pair: the pair's features, then its
+        memory, then its decoder hidden layer."""
+        if not batch:
+            raise ValueError("cannot compute the loss of an empty batch")
+        cfg, size = self.config, len(batch)
+        descs = [d for d, _ in batch]
+        targets = [list(c) + [EOS_ID] for _, c in batch]
+        steps = max(len(t) for t in targets)
+        # decoder step s of pair b is row s*B + b of the padded [steps*B, ·] rows
+        rows = [s * size + b for b, t in enumerate(targets) for s in range(len(t))]
+        feature_mask = memory_mask = None
+        hidden = [None] * steps
+        if train and cfg.dropout > 0.0:
+            if rng is None:
+                raise ValueError("training-mode dropout requires an explicit rng")
+            shapes = [
+                ((len(d), cfg.word_dim), (len(d), cfg.hidden_dim), (len(t), cfg.mlp_hidden))
+                for d, t in zip(descs, targets)
+            ]
+            draws = [[neural.dropout_mask(s, cfg.dropout, rng) for s in pair] for pair in shapes]
+            features, memories, hiddens = (np.concatenate(parts) for parts in zip(*draws))
+            feature_mask, memory_mask = neural.constant(features), neural.constant(memories)
+            padded = np.ones((steps * size, cfg.mlp_hidden))
+            padded[rows] = hiddens
+            hidden = [neural.constant(padded[s * size : (s + 1) * size]) for s in range(steps)]
+        memory, state = self.encode(descs, feature_mask, memory_mask)
+        owner = np.repeat(np.arange(size), [len(d) for d in descs])  # pair of each memory row
+        key_mask = neural.constant(np.where(owner == np.arange(size)[:, None], 0.0, -np.inf))
+        prevs = np.full(steps * size, PAD_ID)
+        prevs[rows] = [p for t in targets for p in [BOS_ID] + t[:-1]]
+        logits = []
+        for s in range(steps):
+            query = self.decoder_query(prevs[s * size : (s + 1) * size], node_embeddings)
+            out, state = self.decode_step(query, state, memory, key_mask, hidden[s])
+            logits.append(out)
+        weights = [(1.0 / size) * (1.0 / len(t)) for t in targets for _ in t]
+        tokens = [tok for t in targets for tok in t]
+        return neural.softmax_xent(neural.take_rows(neural.concat(logits, axis=0), rows), tokens, weights)
 
 
 def _masked_log_probs(
@@ -373,29 +421,19 @@ def _advance_available(
     return available | set(model.adg.node(node_id).outputs)
 
 
-def _decoder_start(model: Seq2SeqModel, desc_tokens: Sequence[str]) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """Encoder memory and the decoder's initial state as one [1, h] row."""
-    desc_ids = model.desc_vocab.encode(desc_tokens)
-    if not desc_ids:
-        raise ValueError("cannot generate from an empty description")
-    memory, (h, c) = model.encode(desc_ids)
-    return memory, (neural.stack([h]), neural.stack([c]))
-
-
 def _next_log_probs(
     model: Seq2SeqModel,
     prevs: Sequence[int],
     availables: Sequence[frozenset[str]],
     state: tuple[Tensor, Tensor],
     memory: Tensor,
-    node_embeddings: dict[int, Tensor],
+    node_embeddings: QueryTable,
     reach_filter: bool,
 ) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
     """One decoder step for N rows at once: row i continues after token
     ``prevs[i]`` from row i of ``state``.  Returns the masked [N, V]
     log-probabilities and the new [N, h] state."""
-    query = neural.stack([model.decoder_query(p, node_embeddings) for p in prevs])
-    logits, state = model.decode_step(query, state, memory)
+    logits, state = model.decode_step(model.decoder_query(prevs, node_embeddings), state, memory)
     return _masked_log_probs(model, logits.data, availables, reach_filter), state
 
 
@@ -404,7 +442,7 @@ def generate_greedy(
     desc_tokens: Sequence[str],
     max_len: Optional[int] = None,
     *,
-    node_embeddings: Optional[dict[int, Tensor]] = None,
+    node_embeddings: Optional[QueryTable] = None,
     reach_filter: bool = False,
     initial_types: Sequence[str] = (),
 ) -> list[str]:
@@ -418,7 +456,7 @@ def generate_greedy(
     max_len = model.config.max_len if max_len is None else max_len
     if node_embeddings is None:
         node_embeddings = model.embed_nodes()
-    memory, state = _decoder_start(model, desc_tokens)
+    memory, state = model.encode([model.desc_vocab.encode(desc_tokens)])
     prev = BOS_ID
     available = frozenset(initial_types)
     out: list[str] = []
@@ -441,7 +479,7 @@ def beam_search(
     width: Optional[int] = None,
     max_len: Optional[int] = None,
     *,
-    node_embeddings: Optional[dict[int, Tensor]] = None,
+    node_embeddings: Optional[QueryTable] = None,
     reach_filter: bool = False,
     initial_types: Sequence[str] = (),
 ) -> list[str]:
@@ -463,7 +501,7 @@ def beam_search(
         raise ValueError(f"beam width must be >= 1, got {width}")
     if node_embeddings is None:
         node_embeddings = model.embed_nodes()
-    memory, state = _decoder_start(model, desc_tokens)
+    memory, state = model.encode([model.desc_vocab.encode(desc_tokens)])
     live = [BeamHypothesis(tokens=(), logp=0.0, finished=False, available=frozenset(initial_types))]
     completed: list[BeamHypothesis] = []
     for _ in range(max_len):
@@ -573,13 +611,7 @@ def train(
             batch = [encoded[i] for i in order[start : start + config.batch_size]]
             step += 1
             node_embeddings = model.embed_nodes(_referenced_nodes(model, batch))
-            losses = [
-                model.sequence_loss(
-                    desc_ids, code_ids, node_embeddings, train=True, rng=dropout_rng
-                )
-                for desc_ids, code_ids in batch
-            ]
-            loss = neural.mean_of(losses)
+            loss = model.sequence_loss(batch, node_embeddings, train=True, rng=dropout_rng)
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(step)

@@ -1,12 +1,15 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers
-this model family needs: LSTM cell, windowed ReLU feature layers,
-multiplicative attention, stabilized softmax/cross-entropy, inverted dropout,
+this model family needs: LSTM cell and a masked LSTM sweep over several
+sequences at once, windowed ReLU feature layers, masked multiplicative
+attention, stabilized softmax/weighted cross-entropy, inverted dropout,
 Glorot initialization, Adam with an inverse-square-root warmup schedule.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
-topological sweep.  The layers take one vector of shape [d] or N independent
-rows of shape [N, d]; beam search advances its hypotheses as such rows.
-All randomness comes from explicitly passed numpy Generators.
+topological sweep.  The layers take N independent rows of shape [N, d] only:
+training runs each batch as one padded pass over such rows (with the loss
+and the order of dropout draws of one pair at a time), beam search its live
+hypotheses, greedy decoding one row, the embedder every node of a hop.  All
+randomness comes from explicitly passed numpy Generators.
 """
 
 from __future__ import annotations
@@ -121,116 +124,55 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), bw=bw)
 
 
-def scale(a: Tensor, k: float) -> Tensor:
-    out_data = a.data * k
-
-    def bw(g):
-        _accum(a, g * k)
-
-    return Tensor(out_data, parents=(a,), bw=bw)
-
-
-def add_n(ts: Sequence[Tensor]) -> Tensor:
-    """Sum of same-shaped tensors as a single tape node."""
-    if not ts:
-        raise ValueError("add_n of an empty sequence")
-    out_data = ts[0].data.copy()
-    for t in ts[1:]:
-        out_data += t.data
-
-    def bw(g):
-        for t in ts:
-            _accum(t, g)
-
-    return Tensor(out_data, parents=tuple(ts), bw=bw)
-
-
-def mean_of(ts: Sequence[Tensor]) -> Tensor:
-    return scale(add_n(ts), 1.0 / len(ts))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix @ vector, vector @ matrix, or matrix @ matrix."""
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2) or a.data.ndim + b.data.ndim < 3:
-        raise ShapeError(f"matmul needs a matrix operand, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
+    """Matrix product of two 2-D tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul needs [n, k] @ [k, m], got {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
 
-    if b.data.ndim == 1:
-
-        def bw(g):
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
-
-    elif a.data.ndim == 1:
-
-        def bw(g):
-            _accum(a, b.data @ g)
-            _accum(b, np.outer(a.data, g))
-
-    else:
-
-        def bw(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
+    def bw(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
     return Tensor(out_data, parents=(a, b), bw=bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w.T + b`` for ``x`` of shape [d] or [N, d] as one tape node; the
-    bias gradient sums over rows."""
-    if w.data.ndim != 2 or x.data.ndim not in (1, 2) or x.data.shape[-1] != w.data.shape[1]:
-        raise ShapeError(f"linear needs [d] or [N, d] @ [o, d].T, got {x.data.shape} and {w.data.shape}")
-    batched = x.data.ndim == 2
-    out_data = x.data @ w.data.T if batched else w.data @ x.data
+    """``x @ w.T + b`` for [N, d] rows ``x`` as one tape node; the bias
+    gradient sums over rows."""
+    if w.data.ndim != 2 or x.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise ShapeError(f"linear needs [N, d] @ [o, d].T, got {x.data.shape} and {w.data.shape}")
+    out_data = x.data @ w.data.T
     if b is not None:
         out_data = out_data + b.data
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
-        if batched:
-            _accum(x, g @ w.data)
-            _accum(w, g.T @ x.data)
-        else:
-            _accum(x, w.data.T @ g)
-            _accum(w, np.outer(g, x.data))
+        _accum(x, g @ w.data)
+        _accum(w, g.T @ x.data)
         if b is not None:
-            _accum(b, g.sum(axis=0) if batched else g)
+            _accum(b, g.sum(axis=0))
 
     return Tensor(out_data, parents=parents, bw=bw)
 
 
-def concat(ts: Sequence[Tensor]) -> Tensor:
-    """Join along the last axis; leading axes must agree."""
+def concat(ts: Sequence[Tensor], axis: int = 1) -> Tensor:
+    """Join 2-D tensors side by side (``axis=1``) or one under another
+    (``axis=0``); the other axis must agree."""
     if not ts:
         raise ValueError("concat of an empty sequence")
-    lead = ts[0].data.shape[:-1]
+    other = ts[0].data.shape[1 - axis]
     for t in ts:
-        if t.data.ndim not in (1, 2) or t.data.shape[:-1] != lead:
-            raise ShapeError("concat handles [d] or [N, d] tensors with equal leading axes")
-    out_data = np.concatenate([t.data for t in ts], axis=-1)
-    sizes = [t.data.shape[-1] for t in ts]
+        if t.data.ndim != 2 or t.data.shape[1 - axis] != other:
+            raise ShapeError(f"concat along axis {axis} needs 2-D tensors of equal axis {1 - axis}")
+    out_data = np.concatenate([t.data for t in ts], axis=axis)
 
     def bw(g):
         off = 0
-        for t, n in zip(ts, sizes):
-            _accum(t, g[..., off : off + n])
-            off += n
-
-    return Tensor(out_data, parents=tuple(ts), bw=bw)
-
-
-def stack(ts: Sequence[Tensor]) -> Tensor:
-    """Same-shaped tensors as the rows of a new leading axis."""
-    if not ts:
-        raise ValueError("stack of an empty sequence")
-    out_data = np.stack([t.data for t in ts])
-
-    def bw(g):
-        for i, t in enumerate(ts):
-            _accum(t, g[i])
+        for t in ts:
+            end = off + t.data.shape[axis]
+            _accum(t, g[off:end] if axis == 0 else g[:, off:end])
+            off = end
 
     return Tensor(out_data, parents=tuple(ts), bw=bw)
 
@@ -248,6 +190,14 @@ def take_rows(t: Tensor, idx: Sequence[int]) -> Tensor:
     return Tensor(out_data, parents=(t,), bw=bw)
 
 
+def _runs(lengths: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive run lengths that cover ``n`` rows, and each run's first row."""
+    counts = np.asarray(lengths, dtype=np.intp)
+    if counts.ndim != 1 or counts.size == 0 or np.any(counts < 1) or counts.sum() != n:
+        raise ValueError(f"run lengths must be positive and cover the {n} rows")
+    return counts, np.cumsum(counts) - counts
+
+
 def segment_reduce(x: Tensor, sizes: Sequence[int], kind: str) -> Tensor:
     """Mean or elementwise max over runs of consecutive rows of a 2-D ``x``:
     row i of the result reduces the ``sizes[i]`` rows after the previous
@@ -255,10 +205,7 @@ def segment_reduce(x: Tensor, sizes: Sequence[int], kind: str) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"segment_reduce needs a 2-D tensor, got {x.data.shape}")
     n = x.data.shape[0]
-    counts = np.asarray(sizes, dtype=np.intp)
-    if counts.ndim != 1 or np.any(counts < 1) or counts.sum() != n:
-        raise ValueError(f"segment sizes must be positive and cover the {n} rows")
-    starts = np.cumsum(counts) - counts
+    counts, starts = _runs(sizes, n)
     if kind == "mean":
         inv = (1.0 / counts)[:, None]
         out_data = np.add.reduceat(x.data, starts, axis=0) * inv
@@ -320,24 +267,11 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a,), bw=bw)
 
 
-def row(table: Tensor, index: int) -> Tensor:
-    """Row lookup into a 2-D table with scatter-add gradients."""
-    if table.data.ndim != 2:
-        raise ShapeError("row lookup needs a 2-D table")
-    out_data = table.data[index]
-
-    def bw(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        table.grad[index] += g
-
-    return Tensor(out_data, parents=(table,), bw=bw)
-
-
 def softmax(a: Tensor) -> Tensor:
-    """Numerically stabilized softmax over the last axis."""
-    if a.data.ndim not in (1, 2) or a.data.shape[-1] == 0:
-        raise ShapeError("softmax needs a non-empty [n] or [N, n] tensor")
+    """Numerically stabilized softmax over each row; an entry of -inf gets
+    weight 0, and each row needs one finite entry."""
+    if a.data.ndim != 2 or a.data.shape[1] == 0:
+        raise ShapeError("softmax needs a non-empty [N, n] tensor")
     e = np.exp(a.data - np.max(a.data, axis=-1, keepdims=True))
     out_data = e / np.sum(e, axis=-1, keepdims=True)
 
@@ -354,21 +288,36 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def softmax_xent(logits: Tensor, target: int) -> Tensor:
-    """Fused stabilized softmax + negative log-likelihood of ``target``; the
-    gradient is ``softmax(logits) - onehot(target)``."""
-    n = logits.data.shape[0]
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} logits")
+def softmax_xent(
+    logits: Tensor, targets: Sequence[int], weights: Sequence[float] | None = None
+) -> Tensor:
+    """Fused stabilized softmax + negative log-likelihood of ``targets[i]``
+    under row i of the [N, V] ``logits``, summed over rows with ``weights``
+    (default 1); the gradient of row i is
+    ``weights[i] * (softmax(logits[i]) - onehot(targets[i]))``."""
+    if logits.data.ndim != 2:
+        raise ShapeError(f"softmax_xent needs [N, V] logits, got {logits.data.shape}")
+    n, width = logits.data.shape
+    target = np.asarray(targets, dtype=np.intp)
+    if target.shape != (n,) or np.any(target < 0) or np.any(target >= width):
+        raise ValueError(f"targets must be one in [0, {width}) per row of the {n} rows")
+    weight = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    rows = np.arange(n)
     log_probs = log_softmax(logits.data)
     probs = np.exp(log_probs)
 
     def bw(g):
-        d = probs * g
-        d[target] -= g
+        scale = g * weight
+        d = probs * scale[:, None]
+        d[rows, target] -= scale
         _accum(logits, d)
 
-    return Tensor(np.asarray(-log_probs[target]), parents=(logits,), bw=bw)
+    return Tensor(np.asarray(-(weight @ log_probs[rows, target])), parents=(logits,), bw=bw)
+
+
+def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout factors: 0 with probability ``p``, else 1/(1-p)."""
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -380,8 +329,7 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
         return x
     if rng is None:
         raise ValueError("training-mode dropout requires an explicit rng")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return mul(x, constant(mask))
+    return mul(x, constant(dropout_mask(x.data.shape, p, rng)))
 
 
 def glorot_init(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -440,14 +388,13 @@ class LstmParams:
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM step: sigmoid input/forget/output gates and tanh candidate
-    over [h_prev, x]; returns (h, c).  Shapes are [d] or, for N independent
-    rows, [N, d]."""
+    """One LSTM step for N independent [N, d] rows: sigmoid input/forget/
+    output gates and tanh candidate over [h_prev, x]; returns (h, c)."""
     hidden = params.hidden_dim
-    lead = x.data.shape[:-1]
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] != params.input_dim:
-        raise ShapeError(f"lstm_cell input shape {x.data.shape}, expected [..., {params.input_dim}]")
-    if h_prev.data.shape != lead + (hidden,) or c_prev.data.shape != lead + (hidden,):
+    if x.data.ndim != 2 or x.data.shape[1] != params.input_dim:
+        raise ShapeError(f"lstm_cell input shape {x.data.shape}, expected [N, {params.input_dim}]")
+    state = (x.data.shape[0], hidden)
+    if h_prev.data.shape != state or c_prev.data.shape != state:
         raise ShapeError("lstm_cell state shapes do not match the cell size")
     z = concat([h_prev, x])
     i = sigmoid(linear(z, params.w_i, params.b_i))
@@ -459,41 +406,70 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> 
     return h, c
 
 
+def lstm_runs(
+    seq: Tensor, lengths: Sequence[int], cell: LstmParams
+) -> tuple[list[Tensor], tuple[Tensor, Tensor]]:
+    """Run ``cell`` from a zero state over each run of ``lengths[i]``
+    consecutive rows of ``seq``, all runs advanced together as the rows of one
+    [n, h] state; a run that has ended holds its state.  Returns the [n, h]
+    hidden state after each step and the final (h, c)."""
+    counts, starts = _runs(lengths, seq.data.shape[0])
+    h = c = zeros((len(counts), cell.hidden_dim))
+    hs = []
+    for t in range(int(counts.max())):
+        live = counts > t
+        x = take_rows(seq, np.where(live, starts + t, starts))
+        h_new, c_new = lstm_cell(x, h, c, cell)
+        step = constant(live[:, None].astype(np.float64))
+        hold = constant((~live)[:, None].astype(np.float64))
+        h = add(mul(h_new, step), mul(h, hold))
+        c = add(mul(c_new, step), mul(c, hold))
+        hs.append(h)
+    return hs, (h, c)
+
+
 def window_relu_stack(
-    xs: Sequence[Tensor], weights: Sequence[Parameter], window: int
-) -> list[Tensor]:
-    """L stacked layers mapping position t to ReLU(W_l . [x_{t-s} .. x_{t+s}])
-    with zero padding outside the sequence; zero layers is the identity."""
+    x: Tensor, lengths: Sequence[int], weights: Sequence[Parameter], window: int
+) -> Tensor:
+    """L stacked layers mapping row t of each run of ``lengths[i]``
+    consecutive rows of ``x`` to ReLU(W_l . [x_{t-s} .. x_{t+s}]), with zero
+    rows outside the run; each layer is one gathered ``linear``.  Zero layers
+    is the identity."""
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    current = list(xs)
+    n = x.data.shape[0]
+    counts, starts = _runs(lengths, n)
+    first = np.repeat(starts, counts)
+    end = first + np.repeat(counts, counts)
+    rows = np.arange(n)
     for w in weights:
-        d_in = current[0].data.shape[0]
-        span = 2 * window + 1
-        if w.data.ndim != 2 or w.data.shape[1] != span * d_in:
+        d_in = x.data.shape[1]
+        if w.data.ndim != 2 or w.data.shape[1] != (2 * window + 1) * d_in:
             raise ShapeError(
                 f"stack weight {w.data.shape} incompatible with window {window} over dim {d_in}"
             )
-        pad = zeros(d_in)
-        nxt: list[Tensor] = []
-        for t in range(len(current)):
-            ctx = [
-                current[t + off] if 0 <= t + off < len(current) else pad
-                for off in range(-window, window + 1)
-            ]
-            nxt.append(relu(matmul(w, concat(ctx))))
-        current = nxt
-    return current
+        padded = concat([x, zeros((1, d_in))], axis=0)  # row n is the zero row
+        ctx = [
+            take_rows(padded, np.where((rows + off >= first) & (rows + off < end), rows + off, n))
+            for off in range(-window, window + 1)
+        ]
+        x = relu(linear(concat(ctx), w))
+    return x
 
 
-def attention(memory: Tensor, query: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
-    """Multiplicative attention over the [T, h] encoder ``memory``: scores
-    h_t . (W s) for a query s of shape [h] (or each row of [N, h]), softmax
-    weights over T, and the convex-combination context vector(s)."""
+def attention(
+    memory: Tensor, query: Tensor, w: Tensor, mask: Tensor | None = None
+) -> tuple[Tensor, Tensor]:
+    """Multiplicative attention over the [M, h] ``memory`` for each row s of
+    the [N, h] ``query``: scores h_m . (W s), plus the additive [N, M]
+    ``mask`` (0 to keep, -inf to hide a state) when given, softmax weights
+    over M, and the convex-combination context rows."""
     if memory.data.ndim != 2 or memory.data.shape[0] == 0:
-        raise ValueError("attention requires a [T, h] memory with at least one state")
+        raise ValueError("attention requires a [M, h] memory with at least one state")
     projected = linear(query, w)
     scores = linear(projected, memory)
+    if mask is not None:
+        scores = add(scores, mask)
     alphas = softmax(scores)
     context = matmul(alphas, memory)
     return alphas, context

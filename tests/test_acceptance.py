@@ -172,7 +172,7 @@ def test_05_gradient_validation():
     code_ids = code_vocab.encode(["f0", "f2", "x", "=", "f3"])
 
     def loss():
-        return model.sequence_loss(desc_ids, code_ids, model.embed_nodes())
+        return model.sequence_loss([(desc_ids, code_ids)], model.embed_nodes())
 
     worst = neural.gradient_check(loss, model.parameters())
     assert worst < 1e-4, f"worst relative gradient error {worst}"

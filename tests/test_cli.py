@@ -6,6 +6,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +227,33 @@ class TestGenerateCommand:
         code, out = run_cli(["generate", "--config", trained, "hello there"])
         assert code == EXIT_DATA
         assert out == ""
+
+
+class TestTracedRuns:
+    """``adgbench/launcher.py`` wraps model functions by name, so a renamed or
+    deleted one breaks traced benchmark runs; this catches it first."""
+
+    def test_launcher_traces_train_and_generate(self, workspace):
+        root = Path(__file__).resolve().parents[1]
+        cfg = write_config(workspace, train={
+            "batch_size": 4, "max_epochs": 1000, "max_steps": 2,
+            "eval_interval": 100, "patience": 5, "warmup_steps": 50, "seed": 0,
+        })
+        assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        traces = {}
+        for args in (["train", "--config", cfg], ["generate", "--config", cfg, "read the file"]):
+            spans_path = workspace / f"{args[0]}.spans.json"
+            proc = subprocess.run(
+                [sys.executable, str(root / "adgbench" / "launcher.py"), str(spans_path), "--", *args],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            traces[args[0]] = json.loads(spans_path.read_text())
+        spans = {cmd: {s[0] for s in t["spans"]} for cmd, t in traces.items()}
+        assert {"model.train", "model.sequence_loss", "model.encode"} <= spans["train"]
+        assert {"model.beam_search", "model.encode"} <= spans["generate"]
+        assert "model.decode_step" in {a[0] for a in traces["generate"]["aggregates"]}
 
 
 class TestEvaluateCommand:

@@ -197,9 +197,9 @@ class TestOrderedSet:
         params = make_params(adg, config)
         cell = params.hop_lstms[0]
         h, _ = neural.lstm_cell(
-            constant(params.base.data[0]), neural.zeros(3), neural.zeros(3), cell
+            constant(params.base.data[:1]), neural.zeros((1, 3)), neural.zeros((1, 3)), cell
         )
-        expect = np.tanh(params.hop_weights[0].data @ h.data)
+        expect = np.tanh(params.hop_weights[0].data @ h.data[0])
         assert np.allclose(embed_all(adg, params, config)[0], expect, atol=1e-12)
 
     def test_chain_node_group_layout(self, chain_adg):
@@ -366,17 +366,16 @@ class TestEmbedAll:
         adg, _, _ = random_adg(rng, 5, 12)
         config = EmbedderConfig(dim=3, hops=2)
         params = EmbedderParams.create(adg, config, rng)
-        subset = embed_tensors(adg, params, config, needed=[0, 2])
-        assert set(subset) == {0, 2}
+        subset = embed_tensors(adg, params, config, needed=[2, 0, 2])
+        assert subset.data.shape == (2, 3)  # one row per requested id, ascending
         full = embed_all(adg, params, config)
-        assert np.allclose(subset[0].data, full[0], atol=1e-12)
-        assert np.allclose(subset[2].data, full[2], atol=1e-12)
+        assert np.allclose(subset.data[0], full[0], atol=1e-12)
+        assert np.allclose(subset.data[1], full[2], atol=1e-12)
 
 
     @pytest.mark.parametrize("aggregator", ["lstm", "pooling"])
     def test_stays_batched(self, aggregator, monkeypatch):
-        # k disjoint chains: the tape must not grow with k beyond one row
-        # lookup per requested node.
+        # k disjoint chains: the tape must not grow with k.
         config = EmbedderConfig(dim=3, hops=2, aggregator=aggregator)
         counts = {}
         for k in (1, 20):
@@ -392,7 +391,7 @@ class TestEmbedAll:
             with monkeypatch.context() as patch:
                 patch.setattr(neural.Tensor, "__init__", counting_init)
                 embed_all(adg, params, config)
-            counts[k] = made[0] - adg.num_nodes
+            counts[k] = made[0]
         assert counts[20] < 1.5 * counts[1], counts
 
 
@@ -462,11 +461,10 @@ class TestEmbedderGradients:
         adg, _, _ = random_adg(rng, 4, 9)
         config = EmbedderConfig(dim=5, hops=2, aggregator=aggregator)
         params = EmbedderParams.create(adg, config, rng)
-        probes = {m: constant(rng.standard_normal(5)) for m in range(adg.num_nodes)}
+        probes = constant(rng.standard_normal((adg.num_nodes, 5)))
 
         def loss():
-            zs = embed_tensors(adg, params, config)
-            return neural.add_n([neural.vsum(neural.mul(zs[m], probes[m])) for m in zs])
+            return neural.vsum(neural.mul(embed_tensors(adg, params, config), probes))
 
         err = gradient_check(loss, params.parameters())
         assert err < 1e-4, f"{aggregator}: worst relative error {err}"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adgcode import neural
-from adgcode.embedder import EmbedderConfig
+from adgcode.embedder import EmbedderConfig, embed_all
 from adgcode.graph import build_adg
 from adgcode import model as model_mod
 from adgcode.model import (
@@ -97,48 +97,67 @@ class TestEncode:
     def test_single_token_matches_manual_composition(self):
         model, _ = tiny_model()
         token_id = 4
-        memory, (h, c) = model.encode([token_id])
-        x = neural.row(model.desc_lut, token_id)
-        feats = neural.window_relu_stack([x], model.stack_weights, model.config.relu_window)
-        h2, c2 = neural.lstm_cell(feats[0], neural.zeros(12), neural.zeros(12), model.enc_lstm)
+        memory, (h, c) = model.encode([[token_id]])
+        x = neural.take_rows(model.desc_lut, [token_id])
+        feats = neural.window_relu_stack(x, [1], model.stack_weights, model.config.relu_window)
+        zero = neural.zeros((1, 12))
+        h2, c2 = neural.lstm_cell(feats, zero, zero, model.enc_lstm)
         assert memory.data.shape == (1, 12)
-        assert np.allclose(memory.data[0], h2.data, atol=1e-12)
+        assert np.allclose(memory.data, h2.data, atol=1e-12)
         assert np.allclose(c.data, c2.data, atol=1e-12)
 
     def test_deterministic(self):
         model, _ = tiny_model()
-        a, _ = model.encode([4, 5, 6])
-        b, _ = model.encode([4, 5, 6])
+        a, _ = model.encode([[4, 5, 6]])
+        b, _ = model.encode([[4, 5, 6]])
         assert np.array_equal(a.data, b.data)
 
     def test_five_token_composition_oracle(self):
         model, _ = tiny_model()
         ids = [4, 5, 6, 4, 5]
-        memory, (h_final, c_final) = model.encode(ids)
-        xs = [neural.row(model.desc_lut, i) for i in ids]
-        feats = neural.window_relu_stack(xs, model.stack_weights, model.config.relu_window)
-        h = neural.zeros(12)
-        c = neural.zeros(12)
+        memory, (h_final, c_final) = model.encode([ids])
+        x = neural.take_rows(model.desc_lut, ids)
+        feats = neural.window_relu_stack(x, [5], model.stack_weights, model.config.relu_window)
+        h = neural.zeros((1, 12))
+        c = neural.zeros((1, 12))
         expect = []
-        for f in feats:
-            h, c = neural.lstm_cell(f, h, c, model.enc_lstm)
+        for t in range(5):
+            h, c = neural.lstm_cell(neural.take_rows(feats, [t]), h, c, model.enc_lstm)
             expect.append(h)
         # the memory rows are the per-step hidden states, bit for bit
         assert memory.data.shape == (5, 12)
         for got, want in zip(memory.data, expect):
-            assert np.array_equal(got, want.data)
+            assert np.array_equal(got, want.data[0])
         assert np.allclose(h_final.data, h.data, atol=1e-12)
+
+    def test_batch_rows_match_single_descriptions(self):
+        # ragged descriptions encoded together: each one's memory block and
+        # final state are those of encoding it alone
+        model, _ = tiny_model()
+        descs = [[4, 5], [6, 4, 5, 7], [5]]
+        memory, (h, c) = model.encode(descs)
+        assert memory.data.shape == (7, 12) and h.data.shape == (3, 12)
+        start = 0
+        for b, desc in enumerate(descs):
+            one, (h1, c1) = model.encode([desc])
+            block = memory.data[start : start + len(desc)]
+            assert np.allclose(block, one.data, rtol=0.0, atol=1e-12)
+            assert np.allclose(h.data[b], h1.data[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(c.data[b], c1.data[0], rtol=0.0, atol=1e-12)
+            start += len(desc)
 
     def test_empty_rejected(self):
         model, _ = tiny_model()
         with pytest.raises(ValueError):
-            model.encode([])
+            model.encode([[]])
+        with pytest.raises(ValueError):
+            model.encode([[4], []])
 
     def test_unknown_tokens_use_unk_row(self):
         model, _ = tiny_model()
         ids = model.desc_vocab.encode(["zzz-unknown"])
         assert ids == [UNK_ID]
-        memory, _ = model.encode(ids)
+        memory, _ = model.encode([ids])
         assert np.all(np.isfinite(memory.data))
 
 
@@ -148,63 +167,72 @@ class TestDecoderQuery:
         node_emb = model.embed_nodes()
         m4_token = model.code_vocab.id("m4")
         m4_node = model.adg.id_of("m4")
-        q = model.decoder_query(m4_token, node_emb)
-        assert q is node_emb[m4_node]
+        q = model.decoder_query([m4_token], node_emb)
+        expect = embed_all(model.adg, model.embedder_params, model.embedder_config)[m4_node]
+        assert q.data.shape == (1, 8)
+        assert np.allclose(q.data[0], expect, rtol=0.0, atol=1e-12)
 
     def test_plain_token_uses_lookup_row(self):
         model, _ = tiny_model()
         node_emb = model.embed_nodes()
         paren = model.code_vocab.id("(")
-        q = model.decoder_query(paren, node_emb)
-        assert np.array_equal(q.data, model.code_lut.data[paren])
+        q = model.decoder_query([paren], node_emb)
+        assert np.array_equal(q.data[0], model.code_lut.data[paren])
 
     def test_unlinking_switches_branch(self):
         model, _ = tiny_model()
-        node_emb = model.embed_nodes()
         m4_token = model.code_vocab.id("m4")
-        with_link = model.decoder_query(m4_token, node_emb).data.copy()
+        with_link = model.decoder_query([m4_token], model.embed_nodes()).data[0].copy()
         removed = model.api_node_of_token_id.pop(m4_token)
         try:
-            without_link = model.decoder_query(m4_token, node_emb).data.copy()
+            without_link = model.decoder_query([m4_token], model.embed_nodes()).data[0].copy()
         finally:
             model.api_node_of_token_id[m4_token] = removed
         assert np.array_equal(without_link, model.code_lut.data[m4_token])
         assert not np.array_equal(with_link, without_link)
 
+    def test_unembedded_api_token_raises_key_error(self):
+        model, _ = tiny_model()
+        only_m2 = model.embed_nodes([model.adg.id_of("m2")])
+        model.decoder_query([model.code_vocab.id("m2")], only_m2)
+        with pytest.raises(KeyError, match="not embedded"):
+            model.decoder_query([model.code_vocab.id("("), model.code_vocab.id("m4")], only_m2)
+
 
 class TestDecodeStep:
     def test_logit_width_is_vocab_size(self):
         model, _ = tiny_model()
-        states, s0 = model.encode([4, 5])
+        states, s0 = model.encode([[4, 5]])
         node_emb = model.embed_nodes()
-        logits, _ = model.decode_step(model.decoder_query(BOS_ID, node_emb), s0, states)
-        assert logits.data.shape == (len(model.code_vocab),)
+        logits, _ = model.decode_step(model.decoder_query([BOS_ID], node_emb), s0, states)
+        assert logits.data.shape == (1, len(model.code_vocab))
 
     def test_deterministic(self):
         model, _ = tiny_model()
-        states, s0 = model.encode([4, 5])
-        q = neural.constant(np.zeros(8))
+        states, s0 = model.encode([[4, 5]])
+        q = neural.constant(np.zeros((1, 8)))
         a, _ = model.decode_step(q, s0, states)
         b, _ = model.decode_step(q, s0, states)
         assert np.array_equal(a.data, b.data)
 
     def test_matches_composition_oracle(self):
         model, _ = tiny_model()
-        states, (h0, c0) = model.encode([4, 5, 6])
+        states, (h0, c0) = model.encode([[4, 5, 6]])
         rng = np.random.default_rng(1)
-        q = neural.constant(rng.standard_normal(8))
+        q = neural.constant(rng.standard_normal((1, 8)))
         logits, (h1, c1) = model.decode_step(q, (h0, c0), states)
 
         _, ctx = neural.attention(states, h0, model.att_w)
         h2, c2 = neural.lstm_cell(neural.concat([q, ctx]), h0, c0, model.dec_lstm)
-        hid = neural.relu(neural.add(neural.matmul(model.out_w1, neural.concat([h2, ctx])), model.out_b1))
-        expect = neural.add(neural.matmul(model.out_w2, hid), model.out_b2)
-        assert np.allclose(logits.data, expect.data, atol=1e-12)
+        features = np.concatenate([h2.data[0], ctx.data[0]])
+        hid = np.maximum(model.out_w1.data @ features + model.out_b1.data, 0.0)
+        expect = model.out_w2.data @ hid + model.out_b2.data
+        assert np.allclose(logits.data[0], expect, atol=1e-12)
         assert np.allclose(h1.data, h2.data, atol=1e-12)
 
     def test_batched_rows_match_one_row_steps(self):
         model, _ = tiny_model()
-        memory, _ = model.encode([4, 5, 6])
+        memory, _ = model.encode([[4, 5, 6]])
         rng = np.random.default_rng(2)
         q, h0, c0 = (rng.standard_normal((4, d)) for d in (8, 12, 12))
         logits, (h1, c1) = model.decode_step(
@@ -212,12 +240,13 @@ class TestDecodeStep:
         )
         assert logits.data.shape == (4, len(model.code_vocab))
         for i in range(4):
+            row = np.s_[i : i + 1]
             one, (h, c) = model.decode_step(
-                neural.constant(q[i]), (neural.constant(h0[i]), neural.constant(c0[i])), memory
+                neural.constant(q[row]), (neural.constant(h0[row]), neural.constant(c0[row])), memory
             )
-            assert np.allclose(logits.data[i], one.data, rtol=0.0, atol=1e-12)
-            assert np.allclose(h1.data[i], h.data, rtol=0.0, atol=1e-12)
-            assert np.allclose(c1.data[i], c.data, rtol=0.0, atol=1e-12)
+            assert np.allclose(logits.data[i], one.data[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(h1.data[i], h.data[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(c1.data[i], c.data[0], rtol=0.0, atol=1e-12)
 
 
 class TestLossSanity:
@@ -228,7 +257,7 @@ class TestLossSanity:
         losses = []
         for desc, code in pairs:
             loss = model.sequence_loss(
-                model.desc_vocab.encode(desc), model.code_vocab.encode(code), node_emb
+                [(model.desc_vocab.encode(desc), model.code_vocab.encode(code))], node_emb
             )
             losses.append(float(loss.data))
         mean_loss = sum(losses) / len(losses)
@@ -239,7 +268,7 @@ class TestLossSanity:
         desc, code = pairs[2]  # contains API tokens m2, m3, m4
         node_emb = model.embed_nodes()
         loss = model.sequence_loss(
-            model.desc_vocab.encode(desc), model.code_vocab.encode(code), node_emb
+            [(model.desc_vocab.encode(desc), model.code_vocab.encode(code))], node_emb
         )
         params = model.parameters()
         neural.zero_grads(params)
@@ -272,7 +301,7 @@ class TestLossSanity:
         m2 = adg.id_of("m2")
         lonely = adg.id_of("lonely")
         node_emb = model.embed_nodes([m2])
-        loss = model.sequence_loss([4], code_vocab.encode(["m2"]), node_emb)
+        loss = model.sequence_loss([([4], code_vocab.encode(["m2"]))], node_emb)
         neural.zero_grads(model.parameters())
         loss.backward()
         base_grad = model.embedder_params.base.grad
@@ -377,14 +406,14 @@ class TestGeneration:
         and the non-reserved tokens, and return the one with the best
         length-normalized score."""
         desc_ids = model.desc_vocab.encode(desc)
-        states, s0 = model.encode(desc_ids)
+        states, s0 = model.encode([desc_ids])
         node_emb = model.embed_nodes()
         results = []
 
         def log_probs(prev, state):
-            q = model.decoder_query(prev, node_emb)
+            q = model.decoder_query([prev], node_emb)
             logits, new_state = model.decode_step(q, state, states)
-            x = logits.data
+            x = logits.data[0]
             m = np.max(x)
             return x - m - math.log(np.sum(np.exp(x - m))), new_state
 
@@ -421,16 +450,16 @@ class TestGeneration:
     def test_beam_never_below_greedy_normalized_score(self):
         def normalized_score(model, desc, tokens):
             desc_ids = model.desc_vocab.encode(desc)
-            states, state = model.encode(desc_ids)
+            states, state = model.encode([desc_ids])
             node_emb = model.embed_nodes()
             ids = [model.code_vocab.id(t) for t in tokens] + [EOS_ID]
             prev = BOS_ID
             total = 0.0
             for tid in ids:
                 logits, state = model.decode_step(
-                    model.decoder_query(prev, node_emb), state, states
+                    model.decoder_query([prev], node_emb), state, states
                 )
-                x = logits.data
+                x = logits.data[0]
                 m = np.max(x)
                 total += float(x[tid] - m - math.log(np.sum(np.exp(x - m))))
                 prev = tid
@@ -534,6 +563,54 @@ class TestTraining:
         assert evals, "validation BLEU was never computed"
         assert history[-1].step < 10_000  # early stopping fired
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_batched_loss_matches_per_pair_mean(self, dropout):
+        # a ragged batch (descriptions of 2-3 tokens, codes of 6-23 tokens
+        # with API tokens) against one-pair calls in batch order, drawing
+        # dropout from a generator with the same seed: this pins the padding
+        # masks and the order of the dropout draws
+        model, pairs = tiny_model(seed=11, dropout=dropout)
+        batch = [(model.desc_vocab.encode(d), model.code_vocab.encode(c)) for d, c in pairs]
+        params = model.parameters()
+        neural.zero_grads(params)
+        loss = model.sequence_loss(batch, model.embed_nodes(), train=True, rng=np.random.default_rng(5))
+        loss.backward()
+        batched = {p.name: p.grad for p in params}
+
+        rng = np.random.default_rng(5)
+        mean_loss = 0.0
+        mean_grads = {p.name: np.zeros_like(p.data) for p in params}
+        for pair in batch:
+            neural.zero_grads(params)
+            one = model.sequence_loss([pair], model.embed_nodes(), train=True, rng=rng)
+            one.backward()
+            mean_loss += float(one.data) / len(batch)
+            for p in params:
+                if p.grad is not None:
+                    mean_grads[p.name] += p.grad / len(batch)
+        assert abs(float(loss.data) - mean_loss) < 1e-12
+        for p in params:
+            assert batched[p.name] is not None, p.name
+            assert np.allclose(batched[p.name], mean_grads[p.name], rtol=0.0, atol=1e-12), p.name
+
+    def test_training_step_stays_batched(self, monkeypatch):
+        # one step on a batch of 8 copies of a pair against a batch of 1
+        counts = {}
+        for copies in (1, 8):
+            model, pairs = tiny_model(seed=3)
+            made = [0]
+            init = neural.Tensor.__init__
+
+            def counting_init(self, *args, **kwargs):
+                made[0] += 1
+                init(self, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(neural.Tensor, "__init__", counting_init)
+                train(model, [pairs[2]] * copies, [], TrainConfig(batch_size=8, max_steps=1, seed=3))
+            counts[copies] = made[0]
+        assert counts[8] < 1.5 * counts[1], counts
+
     def test_history_records_schedule(self):
         model, pairs = tiny_model(seed=15)
         config = TrainConfig(batch_size=4, max_steps=12, warmup_steps=50, seed=15)
@@ -617,7 +694,7 @@ class TestMicroModelGradients:
 
         def loss():
             node_emb = model.embed_nodes()
-            return model.sequence_loss(desc_ids, code_ids, node_emb)
+            return model.sequence_loss([(desc_ids, code_ids)], node_emb)
 
         err = neural.gradient_check(loss, model.parameters())
         assert err < 1e-4, f"worst relative gradient error {err}"

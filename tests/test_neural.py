@@ -40,33 +40,34 @@ class TestTensorOps:
 
     def test_elementwise_and_reductions(self):
         rng = RNG(0)
-        a = tensor_param("a", rng, (5,))
-        b = tensor_param("b", rng, (5,))
+        a = tensor_param("a", rng, (1, 5))
+        b = tensor_param("b", rng, (1, 5))
         s = tensor_param("s", rng, ())
-        weights = neural.constant(rng.standard_normal(5))
+        weights = neural.constant(rng.standard_normal((1, 5)))
+
+        def aba():
+            return neural.concat([a, b, a], axis=0)
 
         cases = {
             "add": lambda: neural.vsum(neural.mul(neural.add(a, b), weights)),
             "mul": lambda: neural.vsum(neural.mul(neural.mul(a, b), weights)),
-            "scale": lambda: neural.vsum(neural.scale(a, 3.7)),
             "scalar_broadcast": lambda: neural.vsum(neural.mul(s, a)),
             "tanh": lambda: neural.vsum(neural.mul(neural.tanh(a), weights)),
             "sigmoid": lambda: neural.vsum(neural.mul(neural.sigmoid(a), weights)),
             "relu": lambda: neural.vsum(neural.mul(neural.relu(a), weights)),
             "concat": lambda: neural.vsum(neural.concat([a, b])),
-            "add_n": lambda: neural.vsum(neural.add_n([a, b, a])),
             "segment_mean": lambda: neural.vsum(
-                neural.mul(neural.segment_reduce(neural.stack([a, b, a]), [1, 2], "mean"), weights)
+                neural.mul(neural.segment_reduce(aba(), [1, 2], "mean"), weights)
             ),
             "segment_max": lambda: neural.vsum(
-                neural.mul(neural.segment_reduce(neural.stack([a, b, a]), [2, 1], "max"), weights)
+                neural.mul(neural.segment_reduce(aba(), [2, 1], "max"), weights)
             ),
             # rows 0 and 2 are the same parameter, so they tie wherever b < a
             "segment_max_tie": lambda: neural.vsum(
-                neural.mul(neural.segment_reduce(neural.stack([a, b, a]), [3], "max"), weights)
+                neural.mul(neural.segment_reduce(aba(), [3], "max"), weights)
             ),
             "softmax": lambda: neural.vsum(neural.mul(neural.softmax(a), weights)),
-            "xent": lambda: neural.softmax_xent(a, 2),
+            "xent": lambda: neural.softmax_xent(a, [2]),
         }
         for name, fn in cases.items():
             err = gradient_check(fn, [a, b, s])
@@ -75,24 +76,24 @@ class TestTensorOps:
     def test_matmul_and_lookup(self):
         rng = RNG(1)
         w = tensor_param("w", rng, (4, 6))
-        x = tensor_param("x", rng, (6,))
+        x = tensor_param("x", rng, (6, 2))
         table = tensor_param("table", rng, (5, 3))
-        weights = neural.constant(rng.standard_normal(4))
-        w3 = neural.constant(rng.standard_normal(3))
+        weights = neural.constant(rng.standard_normal((4, 2)))
+        w3 = neural.constant(rng.standard_normal((1, 3)))
 
         err = gradient_check(
             lambda: neural.vsum(neural.mul(neural.matmul(w, x), weights)), [w, x]
         )
         assert err < 1e-4
-        v = tensor_param("v", rng, (4,))
-        probe = neural.constant(rng.standard_normal(6))
+        v = tensor_param("v", rng, (3, 4))
+        probe = neural.constant(rng.standard_normal((3, 6)))
         err = gradient_check(
             lambda: neural.vsum(neural.mul(neural.matmul(v, w), probe)), [v, w]
         )
         assert err < 1e-4
         err = gradient_check(
             lambda: neural.vsum(
-                neural.mul(neural.add(neural.row(table, 1), neural.row(table, 3)), w3)
+                neural.mul(neural.add(neural.take_rows(table, [1]), neural.take_rows(table, [3])), w3)
             ),
             [table],
         )
@@ -100,9 +101,10 @@ class TestTensorOps:
 
     def test_stack_and_take_rows(self):
         rng = RNG(2)
-        vs = [tensor_param(f"v{i}", rng, (4,)) for i in range(3)]
-        probe = neural.constant(rng.standard_normal((3, 4)))
-        err = gradient_check(lambda: neural.vsum(neural.mul(neural.stack(vs), probe)), vs)
+        # rows of several tensors joined one under another
+        vs = [tensor_param(f"v{i}", rng, (i + 1, 4)) for i in range(3)]
+        probe = neural.constant(rng.standard_normal((6, 4)))
+        err = gradient_check(lambda: neural.vsum(neural.mul(neural.concat(vs, axis=0), probe)), vs)
         assert err < 1e-4
         # repeated and dropped rows: gradients scatter-add, unused rows get zero
         table = tensor_param("table", rng, (4, 3))
@@ -117,14 +119,13 @@ class TestTensorOps:
         neural.vsum(neural.take_rows(table, rows)).backward()
         assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 3.0, 0.0])
 
-    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("rows", [1, 3])
     def test_linear(self, rows):
         rng = RNG(17)
-        shape = (6,) if rows is None else (rows, 6)
-        x = tensor_param("x", rng, shape)
+        x = tensor_param("x", rng, (rows, 6))
         w = tensor_param("w", rng, (4, 6))
         b = tensor_param("b", rng, (4,))
-        probe = neural.constant(rng.standard_normal(shape[:-1] + (4,)))
+        probe = neural.constant(rng.standard_normal((rows, 4)))
         for bias in (b, None):
             err = gradient_check(
                 lambda: neural.vsum(neural.mul(neural.linear(x, w, bias), probe)), [x, w, b]
@@ -132,11 +133,10 @@ class TestTensorOps:
             assert err < 1e-4
         expect = x.data @ w.data.T + b.data
         assert np.allclose(neural.linear(x, w, b).data, expect, atol=1e-12)
-        # rows of the batched form agree with the one-vector form
-        if rows is not None:
-            for i in range(rows):
-                one = neural.linear(neural.constant(x.data[i]), w, b).data
-                assert np.allclose(neural.linear(x, w, b).data[i], one, atol=1e-12)
+        # rows of the batched form agree with one-row calls
+        for i in range(rows):
+            one = neural.linear(neural.constant(x.data[i : i + 1]), w, b).data
+            assert np.allclose(neural.linear(x, w, b).data[i], one[0], atol=1e-12)
 
     def test_concat_last_axis(self):
         rng = RNG(18)
@@ -148,6 +148,8 @@ class TestTensorOps:
         assert np.array_equal(neural.concat([a, b]).data, np.hstack([a.data, b.data]))
         with pytest.raises(ShapeError):
             neural.concat([a, neural.constant(np.ones((2, 4)))])
+        with pytest.raises(ShapeError):
+            neural.concat([a, b], axis=0)
 
     def test_backward_requires_scalar(self):
         t = Parameter("t", np.ones(3))
@@ -159,6 +161,11 @@ class TestTensorOps:
         b = neural.constant(np.ones(4))
         with pytest.raises(ShapeError):
             neural.matmul(a, b)
+        # layers take [N, d] rows only
+        with pytest.raises(ShapeError):
+            neural.linear(neural.constant(np.ones(3)), a)
+        with pytest.raises(ShapeError):
+            neural.softmax(b)
 
     def test_gradient_accumulates_over_shared_use(self):
         a = Parameter("a", np.array([2.0]))
@@ -173,7 +180,7 @@ class TestLstmCell:
         p = LstmParams.create("z", 4, 4, rng)
         for w in p.parameters():
             w.data = np.zeros_like(w.data)
-        h, c = lstm_cell(neural.constant(np.ones(4)), neural.zeros(4), neural.zeros(4), p)
+        h, c = lstm_cell(neural.constant(np.ones((1, 4))), neural.zeros((1, 4)), neural.zeros((1, 4)), p)
         assert np.allclose(h.data, 0.0)
         assert np.allclose(c.data, 0.0)
 
@@ -184,9 +191,9 @@ class TestLstmCell:
         for w in p.parameters():
             w.data = np.zeros_like(w.data)
         h, c = lstm_cell(
-            neural.constant(np.array([0.7])),
-            neural.zeros(1),
-            neural.constant(np.array([1.0])),
+            neural.constant(np.array([[0.7]])),
+            neural.zeros((1, 1)),
+            neural.constant(np.array([[1.0]])),
             p,
         )
         assert np.allclose(c.data, 0.5)
@@ -195,10 +202,10 @@ class TestLstmCell:
     def test_gradients_vs_finite_differences(self):
         rng = RNG(5)
         p = LstmParams.create("cell", 8, 8, rng)
-        x = tensor_param("x", rng, (8,))
-        h0 = tensor_param("h0", rng, (8,))
-        c0 = tensor_param("c0", rng, (8,))
-        probe = neural.constant(rng.standard_normal(8))
+        x = tensor_param("x", rng, (1, 8))
+        h0 = tensor_param("h0", rng, (1, 8))
+        c0 = tensor_param("c0", rng, (1, 8))
+        probe = neural.constant(rng.standard_normal((1, 8)))
 
         def loss():
             h, c = lstm_cell(x, h0, c0, p)
@@ -211,69 +218,75 @@ class TestLstmCell:
         rng = RNG(6)
         p = LstmParams.create("cell", 4, 4, rng)
         with pytest.raises(ShapeError):
-            lstm_cell(neural.zeros(3), neural.zeros(4), neural.zeros(4), p)
+            lstm_cell(neural.zeros((1, 3)), neural.zeros((1, 4)), neural.zeros((1, 4)), p)
         with pytest.raises(ShapeError):
-            lstm_cell(neural.zeros(4), neural.zeros(5), neural.zeros(4), p)
+            lstm_cell(neural.zeros((1, 4)), neural.zeros((1, 5)), neural.zeros((1, 4)), p)
+        with pytest.raises(ShapeError):
+            lstm_cell(neural.zeros(4), neural.zeros(4), neural.zeros(4), p)
 
 
 class TestWindowReluStack:
     def test_zero_layers_identity(self):
-        xs = [neural.constant(np.array([1.0, -2.0])), neural.constant(np.array([3.0, 4.0]))]
-        out = window_relu_stack(xs, [], 1)
-        assert out is not xs  # new list, same tensors
-        assert all(o is x for o, x in zip(out, xs))
+        x = neural.constant(np.array([[1.0, -2.0], [3.0, 4.0]]))
+        assert window_relu_stack(x, [2], [], 1) is x
 
     def test_window_zero_identity_weight_is_relu(self):
         w = Parameter("w", np.eye(3))
-        xs = [neural.constant(np.array([1.0, -2.0, 0.5]))]
-        out = window_relu_stack(xs, [w], 0)
-        assert np.allclose(out[0].data, [1.0, 0.0, 0.5])
+        x = neural.constant(np.array([[1.0, -2.0, 0.5]]))
+        out = window_relu_stack(x, [1], [w], 0)
+        assert np.allclose(out.data, [[1.0, 0.0, 0.5]])
 
     def test_zero_padding_at_edges(self):
-        # single position with window 1 sees [0, x, 0]
+        # single position with window 1 sees [0, x, 0]; so does each row of a
+        # run of one next to other runs
         d = 2
         w = Parameter("w", np.hstack([np.zeros((d, d)), np.eye(d), np.zeros((d, d))]))
-        xs = [neural.constant(np.array([2.0, -1.0]))]
-        out = window_relu_stack(xs, [w], 1)
-        assert np.allclose(out[0].data, [2.0, 0.0])
+        x = neural.constant(np.array([[2.0, -1.0]]))
+        assert np.allclose(window_relu_stack(x, [1], [w], 1).data, [[2.0, 0.0]])
+        left = Parameter("w", np.hstack([np.eye(d), np.zeros((d, 2 * d))]))
+        rows = neural.constant(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        out = window_relu_stack(rows, [1, 2], [left], 1)
+        assert np.allclose(out.data, [[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
 
     def test_gradients_vs_finite_differences(self):
         rng = RNG(7)
         d = 4
         w = Parameter("w", glorot_init((d, 3 * d), rng))
-        xs = [tensor_param(f"x{i}", rng, (d,)) for i in range(3)]
-        probe = neural.constant(rng.standard_normal(d))
+        x = tensor_param("x", rng, (5, d))
+        probe = neural.constant(rng.standard_normal((5, d)))
 
         def loss():
-            out = window_relu_stack(xs, [w], 1)
-            return neural.vsum(neural.mul(neural.add_n(out), probe))
+            out = window_relu_stack(x, [3, 2], [w], 1)
+            return neural.vsum(neural.mul(out, probe))
 
-        err = gradient_check(loss, [w] + xs)
+        err = gradient_check(loss, [w, x])
         assert err < 1e-4
 
     def test_bad_weight_shape(self):
         w = Parameter("w", np.eye(3))
         with pytest.raises(ShapeError):
-            window_relu_stack([neural.zeros(3)], [w], 1)
+            window_relu_stack(neural.zeros((1, 3)), [1], [w], 1)
+        with pytest.raises(ValueError):
+            window_relu_stack(neural.zeros((2, 3)), [1], [w], 0)
 
 
 class TestAttention:
     def test_single_state(self):
         rng = RNG(8)
-        h = neural.constant(rng.standard_normal(4))
-        s = neural.constant(rng.standard_normal(4))
+        h = neural.constant(rng.standard_normal((1, 4)))
+        s = neural.constant(rng.standard_normal((1, 4)))
         w = neural.constant(rng.standard_normal((4, 4)))
-        alphas, ctx = attention(neural.stack([h]), s, w)
-        assert np.allclose(alphas.data, [1.0])
+        alphas, ctx = attention(h, s, w)
+        assert np.allclose(alphas.data, [[1.0]])
         assert np.allclose(ctx.data, h.data)
 
     def test_identical_states_uniform_weights(self):
         rng = RNG(9)
-        h = neural.constant(rng.standard_normal(4))
+        h = neural.constant(rng.standard_normal((1, 4)))
         states = [h, h, h, h]
-        s = neural.constant(rng.standard_normal(4))
+        s = neural.constant(rng.standard_normal((1, 4)))
         w = neural.constant(rng.standard_normal((4, 4)))
-        alphas, _ = attention(neural.stack(states), s, w)
+        alphas, _ = attention(neural.concat(states, axis=0), s, w)
         assert np.allclose(alphas.data, 0.25)
 
     def test_matches_direct_formula(self):
@@ -283,39 +296,39 @@ class TestAttention:
         w_data = rng.standard_normal((5, 5))
         alphas, ctx = attention(
             neural.constant(np.stack(hs_data)),
-            neural.constant(s_data),
+            neural.constant(s_data[None, :]),
             neural.constant(w_data),
         )
         scores = np.array([h @ (w_data @ s_data) for h in hs_data])
         e = np.exp(scores - scores.max())
         expect_alpha = e / e.sum()
         expect_ctx = sum(a * h for a, h in zip(expect_alpha, hs_data))
-        assert np.allclose(alphas.data, expect_alpha, atol=1e-12)
-        assert np.allclose(ctx.data, expect_ctx, atol=1e-12)
+        assert np.allclose(alphas.data[0], expect_alpha, atol=1e-12)
+        assert np.allclose(ctx.data[0], expect_ctx, atol=1e-12)
 
     def test_weights_are_distribution(self):
         rng = RNG(11)
-        states = [neural.constant(rng.standard_normal(6)) for _ in range(5)]
+        states = [neural.constant(rng.standard_normal((1, 6))) for _ in range(5)]
         alphas, ctx = attention(
-            neural.stack(states), neural.constant(rng.standard_normal(6)),
+            neural.concat(states, axis=0), neural.constant(rng.standard_normal((1, 6))),
             neural.constant(rng.standard_normal((6, 6))),
         )
         assert abs(float(np.sum(alphas.data)) - 1.0) < 1e-12
         assert np.all(alphas.data > 0.0)
         # context lies in the componentwise convex hull of the states
-        stacked = np.stack([s.data for s in states])
+        stacked = np.concatenate([s.data for s in states])
         assert np.all(ctx.data <= stacked.max(axis=0) + 1e-12)
         assert np.all(ctx.data >= stacked.min(axis=0) - 1e-12)
 
     def test_gradients_vs_finite_differences(self):
         rng = RNG(12)
-        states = [tensor_param(f"h{i}", rng, (4,)) for i in range(4)]
-        s = tensor_param("s", rng, (4,))
+        states = [tensor_param(f"h{i}", rng, (1, 4)) for i in range(4)]
+        s = tensor_param("s", rng, (1, 4))
         w = tensor_param("w", rng, (4, 4))
-        probe = neural.constant(rng.standard_normal(4))
+        probe = neural.constant(rng.standard_normal((1, 4)))
 
         def loss():
-            _, ctx = attention(neural.stack(states), s, w)
+            _, ctx = attention(neural.concat(states, axis=0), s, w)
             return neural.vsum(neural.mul(ctx, probe))
 
         err = gradient_check(loss, states + [s, w])
@@ -340,22 +353,48 @@ class TestAttention:
         alphas, ctx = attention(memory, queries, w)
         assert alphas.data.shape == (3, 5) and ctx.data.shape == (3, 4)
         for i in range(3):
-            one_alpha, one_ctx = attention(memory, neural.constant(queries.data[i]), w)
-            assert np.allclose(alphas.data[i], one_alpha.data, atol=1e-12)
-            assert np.allclose(ctx.data[i], one_ctx.data, atol=1e-12)
+            one_alpha, one_ctx = attention(memory, neural.constant(queries.data[i : i + 1]), w)
+            assert np.allclose(alphas.data[i], one_alpha.data[0], atol=1e-12)
+            assert np.allclose(ctx.data[i], one_ctx.data[0], atol=1e-12)
+
+    def test_mask_hides_other_states(self):
+        # row i of the query sees only its own block of the stacked memory,
+        # exactly as if that block were the whole memory
+        rng = RNG(20)
+        memory = tensor_param("memory", rng, (5, 4))
+        queries = tensor_param("queries", rng, (2, 4))
+        w = tensor_param("w", rng, (4, 4))
+        blocks = [(0, 3), (3, 5)]
+        mask = np.full((2, 5), -np.inf)
+        for i, (lo, hi) in enumerate(blocks):
+            mask[i, lo:hi] = 0.0
+        probe = neural.constant(rng.standard_normal((2, 4)))
+
+        def loss():
+            _, ctx = attention(memory, queries, w, neural.constant(mask))
+            return neural.vsum(neural.mul(ctx, probe))
+
+        assert gradient_check(loss, [memory, queries, w]) < 1e-4
+        alphas, ctx = attention(memory, queries, w, neural.constant(mask))
+        for i, (lo, hi) in enumerate(blocks):
+            own = neural.constant(memory.data[lo:hi])
+            one_alpha, one_ctx = attention(own, neural.constant(queries.data[i : i + 1]), w)
+            assert np.all(np.delete(alphas.data[i], np.s_[lo:hi]) == 0.0)
+            assert np.allclose(alphas.data[i, lo:hi], one_alpha.data[0], atol=1e-12)
+            assert np.allclose(ctx.data[i], one_ctx.data[0], atol=1e-12)
 
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
-            attention(neural.constant(np.zeros((0, 3))), neural.zeros(3), neural.constant(np.eye(3)))
+            attention(neural.constant(np.zeros((0, 3))), neural.zeros((1, 3)), neural.constant(np.eye(3)))
 
 
 def xent(logits, target):
     """Loss (from ``.data``) and logit gradient (from ``backward()``) of
     ``softmax_xent``."""
-    x = Parameter("logits", np.asarray(logits, dtype=np.float64))
-    loss = neural.softmax_xent(x, target)
+    x = Parameter("logits", np.asarray(logits, dtype=np.float64)[None, :])
+    loss = neural.softmax_xent(x, [target])
     loss.backward()
-    return float(loss.data), x.grad
+    return float(loss.data), x.grad[0]
 
 
 class TestSoftmaxCrossEntropy:
@@ -396,13 +435,29 @@ class TestSoftmaxCrossEntropy:
         assert np.all(probs > 0.0)
         assert abs(float(np.sum(probs)) - 1.0) < 1e-12
 
+    def test_weighted_rows_sum(self):
+        # the loss of [N, V] rows is the weighted sum of the one-row losses,
+        # and each row's gradient is its one-row gradient times its weight
+        rng = RNG(21)
+        logits = rng.standard_normal((3, 7))
+        targets, weights = [4, 0, 4], [0.5, 0.25, 2.0]
+        x = Parameter("logits", logits)
+        loss = neural.softmax_xent(x, targets, weights)
+        loss.backward()
+        rows = [xent(logits[i], targets[i]) for i in range(3)]
+        assert abs(float(loss.data) - sum(w * l for w, (l, _) in zip(weights, rows))) < 1e-12
+        for i, (w, (_, grad)) in enumerate(zip(weights, rows)):
+            assert np.allclose(x.grad[i], w * grad, rtol=0.0, atol=1e-15)
+
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            neural.softmax_xent(neural.constant(np.zeros(3)), 3)
+            neural.softmax_xent(neural.constant(np.zeros((1, 3))), [3])
         with pytest.raises(ValueError):
-            neural.softmax_xent(neural.constant(np.zeros(3)), -1)
+            neural.softmax_xent(neural.constant(np.zeros((1, 3))), [-1])
         with pytest.raises(ValueError):
-            neural.softmax_xent(neural.constant(np.zeros(0)), 0)
+            neural.softmax_xent(neural.constant(np.zeros((1, 0))), [0])
+        with pytest.raises(ValueError):
+            neural.softmax_xent(neural.constant(np.zeros((2, 3))), [0])
 
 
 class TestLrate:
