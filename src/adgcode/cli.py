@@ -30,6 +30,7 @@ from .model import (
     save_checkpoint,
     train,
 )
+from .neural import no_grad
 from .signatures import (
     DataFormatError,
     SignatureError,
@@ -268,7 +269,8 @@ def cmd_generate(cfg: PipelineConfig, description: str, out) -> int:
 
 
 def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> metrics_mod.MetricReport:
-    node_embeddings = model.embed_nodes()
+    with no_grad():
+        node_embeddings = model.embed_nodes()
     candidates = [
         beam_search(
             model,

@@ -177,7 +177,6 @@ class BeamHypothesis:
 
     tokens: tuple[int, ...]
     logp: float
-    finished: bool
     available: frozenset[str]
 
     def score(self) -> float:
@@ -437,6 +436,7 @@ def _next_log_probs(
     return _masked_log_probs(model, logits.data, availables, reach_filter), state
 
 
+@neural.no_grad()
 def generate_greedy(
     model: Seq2SeqModel,
     desc_tokens: Sequence[str],
@@ -473,6 +473,7 @@ def generate_greedy(
     return out
 
 
+@neural.no_grad()
 def beam_search(
     model: Seq2SeqModel,
     desc_tokens: Sequence[str],
@@ -494,6 +495,13 @@ def beam_search(
     ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the log-softmax, like
     methods the reach filter rejects, so hypothesis scores remain the model's
     own log-probabilities.
+
+    The search stops once no live hypothesis can still win (Huang et al.,
+    2017, "When to Finish?"): log-probabilities are <= 0, so every completion
+    of a live hypothesis with log-probability L scores at most L / max_len,
+    and the search ends when that bound is below the best completed score
+    for every live hypothesis.  The bound is strict because a tie could
+    still win on tokens; the result is that of running to ``max_len``.
     """
     width = model.config.beam_width if width is None else width
     max_len = model.config.max_len if max_len is None else max_len
@@ -502,9 +510,11 @@ def beam_search(
     if node_embeddings is None:
         node_embeddings = model.embed_nodes()
     memory, state = model.encode([model.desc_vocab.encode(desc_tokens)])
-    live = [BeamHypothesis(tokens=(), logp=0.0, finished=False, available=frozenset(initial_types))]
-    completed: list[BeamHypothesis] = []
+    live = [BeamHypothesis(tokens=(), logp=0.0, available=frozenset(initial_types))]
+    best: Optional[BeamHypothesis] = None  # the running min of (-score, tokens) over completed
     for _ in range(max_len):
+        if best is not None and all(hyp.logp / max_len < best.score() for hyp in live):
+            break
         lp, (h, c) = _next_log_probs(
             model,
             [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live],
@@ -522,7 +532,9 @@ def beam_search(
                 logp = hyp.logp + float(token_lp)
                 if token_id == EOS_ID or len(tokens) >= max_len:
                     available = _advance_available(model, hyp.available, token_id)
-                    completed.append(BeamHypothesis(tokens, logp, True, available))
+                    done = BeamHypothesis(tokens, logp, available)
+                    if best is None or (-done.score(), tokens) < (-best.score(), best.tokens):
+                        best = done
                 else:
                     expansions.append((-logp, tokens, row))
         if not expansions:
@@ -532,15 +544,14 @@ def beam_search(
         kept = expansions[:width]
         live = [
             BeamHypothesis(
-                tokens, -neg_logp, False, _advance_available(model, live[row].available, tokens[-1])
+                tokens, -neg_logp, _advance_available(model, live[row].available, tokens[-1])
             )
             for neg_logp, tokens, row in kept
         ]
         rows = [row for _, _, row in kept]
         state = (neural.take_rows(h, rows), neural.take_rows(c, rows))
-    if not completed:  # max_len freezes everything, so this needs live fallback only
-        completed = live
-    best = min(completed, key=lambda hyp: (-hyp.score(), hyp.tokens))
+    if best is None:  # max_len freezes everything, so this needs live fallback only
+        best = min(live, key=lambda hyp: (-hyp.score(), hyp.tokens))
     out = [t for t in best.tokens if t != EOS_ID]
     return [model.code_vocab.token(t) for t in out]
 
@@ -555,6 +566,7 @@ def _referenced_nodes(model: Seq2SeqModel, batch: Sequence[tuple[list[int], list
     return sorted(nodes)
 
 
+@neural.no_grad()
 def validation_bleu(
     model: Seq2SeqModel,
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],

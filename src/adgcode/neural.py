@@ -5,15 +5,18 @@ attention, stabilized softmax/weighted cross-entropy, inverted dropout,
 Glorot initialization, Adam with an inverse-square-root warmup schedule.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
-topological sweep.  The layers take N independent rows of shape [N, d] only:
-training runs each batch as one padded pass over such rows (with the loss
-and the order of dropout draws of one pair at a time), beam search its live
-hypotheses, greedy decoding one row, the embedder every node of a hop.  All
-randomness comes from explicitly passed numpy Generators.
+topological sweep.  Inside ``no_grad()`` ops record no tape: decoding runs
+there, since nothing backpropagates through it.  The layers take N
+independent rows of shape [N, d] only: training runs each batch as one
+padded pass over such rows (with the loss and the order of dropout draws of
+one pair at a time), beam search its live hypotheses, greedy decoding one
+row, the embedder every node of a hop.  All randomness comes from
+explicitly passed numpy Generators.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -23,6 +26,25 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes are inconsistent."""
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within this context (or a function decorated with ``@no_grad()``),
+    op results keep no parents or backward closure, so no tape is built.  An
+    explicit ``requires_grad=True`` still holds: a ``Parameter`` made here
+    stays trainable.  The previous setting returns on exit, also on error.
+    The setting is one per process, not per thread."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -39,7 +61,9 @@ class Tensor:
     ):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _grad_enabled and any(p.requires_grad for p in parents)
+        )
         if self.requires_grad:
             self.parents = parents
             self.bw = bw

@@ -474,6 +474,156 @@ class TestGeneration:
                 assert normalized_score(model, desc, beam) >= normalized_score(model, desc, greedy) - 1e-12
 
 
+def full_length_beam(model, desc, width, max_len, node_embeddings, reach_filter=False):
+    """Oracle: the beam loop without the stopping bound, run until every
+    hypothesis is frozen by EOS or ``max_len``, then ranked by
+    (-score, tokens) over all completed hypotheses."""
+    memory, state = model.encode([model.desc_vocab.encode(desc)])
+    live = [model_mod.BeamHypothesis((), 0.0, frozenset())]
+    completed = []
+    for _ in range(max_len):
+        lp, (h, c) = model_mod._next_log_probs(
+            model,
+            [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live],
+            [hyp.available for hyp in live],
+            state, memory, node_embeddings, reach_filter,
+        )
+        order = np.argsort(-lp, axis=1, kind="stable")[:, :width]
+        expansions = []
+        for row, hyp in enumerate(live):
+            for token_id in order[row].tolist():
+                if lp[row, token_id] == -np.inf:
+                    continue
+                tokens = hyp.tokens + (token_id,)
+                logp = hyp.logp + float(lp[row, token_id])
+                if token_id == EOS_ID or len(tokens) >= max_len:
+                    completed.append(model_mod.BeamHypothesis(tokens, logp, hyp.available))
+                else:
+                    expansions.append((-logp, tokens, row))
+        if not expansions:
+            break
+        expansions.sort()
+        kept = expansions[:width]
+        live = [
+            model_mod.BeamHypothesis(
+                tokens, -neg_logp, model_mod._advance_available(model, live[row].available, tokens[-1])
+            )
+            for neg_logp, tokens, row in kept
+        ]
+        rows = [row for _, _, row in kept]
+        state = (neural.take_rows(h, rows), neural.take_rows(c, rows))
+    best = min(completed or live, key=lambda hyp: (-hyp.score(), hyp.tokens))
+    return [model.code_vocab.token(t) for t in best.tokens if t != EOS_ID]
+
+
+def count_decode_steps(monkeypatch, model):
+    calls = [0]
+    step = model.decode_step
+
+    def counting_step(*args, **kwargs):
+        calls[0] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(model, "decode_step", counting_step)
+    return calls
+
+
+class TestBeamStopping:
+    @pytest.mark.parametrize("eos_bias", [1.0, 0.5, -0.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_matches_full_length_oracle(self, seed, eos_bias):
+        # sharpened outputs that follow the previous token: completions of
+        # different lengths compete, so stopping at the first one would lose
+        model, pairs = tiny_model(seed=seed)
+        model.code_lut.data = model.code_lut.data * 4.0
+        model.out_w2.data = model.out_w2.data * 8.0
+        model.out_b2.data = model.out_b2.data * 8.0
+        model.out_b2.data[EOS_ID] += eos_bias
+        node_emb = model.embed_nodes()
+        for desc, _ in pairs:
+            for width in (1, 2, 4):
+                for reach_filter in (False, True):
+                    expect = full_length_beam(model, desc, width, 12, node_emb, reach_filter)
+                    got = beam_search(
+                        model, desc, width=width, max_len=12,
+                        node_embeddings=node_emb, reach_filter=reach_filter,
+                    )
+                    assert got == expect, (desc, width, reach_filter)
+
+    def test_eos_favouring_model_stops_early(self, monkeypatch):
+        model, pairs = tiny_model(seed=4)
+        model.out_b2.data = model.out_b2.data.copy()
+        model.out_b2.data[EOS_ID] = 4.0
+        node_emb = model.embed_nodes()
+        calls = count_decode_steps(monkeypatch, model)
+        for desc, _ in pairs:
+            expect = full_length_beam(model, desc, 4, 30, node_emb)
+            calls[0] = 0
+            assert beam_search(model, desc, width=4, max_len=30, node_embeddings=node_emb) == expect
+            assert calls[0] < 30, desc
+
+    def test_eos_at_minus_fifty_runs_to_max_len(self, monkeypatch):
+        # live hypotheses score far above the one completion that ends by EOS
+        model, _ = tiny_model()
+        model.out_b2.data = model.out_b2.data.copy()
+        model.out_b2.data[EOS_ID] = -50.0
+        node_emb = model.embed_nodes()
+        calls = count_decode_steps(monkeypatch, model)
+        for width in (1, 5):
+            calls[0] = 0
+            out = beam_search(model, ("make", "c"), width=width, max_len=12, node_embeddings=node_emb)
+            assert len(out) == 12 and calls[0] == 12
+
+    @pytest.mark.parametrize("first_a", [-2.0, -1.75])
+    def test_search_goes_on_while_a_live_hypothesis_can_win(self, monkeypatch, first_a):
+        # A scripted scorer: a first at log-prob first_a, b at -1; after a,
+        # a again at log-prob 0; after b, EOS at 0; every other continuation
+        # at -64.  With max_len 4 and width 2, (b, EOS) completes at step 2
+        # with score -1/2, while the live (a, a) has the bound first_a / 4:
+        # equal to it at -2 (a later tie wins on tokens), above it at -1.75.
+        # Searching on, (a, a, a, a) ends at max_len with that score and wins.
+        model, _ = tiny_model()
+        a, b = 4, 5
+        first = np.full(len(model.code_vocab), -np.inf)
+        first[[a, b, EOS_ID]] = [first_a, -1.0, -100.0]
+        after = {a: {a: 0.0, EOS_ID: -64.0}, b: {EOS_ID: 0.0, b: -64.0}}
+
+        def scripted(model, prevs, availables, state, memory, node_embeddings, reach_filter):
+            lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
+            for row, prev in enumerate(prevs):
+                if prev == BOS_ID:
+                    lp[row] = first
+                else:
+                    for token, value in after[prev].items():
+                        lp[row, token] = value
+            rows = neural.zeros((len(prevs), 1))
+            return lp, (rows, rows)
+
+        monkeypatch.setattr(model_mod, "_next_log_probs", scripted)
+        node_emb = model.embed_nodes()
+        expect = [model.code_vocab.token(a)] * 4
+        assert full_length_beam(model, ("make", "c"), 2, 4, node_emb) == expect
+        assert beam_search(model, ("make", "c"), width=2, max_len=4, node_embeddings=node_emb) == expect
+
+    def test_decoding_builds_no_tape(self, monkeypatch):
+        model, pairs = tiny_model(seed=5)
+        made = []
+        init = neural.Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(neural.Tensor, "__init__", recording_init)
+        beam_search(model, pairs[2][0], width=3, max_len=8, reach_filter=True)
+        generate_greedy(model, pairs[0][0], max_len=8)
+        model_mod.validation_bleu(model, pairs[:2])
+        assert made
+        for t in made:
+            assert not t.requires_grad and t.parents == () and t.bw is None
+        assert all(p.requires_grad for p in model.parameters())
+
+
 class TestReachFilter:
     def test_batched_mask_matches_per_token_loop(self):
         spec = SyntheticSpec(n_types=6, n_methods=14, max_chain_len=3, corpus_size=16, seed=5)
@@ -562,6 +712,21 @@ class TestTraining:
         evals = [r for r in history if r.val_bleu is not None]
         assert evals, "validation BLEU was never computed"
         assert history[-1].step < 10_000  # early stopping fired
+
+    def test_validation_leaves_the_tape_on(self):
+        # validation decodes under no_grad at steps 1 and 2; the gradients of
+        # step 2 must be those of a run without validation
+        grads = []
+        for validate in (False, True):
+            model, pairs = tiny_model(seed=21)
+            config = TrainConfig(batch_size=2, max_steps=2, eval_interval=1, patience=5, seed=21)
+            history = train(model, pairs, pairs[:2] if validate else [], config)
+            assert (history[0].val_bleu is not None) == validate
+            grads.append({p.name: p.grad for p in model.parameters()})
+        plain, validated = grads
+        for name, g in validated.items():
+            assert g is not None and plain[name] is not None, name
+            assert np.array_equal(g, plain[name]), name
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     def test_batched_loss_matches_per_pair_mean(self, dropout):

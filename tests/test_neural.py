@@ -174,6 +174,75 @@ class TestTensorOps:
         assert np.allclose(a.grad, [4.0])
 
 
+class TestNoGrad:
+    @staticmethod
+    def _layer_outputs(rng):
+        """Every layer decoding uses, applied to trainable operands."""
+        x = tensor_param("x", rng, (2, 3))
+        w = tensor_param("w", rng, (4, 3))
+        b = tensor_param("b", rng, (4,))
+        cell = LstmParams.create("cell", 4, 3, rng)
+        h0, c0 = neural.zeros((2, 3)), neural.zeros((2, 3))
+        y = neural.relu(neural.linear(x, w, b))
+        h, c = lstm_cell(y, h0, c0, cell)
+        weights, context = attention(h, h, tensor_param("att", rng, (3, 3)))
+        loss = neural.softmax_xent(neural.concat([h, context]), [0, 1], [0.5, 0.5])
+        return [y, h, c, weights, context, neural.take_rows(h, [1, 0, 1]), loss]
+
+    def test_no_tape_inside(self, monkeypatch):
+        made = []
+        init = neural.Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(neural.Tensor, "__init__", recording_init)
+        with neural.no_grad():
+            outs = self._layer_outputs(RNG(40))
+        built = [t for t in made if not isinstance(t, Parameter)]
+        assert len(built) > len(outs)
+        for t in built:
+            assert not t.requires_grad and t.parents == () and t.bw is None
+        # the same layers outside the context keep their tape
+        for t in self._layer_outputs(RNG(40)):
+            assert t.requires_grad and t.parents and t.bw is not None
+
+    def test_parameter_made_inside_stays_trainable(self):
+        with neural.no_grad():
+            a = Parameter("a", np.array([3.0]))
+            assert a.requires_grad
+            assert not neural.mul(a, a).requires_grad
+        loss = neural.vsum(neural.mul(a, a))
+        loss.backward()
+        assert np.array_equal(a.grad, [6.0])
+
+    def test_nested_contexts_restore_in_order(self):
+        a = Parameter("a", np.ones(2))
+        with neural.no_grad():
+            with neural.no_grad():
+                assert not neural.mul(a, a).requires_grad
+            assert not neural.mul(a, a).requires_grad
+        assert neural.mul(a, a).requires_grad
+
+    def test_restored_after_exception(self):
+        a = Parameter("a", np.ones(2))
+        with pytest.raises(RuntimeError):
+            with neural.no_grad():
+                raise RuntimeError("inside")
+        assert neural.mul(a, a).requires_grad
+
+        @neural.no_grad()
+        def failing():
+            raise ShapeError("inside a decorated call")
+
+        with pytest.raises(ShapeError):
+            failing()
+        loss = neural.vsum(neural.mul(a, a))
+        loss.backward()
+        assert np.array_equal(a.grad, [2.0, 2.0])
+
+
 class TestLstmCell:
     def test_all_zero_params_zero_state(self):
         rng = RNG(3)
