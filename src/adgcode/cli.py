@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import metrics as metrics_mod
 from .embedder import EmbedderConfig
-from .graph import GraphError, build_adg, dump_graph, load_graph
+from .graph import GraphError, GraphFormatError, build_adg, dump_graph, load_graph
 from .model import (
     CheckpointFormatError,
     ModelConfig,
@@ -177,7 +177,11 @@ def _read_signature_file(path: str):
 
 def _load_graph_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"graph file {path} is not UTF-8: {exc}") from None
+    return load_graph(text)
 
 
 def _graph_stats(adg) -> list[tuple[str, str]]:

@@ -2,19 +2,20 @@
 
 Nodes are API methods with typed input/output parameter lists.  A directed
 edge ``(head, tag, tail)`` records that some output of ``head`` satisfies the
-input type of ``tail`` named by ``tag``.  Construction goes through an
-inverted index from parameter types to consumer nodes, so each provider is
-matched against index buckets instead of against every other node.
+input type of ``tail`` named by ``tag``.  Construction works on bool type
+matrices (type satisfies type, node requires type, node produces type): a few
+matrix products find which tags each provider matches, and each match expands
+into that tag's consumers, so no provider is compared with every other node.
+The edges are held as index arrays, not as one object per edge.
 
 A constructed :class:`Adg` is immutable and safe for concurrent readers;
-reachability queries keep their counters in caller-local state.  The
-matrices behind the vector reach query are built on first use; two readers
-racing there build equal tables.
+reachability queries keep their counters in caller-local state.  The edge
+objects, the inverted index and the per-node neighbour groups are built on
+first use; two readers racing there build equal values.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -207,35 +208,32 @@ class Adg:
     """Immutable API dependency graph with derived lookup structures.
 
     Use :func:`build_adg` to construct one.  Node ids are dense 0..n-1 and
-    double as indices into the nodes table.
+    double as indices into the nodes table.  The graph is held as arrays:
+    a type-satisfies-type matrix and a node-by-required-type matrix, with
+    type indices in sorted-name order, and the edges as three aligned index
+    arrays (head, tag type index, tail) in canonical order.  Every other
+    view is derived from these on first use.
     """
 
     def __init__(
         self,
         nodes: tuple[ApiMethodNode, ...],
-        edges: tuple[TaggedEdge, ...],
         hierarchy: TypeHierarchy,
-        iit: Mapping[str, frozenset[int]],
+        satisfies: np.ndarray,
+        required: np.ndarray,
+        edge_ids: tuple[np.ndarray, np.ndarray, np.ndarray],
     ):
         self._nodes = nodes
-        self._edges = edges
         self._hierarchy = hierarchy
-        self._iit = dict(iit)
+        self._type_names = tuple(sorted(hierarchy.names))
+        self._type_index = {name: i for i, name in enumerate(self._type_names)}
+        self._satisfies = satisfies
+        self._required = required
+        self._heads, self._tags, self._tails = edge_ids
         self._id_by_name = {m.name: m.id for m in nodes}
-        fwd: list[dict[str, list[int]]] = [dict() for _ in nodes]
-        bwd: list[dict[str, list[int]]] = [dict() for _ in nodes]
-        for e in edges:
-            fwd[e.tail].setdefault(e.tag, []).append(e.head)
-            bwd[e.head].setdefault(e.tag, []).append(e.tail)
-        self._fwd = tuple(
-            {tag: tuple(sorted(ids)) for tag, ids in by_tag.items()}
-            for by_tag in fwd
-        )
-        self._bwd = tuple(
-            {tag: tuple(sorted(ids)) for tag, ids in by_tag.items()}
-            for by_tag in bwd
-        )
-        self._reach_tables: Optional[tuple[dict[str, int], np.ndarray, np.ndarray]] = None
+        self._edges: Optional[tuple[TaggedEdge, ...]] = None
+        self._iit: Optional[dict[str, frozenset[int]]] = None
+        self._groups: Optional[tuple[tuple[dict[str, tuple[int, ...]], ...], ...]] = None
 
     @property
     def nodes(self) -> tuple[ApiMethodNode, ...]:
@@ -243,6 +241,13 @@ class Adg:
 
     @property
     def edges(self) -> tuple[TaggedEdge, ...]:
+        """The edges in canonical (head, tag, tail) order, built on first read."""
+        if self._edges is None:
+            names = self._type_names
+            self._edges = tuple(
+                TaggedEdge(h, names[t], c)
+                for h, t, c in zip(self._heads.tolist(), self._tags.tolist(), self._tails.tolist())
+            )
         return self._edges
 
     @property
@@ -255,7 +260,7 @@ class Adg:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._heads)
 
     def node(self, node_id: int) -> ApiMethodNode:
         if not 0 <= node_id < len(self._nodes):
@@ -269,8 +274,16 @@ class Adg:
     def iit_lookup(self, type_name: str) -> frozenset[int]:
         """Nodes that accept a provided value of ``type_name`` as an input.
 
-        Constant-time keyed access; unknown keys yield the empty set.
+        Constant-time keyed access after the first call; unknown keys yield
+        the empty set.
         """
+        if self._iit is None:
+            accepts = _any_product(self._satisfies, self._required.T)
+            self._iit = {
+                name: frozenset(np.flatnonzero(row).tolist())
+                for name, row in zip(self._type_names, accepts)
+                if row.any()
+            }
         return self._iit.get(type_name, frozenset())
 
     def is_reachable(self, node_id: int, available: Iterable[str]) -> bool:
@@ -293,48 +306,54 @@ class Adg:
 
     def reachability(self, node_ids: Sequence[int], available: Iterable[str]) -> np.ndarray:
         """``is_reachable`` for many nodes as one vector op: a bool array with
-        one entry per id in ``node_ids``.
+        one entry per id in ``node_ids``."""
+        return self.reachability_rows(node_ids, [available])[0]
 
-        Uses a node-by-type matrix of required input types and a
-        type-satisfies-type matrix with the semantics of
-        :meth:`TypeHierarchy.matches_lenient`, both built on first use.
+    def reachability_rows(
+        self, node_ids: Sequence[int], availables: Sequence[Iterable[str]]
+    ) -> np.ndarray:
+        """:meth:`reachability` for several available sets at once: a bool
+        [len(availables), len(node_ids)] array whose row r answers for
+        ``availables[r]``.
+
+        A row's available names become a provided-type row, the
+        type-satisfies-type matrix turns it into the required types it
+        satisfies (the semantics of :meth:`TypeHierarchy.matches_lenient`),
+        and a node is reachable iff none of its required types is unmet.
         """
         ids = np.asarray(node_ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= len(self._nodes)):
             bad = ids[(ids < 0) | (ids >= len(self._nodes))][0]
             raise UnknownNodeError(f"unknown node id {bad}")
-        if self._reach_tables is None:
-            self._reach_tables = self._build_reach_tables()
-        type_index, required, satisfies = self._reach_tables
-        provided = [type_index[a] for a in set(available) if a in type_index]
-        satisfied = satisfies[provided].any(axis=0)
-        return ~(required[ids] & ~satisfied).any(axis=1)
+        index = self._type_index
+        provided = np.zeros((len(availables), len(index)), dtype=bool)
+        for row, available in zip(provided, availables):
+            row[[index[a] for a in set(available) if a in index]] = True
+        unmet = ~_any_product(provided, self._satisfies)
+        return ~_any_product(unmet, self._required[ids].T)
 
-    def _build_reach_tables(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-        names = sorted(self._hierarchy.names)
-        type_index = {name: i for i, name in enumerate(names)}
-        required = np.zeros((len(self._nodes), len(names)), dtype=bool)
-        for node in self._nodes:
-            required[node.id, [type_index[t] for t in set(node.inputs)]] = True
-        satisfies = np.zeros((len(names), len(names)), dtype=bool)
-        for name, i in type_index.items():
-            satisfies[i, [type_index[r] for r in (name, *self._hierarchy.ancestors(name))]] = True
-        return type_index, required, satisfies
+    def _members(self) -> tuple[tuple[dict[str, tuple[int, ...]], ...], ...]:
+        """Per node, the providers and the consumers of its edges per tag."""
+        if self._groups is None:
+            self._groups = (
+                _group_by_tag(self._tails, self._tags, self._heads, len(self._nodes), self._type_names),
+                _group_by_tag(self._heads, self._tags, self._tails, len(self._nodes), self._type_names),
+            )
+        return self._groups
 
     def forward_members(self, node_id: int) -> Mapping[str, tuple[int, ...]]:
         """Provider nodes of incoming edges per edge tag (ids ascending)."""
         self.node(node_id)
-        return self._fwd[node_id]
+        return self._members()[0][node_id]
 
     def backward_members(self, node_id: int) -> Mapping[str, tuple[int, ...]]:
         """Consumer nodes of outgoing edges per edge tag (ids ascending)."""
         self.node(node_id)
-        return self._bwd[node_id]
+        return self._members()[1][node_id]
 
     def degree_stats(self, node_id: int) -> DegreeStats:
         self.node(node_id)
-        fwd = self._fwd[node_id]
-        bwd = self._bwd[node_id]
+        fwd, bwd = (side[node_id] for side in self._members())
         return DegreeStats(
             indegree=sum(len(v) for v in fwd.values()),
             intagdegree=len(fwd),
@@ -343,6 +362,43 @@ class Adg:
             in_tags=frozenset(fwd),
             out_tags=frozenset(bwd),
         )
+
+
+def _any_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product: ``out[i, j]`` is true iff some ``a[i, k]`` and
+    ``b[k, j]`` are both true.  Computed as a float32 matmul, which is exact
+    here because each sum counts at most ``k`` ones."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _group_by_tag(
+    keys: np.ndarray,
+    tags: np.ndarray,
+    members: np.ndarray,
+    n_nodes: int,
+    type_names: Sequence[str],
+) -> tuple[dict[str, tuple[int, ...]], ...]:
+    """One ``{tag name: members ascending}`` dict per node, from edges given
+    as aligned key-node, tag and member-node arrays."""
+    groups: list[dict[str, tuple[int, ...]]] = [{} for _ in range(n_nodes)]
+    if keys.size:
+        order = np.lexsort((members, tags, keys))
+        keys, tags, members = keys[order], tags[order], members[order]
+        cuts = np.flatnonzero((keys[1:] != keys[:-1]) | (tags[1:] != tags[:-1])) + 1
+        starts = np.concatenate(([0], cuts))
+        ends = np.append(cuts, keys.size).tolist()
+        member_list = members.tolist()
+        for lo, hi, key, tag in zip(starts.tolist(), ends, keys[starts].tolist(), tags[starts].tolist()):
+            groups[key][type_names[tag]] = tuple(member_list[lo:hi])
+    return tuple(groups)
+
+
+def _type_matrix(rows: Sequence[Sequence[str]], type_index: Mapping[str, int]) -> np.ndarray:
+    """A bool [len(rows), len(type_index)] matrix marking the types of each row."""
+    matrix = np.zeros((len(rows), len(type_index)), dtype=bool)
+    row_of = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    matrix[row_of, [type_index[t] for r in rows for t in r]] = True
+    return matrix
 
 
 def build_adg(
@@ -354,17 +410,21 @@ def build_adg(
     """Construct the dependency graph implied by pairwise parameter matching.
 
     One edge exists per (provider, matched required-type tag, consumer)
-    triple; self-loops are excluded.  Providers are matched against inverted
-    index buckets keyed by provided type, so the work is proportional to the
-    number of (provider output, consumer) hits rather than to all node pairs.
+    triple; self-loops are excluded.  The work is a few matrix products over
+    the type matrices plus one expansion of each provider's matched tags into
+    that tag's consumers, so it is proportional to the number of hits rather
+    than to all node pairs.
 
     Raises ConstructionError on duplicate names, non-dense ids, undeclared
-    types, or when the projected number of candidate matches exceeds
-    ``max_edges``.
+    types, or when the projected number of candidate matches (over providers,
+    over their distinct outputs, the consumers that accept that output)
+    exceeds ``max_edges``.
     """
     nodes = tuple(sorted(methods, key=lambda m: m.id))
     if [m.id for m in nodes] != list(range(len(nodes))):
         raise ConstructionError("node ids must be dense and unique (0..n-1)")
+    type_names = sorted(hierarchy.names)
+    type_index = {name: i for i, name in enumerate(type_names)}
     seen_names: dict[str, int] = {}
     for m in nodes:
         if m.name in seen_names:
@@ -372,46 +432,53 @@ def build_adg(
                 f"duplicate method name {m.name!r} (ids {seen_names[m.name]} and {m.id})"
             )
         seen_names[m.name] = m.id
-        for t in list(m.inputs) + list(m.outputs):
-            if not hierarchy.declared(t):
+        for t in (*m.inputs, *m.outputs):
+            if t not in type_index:
                 raise ConstructionError(
                     f"method {m.name!r} references undeclared type {t!r}"
                 )
 
-    # Inverted index: provided type -> consumers accepting it.  A node sits
-    # under every subtype of each of its required input types.
-    iit: dict[str, set[int]] = defaultdict(set)
-    for m in nodes:
-        for req in set(m.inputs):
-            for t in hierarchy.subtypes(req):
-                iit[t].add(m.id)
+    required = _type_matrix([m.inputs for m in nodes], type_index)
+    produced = _type_matrix([m.outputs for m in nodes], type_index)
+    satisfies = _type_matrix(
+        [(name, *hierarchy.ancestors(name)) for name in type_names], type_index
+    )
 
-    projected = 0
-    for m in nodes:
-        for out in set(m.outputs):
-            projected += len(iit.get(out, ()))
-        if projected > max_edges:
-            raise ConstructionError(
-                f"projected candidate matches exceed the cap ({max_edges}); "
-                "raise max_edges to construct this graph"
-            )
+    # accepts[t, c]: consumer c takes a provided value of type t, the inverted
+    # index that iit_lookup reads.
+    accepts = _any_product(satisfies, required.T)
+    projected = int(produced.sum(axis=0) @ accepts.sum(axis=1))
+    if projected > max_edges:
+        raise ConstructionError(
+            f"projected candidate matches exceed the cap ({max_edges}); "
+            "raise max_edges to construct this graph"
+        )
 
-    edge_set: set[tuple[int, str, int]] = set()
-    for m in nodes:
-        for out in sorted(set(m.outputs)):
-            for j in iit.get(out, ()):
-                if j == m.id:
-                    continue
-                for req in set(nodes[j].inputs):
-                    if hierarchy.matches(out, req):
-                        edge_set.add((m.id, req, j))
-    edges = tuple(TaggedEdge(h, t, j) for h, t, j in sorted(edge_set))
+    # Each (provider, tag it provides) pair expands into that tag's consumers;
+    # both nonzero scans are row-major, so the result is in canonical order.
+    provider, tag = np.nonzero(_any_product(produced, satisfies))
+    consumer_tag, consumer = np.nonzero(required.T)
+    per_tag = np.bincount(consumer_tag, minlength=len(type_names))
+    first = np.cumsum(per_tag) - per_tag
+    sizes = per_tag[tag]
+    offsets = np.repeat(first[tag] - (np.cumsum(sizes) - sizes), sizes)
+    heads = np.repeat(provider, sizes)
+    tails = consumer[offsets + np.arange(offsets.size)]
+    keep = heads != tails
     return Adg(
         nodes=nodes,
-        edges=edges,
         hierarchy=hierarchy,
-        iit={t: frozenset(ids) for t, ids in iit.items()},
+        satisfies=satisfies,
+        required=required,
+        edge_ids=(heads[keep], np.repeat(tag, sizes)[keep], tails[keep]),
     )
+
+
+def _edge_lines(adg: Adg) -> list[str]:
+    """The edge rows of the canonical dump, in order."""
+    names = adg._type_names
+    tags = [names[t] for t in adg._tags.tolist()]
+    return [f"edge {h} {t} {c}" for h, t, c in zip(adg._heads.tolist(), tags, adg._tails.tolist())]
 
 
 def dump_graph(adg: Adg) -> str:
@@ -431,8 +498,7 @@ def dump_graph(adg: Adg) -> str:
         outs = " ".join(m.outputs)
         lines.append(f"node {m.id} {m.name} | {ins} | {outs}")
     lines.append(f"edges {adg.num_edges}")
-    for e in adg.edges:
-        lines.append(f"edge {e.head} {e.tag} {e.tail}")
+    lines.extend(_edge_lines(adg))
     return "\n".join(lines) + "\n"
 
 
@@ -494,26 +560,32 @@ def load_graph(text: str) -> Adg:
         )
         idx += 1
     n_edges, idx = _split_counted(lines, idx, "edges")
-    dumped_edges: list[TaggedEdge] = []
-    for _ in range(n_edges):
-        if idx >= len(lines):
-            raise GraphFormatError("truncated edge table")
-        parts = lines[idx].split()
-        if len(parts) != 4 or parts[0] != "edge":
-            raise GraphFormatError(f"line {idx + 1}: bad edge row")
-        try:
-            dumped_edges.append(TaggedEdge(int(parts[1]), parts[2], int(parts[3])))
-        except ValueError:
-            raise GraphFormatError(f"line {idx + 1}: bad edge ids") from None
-        idx += 1
-    if idx != len(lines):
-        raise GraphFormatError(f"line {idx + 1}: trailing content after edge table")
+    if idx + n_edges > len(lines):
+        raise GraphFormatError("truncated edge table")
+    if idx + n_edges < len(lines):
+        raise GraphFormatError(f"line {idx + n_edges + 1}: trailing content after edge table")
+    dumped = lines[idx:]
 
     try:
         hierarchy = TypeHierarchy(types)
         adg = build_adg(nodes, hierarchy)
     except GraphError as exc:
         raise GraphFormatError(f"inconsistent dump: {exc}") from exc
-    if list(adg.edges) != dumped_edges:
+    derived = _edge_lines(adg)
+    # A row spelt otherwise than the canonical dump (other spacing, a sign or
+    # leading zeros on an id) still passes when it names the derived edge.
+    if dumped != derived and [
+        _edge_row(line, idx + k) for k, line in enumerate(dumped)
+    ] != [_edge_row(line, 0) for line in derived]:
         raise GraphFormatError("dumped edge table does not match the node table")
     return adg
+
+
+def _edge_row(line: str, idx: int) -> tuple[int, str, int]:
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "edge":
+        raise GraphFormatError(f"line {idx + 1}: bad edge row")
+    try:
+        return int(parts[1]), parts[2], int(parts[3])
+    except ValueError:
+        raise GraphFormatError(f"line {idx + 1}: bad edge ids") from None

@@ -405,9 +405,8 @@ def _masked_log_probs(
     lp = neural.log_softmax(logits)
     lp[:, list(_NEVER_EMITTED_IDS)] = -np.inf
     if reach_filter:
-        for row, available in zip(lp, availables):
-            reachable = model.adg.reachability(model.api_node_ids, available)
-            row[model.api_token_ids[~reachable]] = -np.inf
+        rows, cols = np.nonzero(~model.adg.reachability_rows(model.api_node_ids, availables))
+        lp[rows, model.api_token_ids[cols]] = -np.inf
     return lp
 
 

@@ -435,8 +435,9 @@ def lstm_runs(
 ) -> tuple[list[Tensor], tuple[Tensor, Tensor]]:
     """Run ``cell`` from a zero state over each run of ``lengths[i]``
     consecutive rows of ``seq``, all runs advanced together as the rows of one
-    [n, h] state; a run that has ended holds its state.  Returns the [n, h]
-    hidden state after each step and the final (h, c)."""
+    [n, h] state; a run that has ended holds its state (a step where every
+    run is live skips the hold).  Returns the [n, h] hidden state after each
+    step and the final (h, c)."""
     counts, starts = _runs(lengths, seq.data.shape[0])
     h = c = zeros((len(counts), cell.hidden_dim))
     hs = []
@@ -444,10 +445,13 @@ def lstm_runs(
         live = counts > t
         x = take_rows(seq, np.where(live, starts + t, starts))
         h_new, c_new = lstm_cell(x, h, c, cell)
-        step = constant(live[:, None].astype(np.float64))
-        hold = constant((~live)[:, None].astype(np.float64))
-        h = add(mul(h_new, step), mul(h, hold))
-        c = add(mul(c_new, step), mul(c, hold))
+        if live.all():
+            h, c = h_new, c_new
+        else:
+            step = constant(live[:, None].astype(np.float64))
+            hold = constant((~live)[:, None].astype(np.float64))
+            h = add(mul(h_new, step), mul(h, hold))
+            c = add(mul(c_new, step), mul(c, hold))
         hs.append(h)
     return hs, (h, c)
 

@@ -7,10 +7,16 @@ set-inclusion reachability check.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from adgcode import cli
 
 from adgcode.graph import (
     ApiMethodNode,
@@ -51,6 +57,106 @@ def brute_force_iit(methods, hierarchy, type_name) -> frozenset[int]:
         for m in methods
         if any(hierarchy.matches(type_name, req) for req in m.inputs)
     )
+
+
+def projected_matches(methods, hierarchy) -> int:
+    """The count the edge cap bounds: over providers, over their distinct
+    outputs, the consumers that accept that output."""
+    return sum(
+        len(brute_force_iit(methods, hierarchy, out))
+        for m in methods
+        for out in set(m.outputs)
+    )
+
+
+def reference_dump(text: str):
+    """The canonical dump of ``text`` read line by line, with the edge table
+    checked against the all-pairs oracle, or None if ``text`` is not a
+    consistent dump."""
+    lines = text.splitlines()
+    if not lines or lines[0] != "ADG-GRAPH-v1":
+        return None
+    idx = 1
+
+    def counted(keyword):
+        nonlocal idx
+        if idx >= len(lines):
+            return None
+        parts = lines[idx].split()
+        if len(parts) != 2 or parts[0] != keyword:
+            return None
+        try:
+            count = int(parts[1])
+        except ValueError:
+            return None
+        idx += 1
+        return count if count >= 0 else None
+
+    def rows(keyword, parse):
+        nonlocal idx
+        count = counted(keyword)
+        if count is None or idx + count > len(lines):
+            return None
+        out = []
+        for line in lines[idx : idx + count]:
+            row = parse(line)
+            if row is None:
+                return None
+            out.append(row)
+        idx += count
+        return out
+
+    def type_row(line):
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "type":
+            return None
+        return ParamType(parts[1], None if parts[2] == "-" else parts[2])
+
+    def node_row(line):
+        parts = line.split(" | ")
+        head = parts[0].split()
+        if len(parts) != 3 or len(head) != 3 or head[0] != "node":
+            return None
+        try:
+            node_id = int(head[1])
+        except ValueError:
+            return None
+        return ApiMethodNode(node_id, head[2], tuple(parts[1].split()), tuple(parts[2].split()))
+
+    def edge_row(line):
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "edge":
+            return None
+        try:
+            return int(parts[1]), parts[2], int(parts[3])
+        except ValueError:
+            return None
+
+    types = rows("types", type_row)
+    nodes = None if types is None else rows("nodes", node_row)
+    edges = None if nodes is None else rows("edges", edge_row)
+    if edges is None or idx != len(lines):
+        return None
+    try:
+        hierarchy = TypeHierarchy(types)
+    except GraphError:
+        return None
+    nodes.sort(key=lambda m: m.id)
+    if [m.id for m in nodes] != list(range(len(nodes))):
+        return None
+    if len({m.name for m in nodes}) != len(nodes):
+        return None
+    if any(not hierarchy.declared(t) for m in nodes for t in m.inputs + m.outputs):
+        return None
+    if edges != sorted(brute_force_edges(nodes, hierarchy)):
+        return None
+    out = ["ADG-GRAPH-v1", f"types {len(types)}"]
+    out += [f"type {t.name} {t.parent or '-'}" for t in sorted(types, key=lambda t: t.name)]
+    out.append(f"nodes {len(nodes)}")
+    out += [f"node {m.id} {m.name} | {' '.join(m.inputs)} | {' '.join(m.outputs)}" for m in nodes]
+    out.append(f"edges {len(edges)}")
+    out += [f"edge {h} {tag} {t}" for h, tag, t in edges]
+    return "\n".join(out) + "\n"
 
 
 def reachable_by_inclusion(adg, node_id, available) -> bool:
@@ -195,6 +301,42 @@ class TestBuildAdg:
         with pytest.raises(ConstructionError, match="cap"):
             build_adg(methods, hierarchy, max_edges=10)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cap_boundary_is_the_projected_count(self, seed):
+        rng = np.random.default_rng(seed)
+        hierarchy = random_hierarchy(rng, 6, parent_prob=0.6)
+        methods = random_methods(rng, 25, hierarchy)
+        methods.append(ApiMethodNode(25, "idle", (), ()))
+        methods.append(ApiMethodNode(26, "loop", ("T0",), ("T0",)))
+        projected = projected_matches(methods, hierarchy)
+        adg = build_adg(methods, hierarchy, max_edges=projected)
+        assert {(e.head, e.tag, e.tail) for e in adg.edges} == brute_force_edges(methods, hierarchy)
+        with pytest.raises(ConstructionError, match="cap"):
+            build_adg(methods, hierarchy, max_edges=projected - 1)
+
+    def test_self_match_counts_toward_the_cap_but_makes_no_edge(self):
+        hierarchy = TypeHierarchy([ParamType("C"), ParamType("SubC", "C")])
+        methods = [ApiMethodNode(0, "loop", ("C",), ("SubC", "C"))]
+        assert projected_matches(methods, hierarchy) == 2
+        assert build_adg(methods, hierarchy, max_edges=2).num_edges == 0
+        with pytest.raises(ConstructionError, match="cap"):
+            build_adg(methods, hierarchy, max_edges=1)
+
+    def test_node_without_inputs_or_outputs(self):
+        hierarchy = TypeHierarchy([ParamType("C")])
+        methods = [
+            ApiMethodNode(0, "idle", (), ()),
+            ApiMethodNode(1, "make", (), ("C",)),
+            ApiMethodNode(2, "use", ("C",), ()),
+        ]
+        adg = build_adg(methods, hierarchy, max_edges=1)
+        assert [(e.head, e.tag, e.tail) for e in adg.edges] == [(1, "C", 2)]
+        assert adg.forward_members(0) == {} and adg.backward_members(0) == {}
+        assert adg.reachability([0], set()).tolist() == [True]
+        assert build_adg(methods[:1], hierarchy, max_edges=0).num_edges == 0
+        with pytest.raises(ConstructionError, match="cap"):
+            build_adg(methods, hierarchy, max_edges=0)
+
     def test_subtype_edge_uses_required_tag(self):
         hierarchy = TypeHierarchy([ParamType("C"), ParamType("SubC", "C")])
         methods = [
@@ -296,6 +438,21 @@ class TestReachability:
         assert got.dtype == bool
         assert got.tolist() == [adg.is_reachable(n, available) for n in all_ids]
         assert adg.reachability(all_ids[::-1], available).tolist() == got.tolist()[::-1]
+
+    def test_reach_rows_match_one_query_per_row(self):
+        rng = np.random.default_rng(41)
+        adg, _, hierarchy = random_adg(rng, 7, 30)
+        names = sorted(hierarchy.names) + ["NotAType"]
+        shared = {names[0], names[3]}
+        availables = [set(), {"NotAType"}, shared, set(names), shared] + [
+            set(rng.choice(names, size=int(rng.integers(0, len(names) + 1)), replace=False))
+            for _ in range(10)
+        ]
+        ids = rng.permutation(adg.num_nodes)
+        got = adg.reachability_rows(ids, availables)
+        assert got.dtype == bool and got.shape == (len(availables), len(ids))
+        assert got.tolist() == [[adg.is_reachable(n, a) for n in ids] for a in availables]
+        assert adg.reachability_rows(ids, []).shape == (0, len(ids))
 
     def test_vector_reachability_unknown_node_raises(self, toy_adg):
         with pytest.raises(UnknownNodeError):
@@ -437,8 +594,86 @@ class TestSerialization:
         with pytest.raises(GraphFormatError, match="trailing"):
             load_graph(dump_graph(toy_adg) + "extra\n")
 
+    def test_edge_rows_are_compared_by_value(self, toy_adg):
+        text = dump_graph(toy_adg)
+        respelt = text.replace("edge 0 A 1", "edge\t0  A +01 ")
+        assert respelt != text
+        assert dump_graph(load_graph(respelt)) == text
+        with pytest.raises(GraphFormatError, match="bad edge ids"):
+            load_graph(text.replace("edge 0 A 1", "edge 0 A one"))
+
     def test_tampered_edges_rejected(self, toy_adg):
         text = dump_graph(toy_adg)
         tampered = text.replace("edge 0 A 1", "edge 0 A 2")
         with pytest.raises(GraphFormatError):
             load_graph(tampered)
+
+
+def _mutate(data: bytes, how: str, at: int, value: int) -> bytes:
+    """``data`` cut at ``at``, or with the line or byte at ``at`` deleted, or
+    with that byte XORed with ``value``."""
+    if how == "truncate":
+        return data[: at % (len(data) + 1)]
+    if how == "delete-line":
+        lines = data.splitlines(keepends=True)
+        k = at % len(lines)
+        return b"".join(lines[:k] + lines[k + 1 :])
+    k = at % len(data)
+    if how == "flip":
+        return data[:k] + bytes([data[k] ^ value]) + data[k + 1 :]
+    return data[:k] + data[k + 1 :]
+
+
+@pytest.fixture(scope="module")
+def train_config(tmp_path_factory):
+    """A train config whose graph file each example overwrites."""
+    work = tmp_path_factory.mktemp("mutated-graph")
+    (work / "train.tsv").write_text("make c\tm0 ( ) ;\n")
+    config = work / "config.json"
+    config.write_text(json.dumps({
+        "paths": {
+            "graph": str(work / "graph.adg"),
+            "train": str(work / "train.tsv"),
+            "checkpoint": str(work / "model.ckpt"),
+        },
+        "train": {"max_steps": 1},
+    }))
+    return work / "graph.adg", str(config)
+
+
+class TestLoaderMutations:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_types=st.integers(1, 5),
+        n_methods=st.integers(0, 8),
+        how=st.sampled_from(["truncate", "delete-line", "flip", "delete-byte"]),
+        at=st.integers(0, 2**16),
+        value=st.integers(1, 255),
+    )
+    def test_mutant_loads_as_reference_or_raises(
+        self, train_config, seed, n_types, n_methods, how, at, value
+    ):
+        rng = np.random.default_rng(seed)
+        hierarchy = random_hierarchy(rng, n_types, parent_prob=0.6)
+        adg = build_adg(random_methods(rng, n_methods, hierarchy), hierarchy)
+        data = _mutate(dump_graph(adg).encode("utf-8"), how, at, value)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            text = None
+        if text is not None:
+            try:
+                got = dump_graph(load_graph(text))
+            except GraphFormatError:
+                got = None
+            assert got == reference_dump(text)
+            if got is not None:
+                return
+        graph_path, config = train_config
+        graph_path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.run(["train", "--config", config], out=io.StringIO())
+        assert code == cli.EXIT_DATA
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()

@@ -625,7 +625,8 @@ class TestBeamStopping:
 
 
 class TestReachFilter:
-    def test_batched_mask_matches_per_token_loop(self):
+    @staticmethod
+    def _synthetic_model():
         spec = SyntheticSpec(n_types=6, n_methods=14, max_chain_len=3, corpus_size=16, seed=5)
         corpus = generate(spec)
         sig = parse_signatures(corpus.signature_text)
@@ -633,7 +634,11 @@ class TestReachFilter:
         desc_vocab = Vocabulary.from_sequences(d for d, _ in corpus.pairs)
         code_vocab = Vocabulary.from_sequences(c for _, c in corpus.pairs)
         config = ModelConfig(word_dim=8, code_dim=8, hidden_dim=10, mlp_hidden=10)
-        model = Seq2SeqModel(desc_vocab, code_vocab, adg, config, EmbedderConfig(dim=8), seed=4)
+        return Seq2SeqModel(desc_vocab, code_vocab, adg, config, EmbedderConfig(dim=8), seed=4)
+
+    def test_batched_mask_matches_per_token_loop(self):
+        model = self._synthetic_model()
+        adg, code_vocab = model.adg, model.code_vocab
         assert len(model.api_node_of_token_id) >= 5
         rng = np.random.default_rng(6)
         names = sorted(adg.hierarchy.names) + ["NotAType"]
@@ -652,6 +657,38 @@ class TestReachFilter:
             assert set(np.flatnonzero(row == -np.inf)) == expect
         unfiltered = model_mod._masked_log_probs(model, logits, availables, False)
         assert {int(j) for j in np.flatnonzero(np.isinf(unfiltered).any(axis=0))} == {PAD_ID, BOS_ID, UNK_ID}
+
+    def test_one_query_per_step_matches_per_row_oracle(self, monkeypatch):
+        model = self._synthetic_model()
+        adg, code_vocab = model.adg, model.code_vocab
+        rng = np.random.default_rng(8)
+        names = sorted(adg.hierarchy.names)
+        shared = frozenset(names[:2])
+        availables = [frozenset(), frozenset({"NotAType"}), shared, frozenset(names), shared] + [
+            frozenset(rng.choice(names, size=int(rng.integers(1, len(names))), replace=False))
+            for _ in range(6)
+        ]
+        logits = rng.standard_normal((len(availables), len(code_vocab)))
+        queries = []
+        reachability_rows = type(adg).reachability_rows
+        monkeypatch.setattr(
+            type(adg), "reachability_rows",
+            lambda self, ids, rows: queries.append(len(rows)) or reachability_rows(self, ids, rows),
+        )
+        lp = model_mod._masked_log_probs(model, logits, availables, True)
+        assert queries == [len(availables)]
+        plain = neural.log_softmax(logits)
+        for row, plain_row, available in zip(lp, plain, availables):
+            masked = {PAD_ID, BOS_ID, UNK_ID} | {
+                token_id
+                for token_id, node_id in model.api_node_of_token_id.items()
+                if not adg.is_reachable(node_id, available)
+            }
+            assert set(np.flatnonzero(row == -np.inf)) == masked
+            keep = np.isfinite(row)
+            assert np.array_equal(row[keep], plain_row[keep])
+        assert np.array_equal(np.isneginf(lp[2]), np.isneginf(lp[4]))
+        assert np.isneginf(lp[0]).sum() > len((PAD_ID, BOS_ID, UNK_ID))  # the empty set masks methods
 
     def test_generated_api_tokens_always_reachable(self):
         spec = SyntheticSpec(n_types=4, n_methods=8, max_chain_len=3, corpus_size=10, seed=3)
@@ -783,6 +820,63 @@ class TestTraining:
         assert [r.step for r in history] == list(range(1, 13))
         for r in history:
             assert r.lrate == pytest.approx(neural.lrate(r.step, 12, 50))
+
+
+def masked_lstm_runs(seq, lengths, cell):
+    """``neural.lstm_runs`` with the hold applied on every step, live rows or not."""
+    counts = np.asarray(lengths)
+    starts = np.cumsum(counts) - counts
+    h = c = neural.zeros((len(counts), cell.hidden_dim))
+    hs = []
+    for t in range(int(counts.max())):
+        live = counts > t
+        x = neural.take_rows(seq, np.where(live, starts + t, starts))
+        h_new, c_new = neural.lstm_cell(x, h, c, cell)
+        step = neural.constant(live[:, None].astype(np.float64))
+        hold = neural.constant((~live)[:, None].astype(np.float64))
+        h = neural.add(neural.mul(h_new, step), neural.mul(h, hold))
+        c = neural.add(neural.mul(c_new, step), neural.mul(c, hold))
+        hs.append(h)
+    return hs, (h, c)
+
+
+class TestLstmRunsHold:
+    def _one_pair_forward(self, monkeypatch, runs):
+        monkeypatch.setattr(neural, "lstm_runs", runs)
+        made = []
+        init = neural.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        model, pairs = tiny_model(seed=5, dropout=0.0)
+        desc, code = pairs[2]
+        monkeypatch.setattr(neural.Tensor, "__init__", counting_init)
+        loss = model.sequence_loss(
+            [(model.desc_vocab.encode(desc), model.code_vocab.encode(code))], model.embed_nodes()
+        )
+        params = model.parameters()
+        neural.zero_grads(params)
+        loss.backward()
+        monkeypatch.undo()
+        return len(made), float(loss.data), [p.grad.copy() for p in params]
+
+    def test_all_live_steps_skip_the_hold(self, monkeypatch):
+        made, loss, grads = self._one_pair_forward(monkeypatch, neural.lstm_runs)
+        ref_made, ref_loss, ref_grads = self._one_pair_forward(monkeypatch, masked_lstm_runs)
+        assert made < ref_made
+        assert loss == ref_loss
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+    def test_ended_runs_still_hold(self):
+        rng = np.random.default_rng(3)
+        cell = neural.LstmParams.create("c", 3, 4, rng)
+        seq = neural.constant(rng.standard_normal((9, 3)))
+        hs, (h, c) = neural.lstm_runs(seq, [4, 1, 4], cell)
+        ref_hs, (ref_h, ref_c) = masked_lstm_runs(seq, [4, 1, 4], cell)
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(hs, ref_hs))
+        assert np.array_equal(h.data, ref_h.data) and np.array_equal(c.data, ref_c.data)
 
 
 class TestCheckpoint:
