@@ -1,7 +1,8 @@
 """Command-line pipeline: graph building, training, generation, evaluation,
 ablation sweeps, and synthetic corpus generation.
 
-Exit codes: 0 success, 2 usage/configuration, 3 data/format, 4 training
+Exit codes: 0 success, 2 usage/configuration (a file that cannot be opened
+included), 3 data/format (an input that is not UTF-8 included), 4 training
 divergence.  All commands are deterministic given --seed and never mutate
 their input files.
 """
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import metrics as metrics_mod
 from .embedder import EmbedderConfig
-from .graph import GraphError, GraphFormatError, build_adg, dump_graph, load_graph
+from .graph import GraphError, build_adg, dump_graph, load_graph
 from .model import (
     CheckpointFormatError,
     ModelConfig,
@@ -36,6 +37,7 @@ from .signatures import (
     SignatureError,
     parse_signatures,
     read_pairs,
+    read_text,
     tokenize_description,
     write_pairs,
 )
@@ -97,14 +99,8 @@ class PipelineConfig:
 
     def require(self, *names: str) -> None:
         for name in names:
-            value = getattr(self, name)
-            if value is None:
+            if getattr(self, name) is None:
                 raise ConfigError(f"configuration is missing {name!r}")
-            if name.endswith(("signatures", "graph", "_data", "checkpoint")):
-                if name in ("checkpoint", "graph"):
-                    continue  # output paths need not exist yet
-                if not os.path.exists(value):
-                    raise ConfigError(f"{name} path does not exist: {value}")
 
 
 def _load_config(path: Optional[str]) -> PipelineConfig:
@@ -112,10 +108,7 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return cfg
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -170,20 +163,6 @@ def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineC
     return cfg
 
 
-def _read_signature_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_signatures(fh.read())
-
-
-def _load_graph_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"graph file {path} is not UTF-8: {exc}") from None
-    return load_graph(text)
-
-
 def _graph_stats(adg) -> list[tuple[str, str]]:
     n = adg.num_nodes
     e = adg.num_edges
@@ -202,7 +181,7 @@ def _graph_stats(adg) -> list[tuple[str, str]]:
 
 def cmd_build_graph(cfg: PipelineConfig, out) -> int:
     cfg.require("signatures", "graph")
-    corpus = _read_signature_file(cfg.signatures)
+    corpus = parse_signatures(read_text(cfg.signatures))
     adg = build_adg(corpus.nodes(), corpus.hierarchy())
     with open(cfg.graph, "w", encoding="utf-8") as fh:
         fh.write(dump_graph(adg))
@@ -226,9 +205,7 @@ def _build_model(cfg: PipelineConfig, adg, train_pairs) -> Seq2SeqModel:
 
 def cmd_train(cfg: PipelineConfig, out) -> int:
     cfg.require("graph", "train_data", "checkpoint")
-    if not os.path.exists(cfg.graph):
-        raise ConfigError(f"graph path does not exist: {cfg.graph}")
-    adg = _load_graph_file(cfg.graph)
+    adg = load_graph(read_text(cfg.graph))
     train_pairs = read_pairs(cfg.train_data)
     valid_pairs = read_pairs(cfg.valid_data) if cfg.valid_data else []
     model = _build_model(cfg, adg, train_pairs)
@@ -249,8 +226,6 @@ def cmd_train(cfg: PipelineConfig, out) -> int:
 
 def _load_model(cfg: PipelineConfig) -> Seq2SeqModel:
     cfg.require("checkpoint")
-    if not os.path.exists(cfg.checkpoint):
-        raise ConfigError(f"checkpoint path does not exist: {cfg.checkpoint}")
     with open(cfg.checkpoint, "rb") as fh:
         return load_checkpoint(fh.read())
 
@@ -323,10 +298,8 @@ def _parse_axes(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
     cfg.require("graph", "train_data", "test_data")
-    if not os.path.exists(cfg.graph):
-        raise ConfigError(f"graph path does not exist: {cfg.graph}")
     variants = _parse_axes(axes)
-    adg = _load_graph_file(cfg.graph)
+    adg = load_graph(read_text(cfg.graph))
     train_pairs = read_pairs(cfg.train_data)
     valid_pairs = read_pairs(cfg.valid_data) if cfg.valid_data else []
     test_pairs = read_pairs(cfg.test_data)
@@ -446,7 +419,7 @@ def run(argv: Sequence[str], out=None) -> int:
         if args.command == "ablate":
             return cmd_ablate(cfg, args.axes, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, SyntheticGenerationError) as exc:
+    except (ConfigError, SyntheticGenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SignatureError, DataFormatError, GraphError, CheckpointFormatError) as exc:

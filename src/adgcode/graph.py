@@ -304,17 +304,12 @@ class Adg:
                 counter -= 1
         return counter == 0
 
-    def reachability(self, node_ids: Sequence[int], available: Iterable[str]) -> np.ndarray:
-        """``is_reachable`` for many nodes as one vector op: a bool array with
-        one entry per id in ``node_ids``."""
-        return self.reachability_rows(node_ids, [available])[0]
-
     def reachability_rows(
         self, node_ids: Sequence[int], availables: Sequence[Iterable[str]]
     ) -> np.ndarray:
-        """:meth:`reachability` for several available sets at once: a bool
-        [len(availables), len(node_ids)] array whose row r answers for
-        ``availables[r]``.
+        """:meth:`is_reachable` for many nodes and several available sets as
+        one vector op: a bool [len(availables), len(node_ids)] array whose row
+        r answers for ``availables[r]``.
 
         A row's available names become a provided-type row, the
         type-satisfies-type matrix turns it into the required types it

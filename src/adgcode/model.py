@@ -435,7 +435,6 @@ def _next_log_probs(
     return _masked_log_probs(model, logits.data, availables, reach_filter), state
 
 
-@neural.no_grad()
 def generate_greedy(
     model: Seq2SeqModel,
     desc_tokens: Sequence[str],
@@ -445,31 +444,12 @@ def generate_greedy(
     reach_filter: bool = False,
     initial_types: Sequence[str] = (),
 ) -> list[str]:
-    """Argmax rollout until the end marker or the length limit; ties resolve
-    to the smallest token id.
-
-    Never emits ``⟨PAD⟩``, ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the
-    log-softmax, like methods the reach filter rejects.  Each step is the
-    beam search step with one row, so beam width 1 gives the same tokens.
-    """
-    max_len = model.config.max_len if max_len is None else max_len
-    if node_embeddings is None:
-        node_embeddings = model.embed_nodes()
-    memory, state = model.encode([model.desc_vocab.encode(desc_tokens)])
-    prev = BOS_ID
-    available = frozenset(initial_types)
-    out: list[str] = []
-    for _ in range(max_len):
-        lp, state = _next_log_probs(
-            model, [prev], [available], state, memory, node_embeddings, reach_filter
-        )
-        token_id = int(np.argmax(lp[0]))  # argmax takes the first (smallest id) on ties
-        if token_id == EOS_ID:
-            break
-        out.append(model.code_vocab.token(token_id))
-        available = _advance_available(model, available, token_id)
-        prev = token_id
-    return out
+    """Greedy decoding, which is beam search of width 1: an argmax rollout
+    until the end marker or the length limit, ties to the smallest token id."""
+    return beam_search(
+        model, desc_tokens, 1, max_len, node_embeddings=node_embeddings,
+        reach_filter=reach_filter, initial_types=initial_types,
+    )
 
 
 @neural.no_grad()
@@ -710,6 +690,8 @@ def load_checkpoint(data: bytes) -> Seq2SeqModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"bad hyperparameter block: {exc}") from exc
     try:
+        if not isinstance(meta["graph"], str):
+            raise TypeError(f"graph must be a string, got {type(meta['graph']).__name__}")
         adg = load_graph(meta["graph"])
         model = Seq2SeqModel(
             desc_vocab=Vocabulary([tuple(e) for e in meta["desc_vocab"]]),

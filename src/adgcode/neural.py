@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers
 this model family needs: LSTM cell and a masked LSTM sweep over several
 sequences at once, windowed ReLU feature layers, masked multiplicative
-attention, stabilized softmax/weighted cross-entropy, inverted dropout,
+attention, stabilized softmax/weighted cross-entropy, inverted-dropout masks,
 Glorot initialization, Adam with an inverse-square-root warmup schedule.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
@@ -9,9 +9,9 @@ topological sweep.  Inside ``no_grad()`` ops record no tape: decoding runs
 there, since nothing backpropagates through it.  The layers take N
 independent rows of shape [N, d] only: training runs each batch as one
 padded pass over such rows (with the loss and the order of dropout draws of
-one pair at a time), beam search its live hypotheses, greedy decoding one
-row, the embedder every node of a hop.  All randomness comes from
-explicitly passed numpy Generators.
+one pair at a time), beam search its live hypotheses, the embedder every
+node of a hop.  All randomness comes from explicitly passed numpy
+Generators.
 """
 
 from __future__ import annotations
@@ -342,18 +342,6 @@ def softmax_xent(
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout factors: 0 with probability ``p``, else 1/(1-p)."""
     return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: evaluation mode is the identity; training mode zeroes
-    entries with probability ``p`` and scales survivors by 1/(1-p)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode dropout requires an explicit rng")
-    return mul(x, constant(dropout_mask(x.data.shape, p, rng)))
 
 
 def glorot_init(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:

@@ -34,7 +34,7 @@ class SignatureError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """Malformed dataset record."""
+    """Malformed dataset record, or an input file that is not UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -284,9 +284,18 @@ def format_pairs(pairs: Sequence[Pair]) -> str:
     return "".join(f"{' '.join(d)}\t{' '.join(c)}\n" for d, c in pairs)
 
 
-def read_pairs(path: str) -> list[Pair]:
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``.  A file that is not UTF-8
+    raises DataFormatError; one that cannot be opened raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_pairs(fh.read(), source=path)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path} is not UTF-8: {exc}") from None
+
+
+def read_pairs(path: str) -> list[Pair]:
+    return parse_pairs(read_text(path), source=path)
 
 
 def write_pairs(path: str, pairs: Sequence[Pair]) -> None:

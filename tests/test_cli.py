@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,13 @@ import pytest
 from adgcode import cli
 from adgcode.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE
 from adgcode.graph import load_graph
-from adgcode.model import TrainingDivergedError, generate_greedy, load_checkpoint
+from adgcode.model import (
+    CHECKPOINT_HEADER,
+    CheckpointFormatError,
+    TrainingDivergedError,
+    generate_greedy,
+    load_checkpoint,
+)
 
 from conftest import corrupt_parameter
 
@@ -189,14 +196,32 @@ class TestTrain:
         assert code == EXIT_DIVERGED
 
 
-class TestGenerateCommand:
-    @pytest.fixture
-    def trained(self, workspace):
-        cfg = write_config(workspace)
-        run_cli(["build-graph", "--config", cfg])
-        assert run_cli(["train", "--config", cfg])[0] == EXIT_OK
-        return cfg
+@pytest.fixture
+def trained(workspace):
+    cfg = write_config(workspace)
+    run_cli(["build-graph", "--config", cfg])
+    assert run_cli(["train", "--config", cfg])[0] == EXIT_OK
+    return cfg
 
+
+def with_checkpoint_graph(blob: bytes, graph) -> bytes:
+    """Checkpoint bytes whose metadata block holds ``graph`` as its graph."""
+    start = len(CHECKPOINT_HEADER) + 4
+    end = start + struct.unpack_from("<I", blob, len(CHECKPOINT_HEADER))[0]
+    meta = json.loads(blob[start:end])
+    meta["graph"] = graph
+    block = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return CHECKPOINT_HEADER + struct.pack("<I", len(block)) + block + blob[end:]
+
+
+def single_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+class TestGenerateCommand:
     def test_empty_description_usage_error(self, trained):
         code, _ = run_cli(["generate", "--config", trained, "   "])
         assert code == EXIT_USAGE
@@ -269,6 +294,52 @@ class TestEvaluateCommand:
         ]
         values = lines[1].split("\t")
         assert len(values) == 9
+
+    @pytest.mark.parametrize("graph", [7, ["ADG-GRAPH-v1"]], ids=["number", "list"])
+    def test_checkpoint_graph_not_text_is_data_error(self, trained, workspace, capsys, graph):
+        path = workspace / "model.ckpt"
+        path.write_bytes(with_checkpoint_graph(path.read_bytes(), graph))
+        with pytest.raises(CheckpointFormatError, match="graph"):
+            load_checkpoint(path.read_bytes())
+        capsys.readouterr()
+        code, out = run_cli(["evaluate", "--config", trained])
+        assert code == EXIT_DATA and out == ""
+        assert "graph" in single_error_line(capsys.readouterr().err)
+
+
+class TestInputFiles:
+    """One mapping for every command: a file that cannot be opened or written
+    exits 2, an input that is not UTF-8 exits 3, each with one error line."""
+
+    @pytest.mark.parametrize(
+        "command, paths, bad_file, expect",
+        [
+            ("train", {"valid": "absent.tsv"}, None, EXIT_USAGE),
+            ("train", {"graph": "."}, None, EXIT_USAGE),
+            ("build-graph", {"graph": "absent/graph.adg"}, None, EXIT_USAGE),
+            ("train", {}, "config.json", EXIT_DATA),
+            ("build-graph", {}, "signatures.sig", EXIT_DATA),
+            ("train", {}, "train.tsv", EXIT_DATA),
+        ],
+        ids=[
+            "valid-missing", "graph-is-directory", "graph-output-dir-missing",
+            "config-not-utf8", "signatures-not-utf8", "tsv-not-utf8",
+        ],
+    )
+    def test_exit_code(self, workspace, capsys, command, paths, bad_file, expect):
+        cfg = write_config(workspace)
+        assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
+        raw = json.loads((workspace / "config.json").read_text())
+        raw["paths"].update({key: str(workspace / rel) for key, rel in paths.items()})
+        (workspace / "config.json").write_text(json.dumps(raw))
+        if bad_file is not None:
+            path = workspace / bad_file
+            path.write_bytes(path.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        code, _ = run_cli([command, "--config", cfg])
+        assert code == expect
+        assert str(workspace) in single_error_line(capsys.readouterr().err)
+        assert not (workspace / "model.ckpt").exists()
 
 
 class TestConfigValidation:

@@ -332,7 +332,7 @@ class TestBuildAdg:
         adg = build_adg(methods, hierarchy, max_edges=1)
         assert [(e.head, e.tag, e.tail) for e in adg.edges] == [(1, "C", 2)]
         assert adg.forward_members(0) == {} and adg.backward_members(0) == {}
-        assert adg.reachability([0], set()).tolist() == [True]
+        assert adg.reachability_rows([0], [set()])[0].tolist() == [True]
         assert build_adg(methods[:1], hierarchy, max_edges=0).num_edges == 0
         with pytest.raises(ConstructionError, match="cap"):
             build_adg(methods, hierarchy, max_edges=0)
@@ -434,10 +434,10 @@ class TestReachability:
         names = sorted(hierarchy.names) + ["NotAType", "T99"]
         available = {names[i % len(names)] for i in picks}
         all_ids = list(range(adg.num_nodes))
-        got = adg.reachability(all_ids, available)
+        got = adg.reachability_rows(all_ids, [available])[0]
         assert got.dtype == bool
         assert got.tolist() == [adg.is_reachable(n, available) for n in all_ids]
-        assert adg.reachability(all_ids[::-1], available).tolist() == got.tolist()[::-1]
+        assert adg.reachability_rows(all_ids[::-1], [available])[0].tolist() == got.tolist()[::-1]
 
     def test_reach_rows_match_one_query_per_row(self):
         rng = np.random.default_rng(41)
@@ -456,10 +456,10 @@ class TestReachability:
 
     def test_vector_reachability_unknown_node_raises(self, toy_adg):
         with pytest.raises(UnknownNodeError):
-            toy_adg.reachability([0, 4], set())
+            toy_adg.reachability_rows([0, 4], [set()])
         with pytest.raises(UnknownNodeError):
-            toy_adg.reachability([-1], set())
-        assert toy_adg.reachability([], {"A"}).shape == (0,)
+            toy_adg.reachability_rows([-1], [set()])
+        assert toy_adg.reachability_rows([], [{"A"}])[0].shape == (0,)
 
 
 class TestNeighbors:

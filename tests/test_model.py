@@ -310,11 +310,39 @@ class TestLossSanity:
         assert np.all(base_grad[lonely] == 0.0)
 
 
+def argmax_rollout(model, desc, max_len, reach_filter=False):
+    """Oracle: greedy decoding as its own loop, each step the argmax of
+    ``decode_step``'s masked log-probabilities, ties to the smallest id."""
+    node_emb = model.embed_nodes()
+    memory, state = model.encode([model.desc_vocab.encode(desc)])
+    prev, available, out = BOS_ID, set(), []
+    for _ in range(max_len):
+        logits, state = model.decode_step(model.decoder_query([prev], node_emb), state, memory)
+        lp = model_mod._masked_log_probs(model, logits.data, [available], reach_filter)[0]
+        prev = int(np.argmax(lp))  # the first maximum, so the smallest id on ties
+        if prev == EOS_ID:
+            break
+        out.append(model.code_vocab.token(prev))
+        if prev in model.api_node_of_token_id:
+            available |= set(model.adg.node(model.api_node_of_token_id[prev]).outputs)
+    return out
+
+
 class TestGeneration:
     def test_beam_width_one_equals_greedy(self):
         model, pairs = tiny_model(seed=5)
         for desc, _ in pairs:
-            assert beam_search(model, desc, width=1) == generate_greedy(model, desc)
+            for reach_filter in (False, True):
+                expect = argmax_rollout(model, desc, model.config.max_len, reach_filter)
+                assert beam_search(model, desc, width=1, reach_filter=reach_filter) == expect
+                assert generate_greedy(model, desc, reach_filter=reach_filter) == expect
+        # a flat output layer ties every code token: both take the smallest id
+        model.out_w2.data = np.zeros_like(model.out_w2.data)
+        model.out_b2.data = np.zeros_like(model.out_b2.data)
+        model.out_b2.data[EOS_ID] = -50.0
+        expect = argmax_rollout(model, ("make", "c"), 6)
+        assert expect == [model.code_vocab.token(4)] * 6
+        assert generate_greedy(model, ("make", "c"), max_len=6) == expect
 
     def test_forced_token_model(self):
         model, _ = tiny_model()

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from adgcode import neural
+from adgcode.model import ModelConfig
 from adgcode.neural import (
     Adam,
     LstmParams,
     Parameter,
     ShapeError,
     attention,
-    dropout,
+    dropout_mask,
     glorot_init,
     gradient_check,
     lrate,
@@ -594,33 +595,25 @@ class TestAdam:
 
 
 class TestDropout:
-    def test_p_zero_identity(self):
-        x = neural.constant(np.ones(10))
-        rng = RNG(15)
-        assert dropout(x, 0.0, True, rng) is x
-        assert dropout(x, 0.0, False) is x
+    """Inverted-dropout factors as ``ModelConfig.dropout`` draws them in training."""
 
-    def test_eval_mode_identity(self):
-        x = neural.constant(np.ones(10))
-        assert dropout(x, 0.5, False) is x
+    def test_p_zero_identity(self):
+        assert np.array_equal(dropout_mask((4, 10), 0.0, RNG(15)), np.ones((4, 10)))
 
     def test_invalid_probability(self):
-        x = neural.constant(np.ones(3))
-        with pytest.raises(ValueError):
-            dropout(x, 1.0, True, RNG(0))
-        with pytest.raises(ValueError):
-            dropout(x, -0.1, True, RNG(0))
+        # the bound lives in the config that supplies p
+        for p in (1.0, -0.1):
+            with pytest.raises(ValueError, match="dropout"):
+                ModelConfig(dropout=p).validate()
 
     def test_mean_preserved_on_large_sample(self):
-        rng = RNG(16)
-        x = neural.constant(np.full(1_000_000, 3.0))
-        y = dropout(x, 0.1, True, rng)
-        assert abs(float(np.mean(y.data)) - 3.0) / 3.0 < 0.01
+        mask = dropout_mask(1_000_000, 0.1, RNG(16))
+        assert set(np.unique(mask).tolist()) == {0.0, 1.0 / 0.9}
+        assert abs(float(np.mean(3.0 * mask)) - 3.0) / 3.0 < 0.01
 
     def test_seeded_reproducibility(self):
-        x = neural.constant(np.ones(100))
-        a = dropout(x, 0.3, True, RNG(99)).data
-        b = dropout(x, 0.3, True, RNG(99)).data
+        a = dropout_mask(100, 0.3, RNG(99))
+        b = dropout_mask(100, 0.3, RNG(99))
         assert np.array_equal(a, b)
 
 
