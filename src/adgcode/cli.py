@@ -166,8 +166,9 @@ def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineC
 def _graph_stats(adg) -> list[tuple[str, str]]:
     n = adg.num_nodes
     e = adg.num_edges
-    max_in = max((adg.degree_stats(m).indegree for m in range(n)), default=0)
-    max_out = max((adg.degree_stats(m).outdegree for m in range(n)), default=0)
+    indegree, outdegree = adg.degrees()
+    max_in = int(indegree.max(initial=0))
+    max_out = int(outdegree.max(initial=0))
     avg = e / n if n else 0.0
     return [
         ("Nodes", str(n)),

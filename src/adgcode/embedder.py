@@ -18,15 +18,13 @@ import functools
 import numbers
 import typing
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import neural
 from .graph import Adg
 from .neural import LstmParams, Parameter, Tensor
-
-EMBEDDING_HEADER = "ADG-EMB-v1"
 
 AGGREGATORS = ("mean", "pooling", "lstm")
 VIRTUALIZATIONS = ("mean", "concat")
@@ -253,34 +251,3 @@ def embed_all(
     """Hop-K embedding vectors of every node as plain arrays."""
     z = embed_tensors(adg, params, config)
     return {m: z.data[m].copy() for m in range(adg.num_nodes)}
-
-
-def dump_embeddings(embeddings: Mapping[int, np.ndarray]) -> str:
-    """Versioned text table of node id -> vector in canonical node order."""
-    ids = sorted(embeddings)
-    dim = len(embeddings[ids[0]]) if ids else 0
-    lines = [EMBEDDING_HEADER, f"nodes {len(ids)} dim {dim}"]
-    for m in ids:
-        vec = " ".join(repr(float(x)) for x in embeddings[m])
-        lines.append(f"{m} {vec}")
-    return "\n".join(lines) + "\n"
-
-
-def load_embeddings(text: str) -> dict[int, np.ndarray]:
-    lines = text.splitlines()
-    if not lines or lines[0] != EMBEDDING_HEADER:
-        raise ValueError(f"missing {EMBEDDING_HEADER!r} header")
-    head = lines[1].split() if len(lines) > 1 else []
-    if len(head) != 4 or head[0] != "nodes" or head[2] != "dim":
-        raise ValueError("malformed embedding table header")
-    count, dim = int(head[1]), int(head[3])
-    out: dict[int, np.ndarray] = {}
-    for line in lines[2 : 2 + count]:
-        parts = line.split()
-        vec = np.array([float(x) for x in parts[1:]])
-        if vec.shape != (dim,):
-            raise ValueError("embedding row width does not match the header")
-        out[int(parts[0])] = vec
-    if len(out) != count:
-        raise ValueError("embedding table is truncated")
-    return out

@@ -17,7 +17,6 @@ first use; two readers racing there build equal values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -90,36 +89,19 @@ class TypeHierarchy:
         self._parent = parent
         self._ancestors = ancestors
         self._ancestor_sets = {n: frozenset(c) for n, c in ancestors.items()}
-        subs: dict[str, set[str]] = {n: {n} for n in parent}
-        for name, chain in ancestors.items():
-            for anc in chain:
-                subs[anc].add(name)
-        self._subtypes = {n: frozenset(s) for n, s in subs.items()}
 
     @property
     def names(self) -> frozenset[str]:
         return frozenset(self._parent)
 
-    def declared(self, name: str) -> bool:
-        return name in self._parent
-
     def require(self, name: str) -> None:
         if name not in self._parent:
             raise UnknownTypeError(f"type {name!r} is not declared")
-
-    def parent_of(self, name: str) -> Optional[str]:
-        self.require(name)
-        return self._parent[name]
 
     def ancestors(self, name: str) -> tuple[str, ...]:
         """Transitive supertypes of ``name``, nearest first."""
         self.require(name)
         return self._ancestors[name]
-
-    def subtypes(self, name: str) -> frozenset[str]:
-        """All declared types that match ``name``, including ``name`` itself."""
-        self.require(name)
-        return self._subtypes[name]
 
     def matches(self, provided: str, required: str) -> bool:
         self.require(provided)
@@ -137,17 +119,6 @@ class TypeHierarchy:
         return tuple(
             ParamType(n, self._parent[n]) for n in sorted(self._parent)
         )
-
-
-def param_match(provided: str, required: str, hierarchy: TypeHierarchy) -> bool:
-    """True iff a value of type ``provided`` satisfies a ``required`` parameter."""
-    return hierarchy.matches(provided, required)
-
-
-class Dependency(Enum):
-    NONE = "none"
-    PARTIAL = "partial"
-    FULL = "full"
 
 
 @dataclass(frozen=True)
@@ -170,38 +141,6 @@ class TaggedEdge:
     head: int
     tag: str
     tail: int
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    indegree: int
-    intagdegree: int
-    outdegree: int
-    outtagdegree: int
-    in_tags: frozenset[str]
-    out_tags: frozenset[str]
-
-
-def classify_dependency(
-    a: ApiMethodNode, b: ApiMethodNode, hierarchy: TypeHierarchy
-) -> Dependency:
-    """Classify how a's outputs cover b's required input types.
-
-    FULL iff every distinct input type of ``b`` is matched by some output of
-    ``a``; PARTIAL iff at least one but not all are; NONE otherwise.
-    """
-    required = sorted(set(b.inputs))
-    provided = sorted(set(a.outputs))
-    matched = sum(
-        1
-        for req in required
-        if any(hierarchy.matches(out, req) for out in provided)
-    )
-    if matched == len(required):
-        return Dependency.FULL
-    if matched > 0:
-        return Dependency.PARTIAL
-    return Dependency.NONE
 
 
 class Adg:
@@ -346,17 +285,11 @@ class Adg:
         self.node(node_id)
         return self._members()[1][node_id]
 
-    def degree_stats(self, node_id: int) -> DegreeStats:
-        self.node(node_id)
-        fwd, bwd = (side[node_id] for side in self._members())
-        return DegreeStats(
-            indegree=sum(len(v) for v in fwd.values()),
-            intagdegree=len(fwd),
-            outdegree=sum(len(v) for v in bwd.values()),
-            outtagdegree=len(bwd),
-            in_tags=frozenset(fwd),
-            out_tags=frozenset(bwd),
-        )
+    def degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-degree and out-degree of every node: its incoming and outgoing
+        edge counts, indexed by node id."""
+        n = len(self._nodes)
+        return np.bincount(self._tails, minlength=n), np.bincount(self._heads, minlength=n)
 
 
 def _any_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

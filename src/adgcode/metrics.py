@@ -264,46 +264,43 @@ def f1(pairs: Sequence[EvalPair]) -> float:
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.#]*\Z")
 
 
-class CallChainGrammar:
-    """Call-chain toy grammar: program := stmt+ ;
-    stmt := var '=' name '(' [var {',' var}] ')' ';'"""
+def accepts_call_chain(tokens: Tokens) -> bool:
+    """True iff ``tokens`` parse under the call-chain toy grammar:
+    program := stmt+ ; stmt := var '=' name '(' [var {',' var}] ')' ';'"""
+    pos = 0
+    statements = 0
 
-    def accepts(self, tokens: Tokens) -> bool:
-        pos = 0
-        statements = 0
+    def ident(p: int) -> bool:
+        return p < len(tokens) and _IDENT.match(tokens[p]) is not None
 
-        def ident(p: int) -> bool:
-            return p < len(tokens) and _IDENT.match(tokens[p]) is not None
+    def literal(p: int, text: str) -> bool:
+        return p < len(tokens) and tokens[p] == text
 
-        def literal(p: int, text: str) -> bool:
-            return p < len(tokens) and tokens[p] == text
-
-        while pos < len(tokens):
-            if not ident(pos) or not literal(pos + 1, "=") or not ident(pos + 2):
-                return False
-            if not literal(pos + 3, "("):
-                return False
-            pos += 4
-            if ident(pos):
-                pos += 1
-                while literal(pos, ","):
-                    if not ident(pos + 1):
-                        return False
-                    pos += 2
-            if not literal(pos, ")") or not literal(pos + 1, ";"):
-                return False
-            pos += 2
-            statements += 1
-        return statements > 0
+    while pos < len(tokens):
+        if not ident(pos) or not literal(pos + 1, "=") or not ident(pos + 2):
+            return False
+        if not literal(pos + 3, "("):
+            return False
+        pos += 4
+        if ident(pos):
+            pos += 1
+            while literal(pos, ","):
+                if not ident(pos + 1):
+                    return False
+                pos += 2
+        if not literal(pos, ")") or not literal(pos + 1, ";"):
+            return False
+        pos += 2
+        statements += 1
+    return statements > 0
 
 
-def pov_toy(candidates: Iterable[Tokens], grammar: Optional[CallChainGrammar] = None) -> float:
+def pov_toy(candidates: Iterable[Tokens]) -> float:
     """Fraction of candidates accepted by the toy grammar."""
-    grammar = grammar or CallChainGrammar()
     cands = list(candidates)
     if not cands:
         raise ValueError("pov requires at least one candidate")
-    return sum(1 for c in cands if grammar.accepts(c)) / len(cands)
+    return sum(1 for c in cands if accepts_call_chain(c)) / len(cands)
 
 
 @dataclass(frozen=True)
@@ -336,12 +333,9 @@ class MetricReport:
         }
 
 
-def evaluate_pairs(
-    pairs: Sequence[EvalPair], grammar: Optional[CallChainGrammar] = None
-) -> MetricReport:
+def evaluate_pairs(pairs: Sequence[EvalPair]) -> MetricReport:
     """Full metric battery over a corpus; PoV uses the call-chain grammar."""
     _require_pairs(pairs)
-    grammar = grammar or CallChainGrammar()
     return MetricReport(
         acc=acc(pairs),
         bleu=bleu(pairs),
@@ -351,7 +345,7 @@ def evaluate_pairs(
         rouge_1=rouge_n(pairs, 1),
         rouge_2=rouge_n(pairs, 2),
         ribes=ribes(pairs),
-        pov=pov_toy([p.candidate for p in pairs], grammar),
+        pov=pov_toy([p.candidate for p in pairs]),
         size=len(pairs),
     )
 

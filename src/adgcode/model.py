@@ -58,6 +58,10 @@ class Vocabulary:
         tokens = list(RESERVED_TOKENS)
         counts: dict[str, int] = {}
         for tok, count in entries:
+            if not isinstance(tok, str):
+                raise TypeError(f"vocabulary token must be a string, got {tok!r}")
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise TypeError(f"count of vocabulary token {tok!r} must be an int, got {count!r}")
             if tok in RESERVED_TOKENS:
                 raise ValueError(f"reserved token {tok!r} cannot appear in a corpus")
             if tok in counts:
@@ -528,7 +532,9 @@ def beam_search(
             for neg_logp, tokens, row in kept
         ]
         rows = [row for _, _, row in kept]
-        state = (neural.take_rows(h, rows), neural.take_rows(c, rows))
+        if rows != list(range(len(h.data))):  # kept in place, as always at width 1
+            h, c = neural.take_rows(h, rows), neural.take_rows(c, rows)
+        state = (h, c)
     if best is None:  # max_len freezes everything, so this needs live fallback only
         best = min(live, key=lambda hyp: (-hyp.score(), hyp.tokens))
     out = [t for t in best.tokens if t != EOS_ID]
@@ -724,7 +730,8 @@ def load_checkpoint(data: bytes) -> Seq2SeqModel:
                 f"parameter {name!r} shape {shape} does not match {params[name].data.shape}"
             )
         raw = reader.take(4 * params[name].data.size)
-        value = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signaling NaN warns on the cast
+            value = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
         if not np.all(np.isfinite(value)):
             raise CheckpointFormatError(f"parameter {name!r} holds non-finite values")
         loaded[name] = value

@@ -70,44 +70,6 @@ class SignatureCorpus:
             for i, m in enumerate(self.methods)
         )
 
-    def canonical_form(self) -> tuple:
-        """Order-insensitive comparable value ignoring line provenance."""
-        return (
-            frozenset((t.name, t.parent) for t in self.types),
-            tuple((m.name, m.inputs, m.outputs) for m in self.methods),
-        )
-
-    def canonical_text(self) -> str:
-        """Re-emit the corpus: types topologically (parents first, ties by
-        name), then methods in declaration order."""
-        by_name = {t.name: t for t in self.types}
-        emitted: set[str] = set()
-        lines: list[str] = []
-        pending = sorted(by_name)
-        while pending:
-            progressed = False
-            remaining = []
-            for name in pending:
-                parent = by_name[name].parent
-                if parent is None or parent in emitted:
-                    decl = by_name[name]
-                    if decl.parent is None:
-                        lines.append(f"type {decl.name}")
-                    else:
-                        lines.append(f"type {decl.name} : {decl.parent}")
-                    emitted.add(name)
-                    progressed = True
-                else:
-                    remaining.append(name)
-            pending = remaining
-            if not progressed:  # unreachable for a valid corpus (acyclic parents)
-                raise SignatureError("cyclic type declarations", 0)
-        for m in self.methods:
-            ins = ", ".join(m.inputs)
-            outs = ", ".join(m.outputs)
-            lines.append(f"method {m.name} ({ins}) -> {outs}".rstrip())
-        return "\n".join(lines) + "\n"
-
 
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z0-9_.#]*)|(?P<arrow>->)|(?P<sym>[(),:])")
 
@@ -246,18 +208,12 @@ def link_api_tokens(vocabulary: Iterable[str], adg: Adg) -> dict[str, int]:
     return index
 
 
-_NAME_CHARS = re.compile(r"[A-Za-z0-9_.#]+|\S")
 _DESC_KEEP = re.compile(r"[^a-z0-9_.#]+")
 
 
 def tokenize_description(text: str) -> list[str]:
     """Lowercase, replace special characters with spaces, split."""
     return [t for t in _DESC_KEEP.sub(" ", text.lower()).split() if t]
-
-
-def tokenize_code(text: str) -> list[str]:
-    """Split on whitespace and punctuation, keeping qualified names intact."""
-    return _NAME_CHARS.findall(text)
 
 
 Pair = tuple[tuple[str, ...], tuple[str, ...]]

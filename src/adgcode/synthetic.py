@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .graph import ParamType, TypeHierarchy
 from .signatures import Pair
 
 FILLERS = (
@@ -85,14 +86,10 @@ def _gen_methods(
     return methods
 
 
-def _matches(provided: str, required: str, ancestors: dict[str, set[str]]) -> bool:
-    return provided == required or required in ancestors[provided]
-
-
 def _gen_chain(
     spec: SyntheticSpec,
     methods: list[tuple[str, tuple[str, ...], tuple[str, ...]]],
-    ancestors: dict[str, set[str]],
+    hierarchy: TypeHierarchy,
     rng: np.random.Generator,
 ) -> tuple[list[str], list[str]]:
     """One reachability-respecting call chain: (code tokens, method names)."""
@@ -105,7 +102,7 @@ def _gen_chain(
 
     def provider_for(required: str) -> Optional[str]:
         for var, var_type in reversed(variables):  # prefer the freshest value
-            if _matches(var_type, required, ancestors):
+            if hierarchy.matches(var_type, required):
                 return var
         return None
 
@@ -161,15 +158,7 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
     if not any(not m[1] for m in methods):
         raise SyntheticGenerationError("no zero-input method: chains cannot start")
 
-    parent_of = dict(types)
-    ancestors: dict[str, set[str]] = {}
-    for name in type_names:
-        chain = set()
-        cur = parent_of[name]
-        while cur is not None:
-            chain.add(cur)
-            cur = parent_of[cur]
-        ancestors[name] = chain
+    hierarchy = TypeHierarchy(ParamType(name, parent) for name, parent in types)
 
     sig_lines = []
     for name, parent in types:
@@ -184,7 +173,7 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
         desc: tuple[str, ...] = ()
         code: tuple[str, ...] = ()
         for _attempt in range(50):
-            tokens, names = _gen_chain(spec, methods, ancestors, rng)
+            tokens, names = _gen_chain(spec, methods, hierarchy, rng)
             words = _describe(names, spec, rng)
             desc, code = tuple(words), tuple(tokens)
             if desc not in seen_descriptions:

@@ -44,7 +44,8 @@ def random_adg(rng: np.random.Generator, n_types: int, n_methods: int):
 
 def corrupt_parameter(blob: bytes, name: str, kind: str) -> bytes:
     """Checkpoint bytes with one parameter row damaged: ``"name"`` writes byte
-    0xff into the row's name, ``"nan"`` makes its first value a float32 NaN."""
+    0xff into the row's name, ``"nan"`` makes its first value a float32 quiet
+    NaN and ``"snan"`` a float32 signaling NaN (bytes ``01 00 80 7f``)."""
     at = blob.index(struct.pack("<I", len(name)) + name.encode("utf-8")) + 4
     out = bytearray(blob)
     if kind == "name":
@@ -52,7 +53,8 @@ def corrupt_parameter(blob: bytes, name: str, kind: str) -> bytes:
     else:
         ndim = struct.unpack_from("<I", blob, at + len(name))[0]
         first = at + len(name) + 4 + 4 * ndim
-        out[first : first + 4] = struct.pack("<f", float("nan"))
+        nan = {"nan": struct.pack("<f", float("nan")), "snan": bytes([0x01, 0x00, 0x80, 0x7F])}
+        out[first : first + 4] = nan[kind]
     return bytes(out)
 
 

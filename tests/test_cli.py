@@ -126,7 +126,9 @@ class TestBuildGraph:
             "build-graph", "--signatures", str(sig), "--graph", str(tmp_path / "g.adg"),
         ])
         assert code == EXIT_OK
-        assert "Nodes 0" in out and "Edges 0" in out
+        assert out.splitlines() == [
+            "Nodes 0", "Edges 0", "Max.in 0", "Avg.in 0.00", "Max.out 0", "Avg.out 0.00",
+        ]
 
     def test_stats_match_dump_oracle(self, workspace):
         cfg = write_config(workspace)
@@ -138,6 +140,10 @@ class TestBuildGraph:
         assert int(stats["Edges"]) == adg.num_edges
         expect_avg = adg.num_edges / adg.num_nodes
         assert float(stats["Avg.in"]) == pytest.approx(expect_avg, abs=0.005)
+        indegree = [sum(e.tail == m for e in adg.edges) for m in range(adg.num_nodes)]
+        outdegree = [sum(e.head == m for e in adg.edges) for m in range(adg.num_nodes)]
+        assert int(stats["Max.in"]) == max(indegree)
+        assert int(stats["Max.out"]) == max(outdegree)
 
     def test_parse_error_exit_code(self, tmp_path):
         sig = tmp_path / "bad.sig"
@@ -204,12 +210,12 @@ def trained(workspace):
     return cfg
 
 
-def with_checkpoint_graph(blob: bytes, graph) -> bytes:
-    """Checkpoint bytes whose metadata block holds ``graph`` as its graph."""
+def with_checkpoint_meta(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes whose metadata block ``edit(meta)`` has changed in place."""
     start = len(CHECKPOINT_HEADER) + 4
     end = start + struct.unpack_from("<I", blob, len(CHECKPOINT_HEADER))[0]
     meta = json.loads(blob[start:end])
-    meta["graph"] = graph
+    edit(meta)
     block = json.dumps(meta, sort_keys=True).encode("utf-8")
     return CHECKPOINT_HEADER + struct.pack("<I", len(block)) + block + blob[end:]
 
@@ -245,13 +251,30 @@ class TestGenerateCommand:
         code, _ = run_cli(["generate", "--config", trained, "hello there"])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("kind", ["name", "nan"])
-    def test_corrupt_parameter_row_is_data_error(self, trained, workspace, kind):
+    @pytest.mark.parametrize("kind", ["name", "nan", "snan"])
+    def test_corrupt_parameter_row_is_data_error(self, trained, workspace, capsys, kind):
         path = workspace / "model.ckpt"
         path.write_bytes(corrupt_parameter(path.read_bytes(), "att.w", kind))
+        capsys.readouterr()
         code, out = run_cli(["generate", "--config", trained, "hello there"])
         assert code == EXIT_DATA
         assert out == ""
+        single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "entry", [[7, 1], ["v0", "1"], ["v0", True]], ids=["token-int", "count-str", "count-bool"]
+    )
+    def test_mistyped_vocabulary_entry_is_data_error(self, trained, workspace, capsys, entry):
+        def edit(meta):
+            vocab = meta["code_vocab"]
+            vocab[[token for token, _ in vocab].index("v0")] = entry
+
+        path = workspace / "model.ckpt"
+        path.write_bytes(with_checkpoint_meta(path.read_bytes(), edit))
+        capsys.readouterr()
+        code, out = run_cli(["generate", "--config", trained, "hello there"])
+        assert code == EXIT_DATA and out == ""
+        assert "vocabulary" in single_error_line(capsys.readouterr().err)
 
 
 class TestTracedRuns:
@@ -298,7 +321,7 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("graph", [7, ["ADG-GRAPH-v1"]], ids=["number", "list"])
     def test_checkpoint_graph_not_text_is_data_error(self, trained, workspace, capsys, graph):
         path = workspace / "model.ckpt"
-        path.write_bytes(with_checkpoint_graph(path.read_bytes(), graph))
+        path.write_bytes(with_checkpoint_meta(path.read_bytes(), lambda meta: meta.update(graph=graph)))
         with pytest.raises(CheckpointFormatError, match="graph"):
             load_checkpoint(path.read_bytes())
         capsys.readouterr()

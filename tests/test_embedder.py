@@ -14,10 +14,8 @@ from adgcode import embedder, neural
 from adgcode.embedder import (
     EmbedderConfig,
     EmbedderParams,
-    dump_embeddings,
     embed_all,
     embed_tensors,
-    load_embeddings,
     node_groups,
 )
 from adgcode.graph import ApiMethodNode, ParamType, TypeHierarchy, UnknownNodeError, build_adg
@@ -468,25 +466,6 @@ class TestEmbedderGradients:
 
         err = gradient_check(loss, params.parameters())
         assert err < 1e-4, f"{aggregator}: worst relative error {err}"
-
-
-class TestEmbeddingDump:
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        adg, _, _ = random_adg(rng, 4, 8)
-        config = EmbedderConfig(dim=3, hops=1)
-        params = EmbedderParams.create(adg, config, rng)
-        embeddings = embed_all(adg, params, config)
-        text = dump_embeddings(embeddings)
-        assert text.startswith("ADG-EMB-v1\n")
-        loaded = load_embeddings(text)
-        assert set(loaded) == set(embeddings)
-        for m in embeddings:
-            assert np.array_equal(loaded[m], embeddings[m])
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            load_embeddings("WRONG\nnodes 0 dim 0\n")
 
 
 class TestConfigValidation:

@@ -21,7 +21,6 @@ from adgcode import cli
 from adgcode.graph import (
     ApiMethodNode,
     ConstructionError,
-    Dependency,
     GraphError,
     GraphFormatError,
     ParamType,
@@ -29,10 +28,8 @@ from adgcode.graph import (
     UnknownNodeError,
     UnknownTypeError,
     build_adg,
-    classify_dependency,
     dump_graph,
     load_graph,
-    param_match,
 )
 
 from conftest import random_adg, random_hierarchy, random_methods
@@ -146,7 +143,7 @@ def reference_dump(text: str):
         return None
     if len({m.name for m in nodes}) != len(nodes):
         return None
-    if any(not hierarchy.declared(t) for m in nodes for t in m.inputs + m.outputs):
+    if any(t not in hierarchy.names for m in nodes for t in m.inputs + m.outputs):
         return None
     if edges != sorted(brute_force_edges(nodes, hierarchy)):
         return None
@@ -172,7 +169,6 @@ class TestTypeHierarchy:
         h = TypeHierarchy([ParamType("A"), ParamType("B", "A"), ParamType("C", "B")])
         assert h.ancestors("C") == ("B", "A")
         assert h.ancestors("A") == ()
-        assert h.subtypes("A") == {"A", "B", "C"}
 
     def test_cycle_rejected(self):
         with pytest.raises(GraphError, match="cycle"):
@@ -194,50 +190,24 @@ class TestTypeHierarchy:
 class TestParamMatch:
     def test_identity(self):
         h = TypeHierarchy([ParamType("C")])
-        assert param_match("C", "C", h) is True
+        assert h.matches("C", "C") is True
 
     def test_subtype_matches_supertype(self):
         h = TypeHierarchy([ParamType("C"), ParamType("SubC", "C")])
-        assert param_match("SubC", "C", h) is True
+        assert h.matches("SubC", "C") is True
         # substitutability is one-directional
-        assert param_match("C", "SubC", h) is False
+        assert h.matches("C", "SubC") is False
 
     def test_unrelated_types(self):
         h = TypeHierarchy([ParamType("C"), ParamType("D")])
-        assert param_match("C", "D", h) is False
+        assert h.matches("C", "D") is False
 
     def test_undeclared_name_raises(self):
         h = TypeHierarchy([ParamType("C")])
         with pytest.raises(UnknownTypeError, match="Z"):
-            param_match("Z", "C", h)
+            h.matches("Z", "C")
         with pytest.raises(UnknownTypeError, match="Z"):
-            param_match("C", "Z", h)
-
-
-class TestClassifyDependency:
-    @pytest.fixture
-    def hierarchy(self):
-        return TypeHierarchy([ParamType(n) for n in "CDE"])
-
-    def test_full(self, hierarchy):
-        a = ApiMethodNode(0, "a", (), ("C", "D"))
-        b = ApiMethodNode(1, "b", ("C", "D"), ())
-        assert classify_dependency(a, b, hierarchy) is Dependency.FULL
-
-    def test_partial(self, hierarchy):
-        a = ApiMethodNode(0, "a", (), ("C",))
-        b = ApiMethodNode(1, "b", ("C", "D"), ())
-        assert classify_dependency(a, b, hierarchy) is Dependency.PARTIAL
-
-    def test_none(self, hierarchy):
-        a = ApiMethodNode(0, "a", (), ("E",))
-        b = ApiMethodNode(1, "b", ("C", "D"), ())
-        assert classify_dependency(a, b, hierarchy) is Dependency.NONE
-
-    def test_no_inputs_is_full(self, hierarchy):
-        a = ApiMethodNode(0, "a", (), ("E",))
-        b = ApiMethodNode(1, "b", (), ("C",))
-        assert classify_dependency(a, b, hierarchy) is Dependency.FULL
+            h.matches("C", "Z")
 
 
 class TestBuildAdg:
@@ -502,18 +472,14 @@ class TestNeighbors:
 
 class TestDegreeStats:
     def test_toy_m4(self, toy_adg):
-        stats = toy_adg.degree_stats(3)
-        assert stats.indegree == 2
-        assert stats.intagdegree == 2
-        assert stats.in_tags == {"C", "D"}
-        assert stats.outdegree == 0 and stats.outtagdegree == 0
+        indegree, outdegree = toy_adg.degrees()
+        assert indegree.tolist() == [0, 1, 0, 2]
+        assert outdegree.tolist() == [1, 1, 1, 0]
 
     def test_isolated_zeros(self):
         hierarchy = TypeHierarchy([ParamType("C")])
         adg = build_adg([ApiMethodNode(0, "m", (), ("C",))], hierarchy)
-        stats = adg.degree_stats(0)
-        assert (stats.indegree, stats.intagdegree, stats.outdegree, stats.outtagdegree) == (0, 0, 0, 0)
-        assert stats.in_tags == frozenset() and stats.out_tags == frozenset()
+        assert [d.tolist() for d in adg.degrees()] == [[0], [0]]
 
     def test_two_providers_one_tag(self):
         hierarchy = TypeHierarchy([ParamType("C")])
@@ -523,19 +489,21 @@ class TestDegreeStats:
             ApiMethodNode(2, "use", ("C",), ()),
         ]
         adg = build_adg(methods, hierarchy)
-        stats = adg.degree_stats(2)
-        assert stats.indegree == 2 and stats.intagdegree == 1
+        indegree, outdegree = adg.degrees()
+        assert indegree.tolist() == [0, 0, 2]
+        assert outdegree.tolist() == [1, 1, 0]
 
     def test_invariants_on_randoms(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             adg, _, _ = random_adg(rng, 6, 25)
-            for m in range(adg.num_nodes):
-                s = adg.degree_stats(m)
-                assert s.intagdegree <= s.indegree
-                assert s.outtagdegree <= s.outdegree
-                assert len(s.in_tags) == s.intagdegree
-                assert len(s.out_tags) == s.outtagdegree
+            indegree, outdegree = adg.degrees()
+            assert indegree.tolist() == [
+                sum(e.tail == m for e in adg.edges) for m in range(adg.num_nodes)
+            ]
+            assert outdegree.tolist() == [
+                sum(e.head == m for e in adg.edges) for m in range(adg.num_nodes)
+            ]
 
 
 class TestEdgeInvariants:

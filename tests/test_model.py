@@ -87,6 +87,14 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary([("a", 1), ("a", 2)])
 
+    @pytest.mark.parametrize(
+        "entry", [(7, 1), (None, 1), ("a", "1"), ("a", True), ("a", 1.0)],
+        ids=["token-int", "token-none", "count-str", "count-bool", "count-float"],
+    )
+    def test_mistyped_entry_rejected(self, entry):
+        with pytest.raises(TypeError):
+            Vocabulary([("b", 2), entry])
+
     def test_round_trip_entries(self):
         v = Vocabulary.from_sequences([("b", "a", "b")])
         again = Vocabulary(v.entries())
@@ -932,7 +940,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(blob + b"\x00")
 
-    @pytest.mark.parametrize("kind", ["name", "nan"])
+    @pytest.mark.parametrize("kind", ["name", "nan", "snan"])
     def test_corrupt_parameter_row_rejected(self, kind):
         model, _ = tiny_model()
         blob = corrupt_parameter(save_checkpoint(model), "att.w", kind)

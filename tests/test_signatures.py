@@ -13,7 +13,6 @@ from adgcode.signatures import (
     link_api_tokens,
     parse_pairs,
     parse_signatures,
-    tokenize_code,
     tokenize_description,
 )
 
@@ -85,7 +84,8 @@ class TestParse:
 
 
 class TestRoundTrip:
-    def _random_corpus_text(self, rng) -> str:
+    def test_parse_emit_parse_is_identity(self):
+        rng = np.random.default_rng(5)
         hierarchy = random_hierarchy(rng, 8)
         methods = random_methods(rng, 160, hierarchy)
         lines = []
@@ -93,25 +93,9 @@ class TestRoundTrip:
             lines.append(f"type {t.name}" if t.parent is None else f"type {t.name} : {t.parent}")
         for m in methods:
             lines.append(f"method {m.name} ({', '.join(m.inputs)}) -> {', '.join(m.outputs)}")
-        return "\n".join(lines) + "\n"
-
-    def test_parse_emit_parse_is_identity(self):
-        rng = np.random.default_rng(5)
-        text = self._random_corpus_text(rng)
-        assert text.count("\n") >= 160
-        corpus = parse_signatures(text)
-        emitted = corpus.canonical_text()
-        reparsed = parse_signatures(emitted)
-        assert reparsed.canonical_form() == corpus.canonical_form()
-        # emission is a fixpoint
-        assert reparsed.canonical_text() == emitted
-
-    def test_emit_orders_parents_first(self):
-        corpus = parse_signatures("method m (SubC) -> C\ntype SubC : C\n")
-        emitted = corpus.canonical_text()
-        assert emitted.index("type C") < emitted.index("type SubC : C")
-        reparsed = parse_signatures(emitted)
-        assert reparsed.canonical_form() == corpus.canonical_form()
+        corpus = parse_signatures("\n".join(lines) + "\n")
+        assert corpus.hierarchy().types() == hierarchy.types()
+        assert corpus.nodes() == tuple(methods)
 
 
 class TestNodes:
@@ -169,11 +153,6 @@ class TestTokenizers:
     def test_description_keeps_qualified_names(self):
         assert tokenize_description("call java.util.List.add#2 now") == [
             "call", "java.util.list.add#2", "now",
-        ]
-
-    def test_code_keeps_names_splits_punctuation(self):
-        assert tokenize_code("v1 = java.List.add(v0);") == [
-            "v1", "=", "java.List.add", "(", "v0", ")", ";",
         ]
 
 
