@@ -204,10 +204,18 @@ def _build_model(cfg: PipelineConfig, adg, train_pairs) -> Seq2SeqModel:
     )
 
 
+def _read_corpus(path: str) -> list:
+    """The records of a train or test file, which must hold at least one."""
+    pairs = read_pairs(path)
+    if not pairs:
+        raise DataFormatError(f"{path} holds no records")
+    return pairs
+
+
 def cmd_train(cfg: PipelineConfig, out) -> int:
     cfg.require("graph", "train_data", "checkpoint")
     adg = load_graph(read_text(cfg.graph))
-    train_pairs = read_pairs(cfg.train_data)
+    train_pairs = _read_corpus(cfg.train_data)
     valid_pairs = read_pairs(cfg.valid_data) if cfg.valid_data else []
     model = _build_model(cfg, adg, train_pairs)
     history = train(model, train_pairs, valid_pairs, cfg.train_cfg)
@@ -270,7 +278,7 @@ def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> metrics_
 def cmd_evaluate(cfg: PipelineConfig, out) -> int:
     cfg.require("test_data")
     model = _load_model(cfg)
-    pairs = read_pairs(cfg.test_data)
+    pairs = _read_corpus(cfg.test_data)
     report = _evaluate_model(cfg, model, pairs)
     print(metrics_mod.format_report(report), file=out)
     return EXIT_OK
@@ -301,9 +309,9 @@ def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
     cfg.require("graph", "train_data", "test_data")
     variants = _parse_axes(axes)
     adg = load_graph(read_text(cfg.graph))
-    train_pairs = read_pairs(cfg.train_data)
+    train_pairs = _read_corpus(cfg.train_data)
     valid_pairs = read_pairs(cfg.valid_data) if cfg.valid_data else []
-    test_pairs = read_pairs(cfg.test_data)
+    test_pairs = _read_corpus(cfg.test_data)
     rows = []
     for axis, value in variants:
         setting = {EMBEDDER_KEYS[axis]: ABLATION_AXES[axis][value]}

@@ -7,9 +7,10 @@ order (providers, then the node, then consumers), reduced by an aggregator
 (order-sensitive LSTM, or order-insensitive mean/max-pooling), and pushed
 through a per-hop affine map plus nonlinearity.  Hop updates are synchronous:
 hop-k vectors read only hop-(k-1) vectors.  Each hop runs as a few array ops
-over every node it needs: one gather and segment reduction per
-virtualization, one segment reduction or one batched LSTM pass per
-aggregation (``neural.lstm_runs``), one affine map.
+over every node it needs: one sort of the graph's edge rows to plan its
+groups, one gather and segment reduction per virtualization, one segment
+reduction or one batched LSTM pass per aggregation (``neural.lstm_runs``),
+one affine map.
 """
 
 from __future__ import annotations
@@ -102,19 +103,18 @@ class EmbedderParams:
         adg: Adg,
         config: EmbedderConfig,
         rng: np.random.Generator,
-        prefix: str = "emb",
     ) -> "EmbedderParams":
         config.validate()
         d = config.dim
-        base = Parameter(f"{prefix}.base", neural.glorot_init((max(adg.num_nodes, 1), d), rng)[: adg.num_nodes])
+        base = Parameter("emb.base", neural.glorot_init((max(adg.num_nodes, 1), d), rng)[: adg.num_nodes])
         agg_in = config.element_dim
         weights = []
         lstms = []
         for k in range(1, config.hops + 1):
             w_in = d if config.aggregator == "lstm" else agg_in
-            weights.append(Parameter(f"{prefix}.w{k}", neural.glorot_init((d, w_in), rng)))
+            weights.append(Parameter(f"emb.w{k}", neural.glorot_init((d, w_in), rng)))
             if config.aggregator == "lstm":
-                lstms.append(LstmParams.create(f"{prefix}.lstm{k}", agg_in, d, rng))
+                lstms.append(LstmParams.create(f"emb.lstm{k}", agg_in, d, rng))
         return cls(base=base, hop_weights=weights, hop_lstms=lstms)
 
     def parameters(self) -> list[Parameter]:
@@ -124,65 +124,70 @@ class EmbedderParams:
         return out
 
 
-def node_groups(
-    adg: Adg, node_id: int, config: EmbedderConfig
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Neighbor groups of a node in canonical order, as the groups before the
-    node and the groups after it in invocation order, honoring the direction
-    and label switches.
+def hop_groups(
+    adg: Adg, nodes: np.ndarray, config: EmbedderConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ordered sequences of ``nodes`` (ids ascending) as one plan: every
+    group's members in sequence order, node after node, then each group's
+    size and each node's number of groups.
 
-    Directed+labelled: provider groups per incoming tag (tags lexicographic)
-    before the node, consumer groups per outgoing tag after it.  Without
-    labels, each side forms a single group.  Without direction there are no
-    sides: both merge into one undirected neighborhood (still split per tag
-    when labels are on), all after the node.  Members are node-id ascending;
-    empty groups are dropped.
+    A node's sequence is its provider groups per incoming tag, itself, then
+    its consumer groups per outgoing tag; tags in name order, members
+    ascending.  Without labels each side is one group; without direction
+    both sides merge after the node.  An edge gives the rows (tail, before,
+    tag, head) and (head, after, tag, tail), each node the row (m, self, 0,
+    m); one sort of the requested owners' rows lays out the groups.
     """
-    fwd = adg.forward_members(node_id)
-    bwd = adg.backward_members(node_id)
-    if config.use_edge_direction:
-        if config.use_edge_labels:
-            return [fwd[tag] for tag in sorted(fwd)], [bwd[tag] for tag in sorted(bwd)]
-        all_fwd = tuple(sorted({u for ids in fwd.values() for u in ids}))
-        all_bwd = tuple(sorted({u for ids in bwd.values() for u in ids}))
-        return [all_fwd] if all_fwd else [], [all_bwd] if all_bwd else []
-    groups: list[tuple[int, ...]] = []
-    if config.use_edge_labels:
-        for tag in sorted(set(fwd) | set(bwd)):
-            merged = sorted(set(fwd.get(tag, ())) | set(bwd.get(tag, ())))
-            groups.append(tuple(merged))
-    else:
-        merged = sorted(
-            {u for ids in fwd.values() for u in ids}
-            | {u for ids in bwd.values() for u in ids}
-        )
-        if merged:
-            groups.append(tuple(merged))
-    return [], groups
+    heads, tags, tails = adg.edge_arrays
+    before = 0 if config.use_edge_direction else 2
+    rows = np.stack((
+        np.concatenate((tails, heads, nodes)),
+        np.repeat([before, 2, 1], [heads.size, heads.size, nodes.size]),
+        np.concatenate((tags, tags, np.zeros_like(nodes))),
+        np.concatenate((heads, tails, nodes)),
+    ))
+    if not config.use_edge_labels:
+        rows[2] = 0
+    requested = np.zeros(adg.num_nodes, dtype=bool)
+    requested[nodes] = True
+    rows = rows[:, requested[rows[0]]]
+    rows = rows[:, np.lexsort(rows[::-1])]
+    # Without direction or labels, a member can repeat within its group.
+    rows = rows[:, _run_starts(rows)]
+    starts = np.flatnonzero(_run_starts(rows[:3]))
+    per_node = np.bincount(rows[0, starts], minlength=adg.num_nodes)[nodes]
+    return rows[3], np.diff(starts, append=rows.shape[1]), per_node
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Marks each column of ``keys`` that differs from the column before it."""
+    return np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
 
 
 def _activation(name: str):
     return neural.tanh if name == "tanh" else neural.relu
 
 
-def _virtualize(z: Tensor, groups: Sequence[Sequence[int]], config: EmbedderConfig) -> Tensor:
-    """One virtual feature row per group of row indices into ``z``.
+def _virtualize(z: Tensor, rows: np.ndarray, sizes: np.ndarray, config: EmbedderConfig) -> Tensor:
+    """One virtual feature row per group, for groups given as consecutive
+    runs of ``sizes[i]`` row indices into ``z``.
 
     mean: the rows' arithmetic mean.  concat: the rows in group order, then
     zeros up to ``concat_cap`` rows, joined into one [cap * d] row.
     """
-    sizes = [len(g) for g in groups]
     if config.virtualization == "mean":
-        flat = [u for g in groups for u in g]
-        return neural.segment_reduce(neural.take_rows(z, flat), sizes, "mean")
+        return neural.segment_reduce(neural.take_rows(z, rows), sizes, "mean")
     cap = config.concat_cap
-    if max(sizes) > cap:
-        raise ValueError(f"group of {max(sizes)} exceeds the concat cap {cap}")
+    if sizes.max() > cap:
+        raise ValueError(f"group of {sizes.max()} exceeds the concat cap {cap}")
+    starts = np.cumsum(sizes) - sizes
     slots = []
     for j in range(cap):
-        rows = [g[j] if j < len(g) else 0 for g in groups]
-        present = neural.constant([[float(j < n)] for n in sizes])
-        slots.append(neural.mul(neural.take_rows(z, rows), present))
+        present = sizes > j
+        slot = np.zeros(sizes.size, dtype=np.intp)
+        slot[present] = rows[starts[present] + j]
+        mask = neural.constant(present[:, None].astype(np.float64))
+        slots.append(neural.mul(neural.take_rows(z, slot), mask))
     return neural.concat(slots)
 
 
@@ -208,33 +213,24 @@ def embed_tensors(
     if len(params.hop_weights) != config.hops:
         raise neural.ShapeError("one hop weight matrix per hop is required")
     targets = list(range(adg.num_nodes)) if needed is None else sorted(set(needed))
-    for m in targets:
-        adg.node(m)
     if not targets:
         return neural.zeros((0, config.dim))
+    adg.node(targets[0])  # ids ascending, so the two ends bound the rest
+    adg.node(targets[-1])
     # Closure, top hop down: hop k needs its own nodes plus every member of
-    # their groups at hop k-1.  Each node's sequence is its groups before it,
-    # itself as a group of one, then its groups after it.
-    levels = [targets]
+    # their groups at hop k-1.
+    levels = [np.asarray(targets, dtype=np.intp)]
     plans = []
     for _ in range(config.hops):
-        groups: list[tuple[int, ...]] = []
-        lengths = []
-        for m in levels[-1]:
-            before, after = node_groups(adg, m, config)
-            sequence = before + [(m,)] + after
-            groups.extend(sequence)
-            lengths.append(len(sequence))
-        plans.append((groups, lengths))
-        levels.append(sorted({u for g in groups for u in g}))
+        plans.append(hop_groups(adg, levels[-1], config))
+        levels.append(np.flatnonzero(np.bincount(plans[-1][0], minlength=adg.num_nodes)))
     levels.reverse()
     plans.reverse()
 
     act = _activation(config.activation)
     z = neural.take_rows(params.base, levels[0])
-    for k, (groups, lengths) in enumerate(plans):
-        row_of = {m: i for i, m in enumerate(levels[k])}
-        seq = _virtualize(z, [[row_of[u] for u in g] for g in groups], config)
+    for k, (members, sizes, lengths) in enumerate(plans):
+        seq = _virtualize(z, np.searchsorted(levels[k], members), sizes, config)
         if config.aggregator == "lstm":
             _, (agg, _) = neural.lstm_runs(seq, lengths, params.hop_lstms[k])
         elif config.aggregator == "mean":

@@ -10,8 +10,8 @@ The edges are held as index arrays, not as one object per edge.
 
 A constructed :class:`Adg` is immutable and safe for concurrent readers;
 reachability queries keep their counters in caller-local state.  The edge
-objects, the inverted index and the per-node neighbour groups are built on
-first use; two readers racing there build equal values.
+objects and the inverted index are built on first use; two readers racing
+there build equal values.
 """
 
 from __future__ import annotations
@@ -168,11 +168,12 @@ class Adg:
         self._type_index = {name: i for i, name in enumerate(self._type_names)}
         self._satisfies = satisfies
         self._required = required
-        self._heads, self._tags, self._tails = edge_ids
+        for ids in edge_ids:
+            ids.flags.writeable = False
+        self._edge_ids = edge_ids
         self._id_by_name = {m.name: m.id for m in nodes}
         self._edges: Optional[tuple[TaggedEdge, ...]] = None
         self._iit: Optional[dict[str, frozenset[int]]] = None
-        self._groups: Optional[tuple[tuple[dict[str, tuple[int, ...]], ...], ...]] = None
 
     @property
     def nodes(self) -> tuple[ApiMethodNode, ...]:
@@ -185,9 +186,15 @@ class Adg:
             names = self._type_names
             self._edges = tuple(
                 TaggedEdge(h, names[t], c)
-                for h, t, c in zip(self._heads.tolist(), self._tags.tolist(), self._tails.tolist())
+                for h, t, c in zip(*(ids.tolist() for ids in self._edge_ids))
             )
         return self._edges
+
+    @property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as three read-only aligned index arrays (head, tag type
+        index, tail) in canonical order."""
+        return self._edge_ids
 
     @property
     def hierarchy(self) -> TypeHierarchy:
@@ -199,7 +206,7 @@ class Adg:
 
     @property
     def num_edges(self) -> int:
-        return len(self._heads)
+        return len(self._edge_ids[0])
 
     def node(self, node_id: int) -> ApiMethodNode:
         if not 0 <= node_id < len(self._nodes):
@@ -266,30 +273,12 @@ class Adg:
         unmet = ~_any_product(provided, self._satisfies)
         return ~_any_product(unmet, self._required[ids].T)
 
-    def _members(self) -> tuple[tuple[dict[str, tuple[int, ...]], ...], ...]:
-        """Per node, the providers and the consumers of its edges per tag."""
-        if self._groups is None:
-            self._groups = (
-                _group_by_tag(self._tails, self._tags, self._heads, len(self._nodes), self._type_names),
-                _group_by_tag(self._heads, self._tags, self._tails, len(self._nodes), self._type_names),
-            )
-        return self._groups
-
-    def forward_members(self, node_id: int) -> Mapping[str, tuple[int, ...]]:
-        """Provider nodes of incoming edges per edge tag (ids ascending)."""
-        self.node(node_id)
-        return self._members()[0][node_id]
-
-    def backward_members(self, node_id: int) -> Mapping[str, tuple[int, ...]]:
-        """Consumer nodes of outgoing edges per edge tag (ids ascending)."""
-        self.node(node_id)
-        return self._members()[1][node_id]
-
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """In-degree and out-degree of every node: its incoming and outgoing
         edge counts, indexed by node id."""
+        heads, _, tails = self._edge_ids
         n = len(self._nodes)
-        return np.bincount(self._tails, minlength=n), np.bincount(self._heads, minlength=n)
+        return np.bincount(tails, minlength=n), np.bincount(heads, minlength=n)
 
 
 def _any_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,28 +286,6 @@ def _any_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``b[k, j]`` are both true.  Computed as a float32 matmul, which is exact
     here because each sum counts at most ``k`` ones."""
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
-
-
-def _group_by_tag(
-    keys: np.ndarray,
-    tags: np.ndarray,
-    members: np.ndarray,
-    n_nodes: int,
-    type_names: Sequence[str],
-) -> tuple[dict[str, tuple[int, ...]], ...]:
-    """One ``{tag name: members ascending}`` dict per node, from edges given
-    as aligned key-node, tag and member-node arrays."""
-    groups: list[dict[str, tuple[int, ...]]] = [{} for _ in range(n_nodes)]
-    if keys.size:
-        order = np.lexsort((members, tags, keys))
-        keys, tags, members = keys[order], tags[order], members[order]
-        cuts = np.flatnonzero((keys[1:] != keys[:-1]) | (tags[1:] != tags[:-1])) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.append(cuts, keys.size).tolist()
-        member_list = members.tolist()
-        for lo, hi, key, tag in zip(starts.tolist(), ends, keys[starts].tolist(), tags[starts].tolist()):
-            groups[key][type_names[tag]] = tuple(member_list[lo:hi])
-    return tuple(groups)
 
 
 def _type_matrix(rows: Sequence[Sequence[str]], type_index: Mapping[str, int]) -> np.ndarray:
@@ -405,8 +372,8 @@ def build_adg(
 def _edge_lines(adg: Adg) -> list[str]:
     """The edge rows of the canonical dump, in order."""
     names = adg._type_names
-    tags = [names[t] for t in adg._tags.tolist()]
-    return [f"edge {h} {t} {c}" for h, t, c in zip(adg._heads.tolist(), tags, adg._tails.tolist())]
+    heads, tags, tails = (ids.tolist() for ids in adg.edge_arrays)
+    return [f"edge {h} {names[t]} {c}" for h, t, c in zip(heads, tags, tails)]
 
 
 def dump_graph(adg: Adg) -> str:

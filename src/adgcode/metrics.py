@@ -2,8 +2,8 @@
 ROUGE-1/2/L, CIDEr, RIBES rank correlation, F1, and toy-grammar parse
 validity.  All functions are pure and deterministic.
 
-Aggregation: Acc and BLEU are corpus-level; ROUGE, CIDEr, and RIBES are
-macro-averaged over pairs.
+Every candidate is scored against one reference.  Aggregation: Acc and BLEU
+are corpus-level; ROUGE, CIDEr, and RIBES are macro-averaged over pairs.
 """
 
 from __future__ import annotations
@@ -12,28 +12,25 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Tokens = Sequence[str]
+
+# Highest n-gram order of BLEU and CIDEr.
+MAX_N = 4
 
 
 @dataclass(frozen=True)
 class EvalPair:
-    """One candidate token sequence with one or more references."""
+    """One candidate token sequence with its reference."""
 
     candidate: tuple[str, ...]
-    references: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if not self.references:
-            raise ValueError("an evaluation pair needs at least one reference")
+    reference: tuple[str, ...]
 
 
 def make_pairs(candidates: Iterable[Tokens], references: Iterable[Tokens]) -> list[EvalPair]:
-    """Zip single-reference pairs from parallel candidate/reference lists."""
-    return [
-        EvalPair(tuple(c), (tuple(r),)) for c, r in zip(candidates, references, strict=True)
-    ]
+    """Zip pairs from parallel candidate/reference lists."""
+    return [EvalPair(tuple(c), tuple(r)) for c, r in zip(candidates, references, strict=True)]
 
 
 def _require_pairs(pairs: Sequence[EvalPair]) -> None:
@@ -46,13 +43,13 @@ def _ngrams(tokens: Tokens, n: int) -> Counter:
 
 
 def acc(pairs: Sequence[EvalPair]) -> float:
-    """Fraction of candidates exactly equal to one of their references."""
+    """Fraction of candidates exactly equal to their reference."""
     _require_pairs(pairs)
-    correct = sum(1 for p in pairs if p.candidate in p.references)
+    correct = sum(1 for p in pairs if p.candidate == p.reference)
     return correct / len(pairs)
 
 
-def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
+def bleu(pairs: Sequence[EvalPair]) -> float:
     """Corpus-level BLEU: geometric mean of modified n-gram precisions with
     uniform weights, times the brevity penalty (1 if c > r else e^(1 - r/c)).
 
@@ -60,31 +57,22 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
     unigram numerator (or an empty candidate corpus) scores 0.
     """
     _require_pairs(pairs)
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    num = [0] * (max_n + 1)
-    den = [0] * (max_n + 1)
+    num = [0] * (MAX_N + 1)
+    den = [0] * (MAX_N + 1)
     cand_len = 0
     ref_len = 0
     for p in pairs:
-        c = len(p.candidate)
-        cand_len += c
-        # effective reference length: closest to the candidate, ties -> shorter
-        ref_len += min((abs(len(r) - c), len(r)) for r in p.references)[1]
-        for n in range(1, max_n + 1):
+        cand_len += len(p.candidate)
+        ref_len += len(p.reference)
+        for n in range(1, MAX_N + 1):
             counts = _ngrams(p.candidate, n)
             den[n] += sum(counts.values())
-            clip: Counter = Counter()
-            for r in p.references:
-                rc = _ngrams(r, n)
-                for g, k in rc.items():
-                    if k > clip[g]:
-                        clip[g] = k
+            clip = _ngrams(p.reference, n)
             num[n] += sum(min(k, clip[g]) for g, k in counts.items())
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         if n == 1:
             if num[1] == 0:
                 return 0.0
@@ -95,25 +83,21 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
             precision = num[n] / den[n]
         log_sum += math.log(precision)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return bp * math.exp(log_sum / max_n)
+    return bp * math.exp(log_sum / MAX_N)
 
 
 def rouge_n(pairs: Sequence[EvalPair], n: int) -> float:
     """Recall of reference n-grams clip-matched in the candidate, per pair,
-    macro-averaged.  Pairs whose references are all shorter than n are
-    skipped."""
+    macro-averaged.  Pairs whose reference is shorter than n are skipped."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _require_pairs(pairs)
     scores = []
     for p in pairs:
         cand_counts = _ngrams(p.candidate, n)
-        match = 0
-        total = 0
-        for r in p.references:
-            rc = _ngrams(r, n)
-            total += sum(rc.values())
-            match += sum(min(k, cand_counts[g]) for g, k in rc.items())
+        rc = _ngrams(p.reference, n)
+        total = sum(rc.values())
+        match = sum(min(k, cand_counts[g]) for g, k in rc.items())
         if total == 0:
             continue
         scores.append(match / total)
@@ -132,25 +116,22 @@ def _lcs_len(a: Tokens, b: Tokens) -> int:
     return prev[-1]
 
 
-def rouge_l(pairs: Sequence[EvalPair], b: float = 1.0) -> float:
-    """LCS-based F measure per pair (best reference), macro-averaged.
+def rouge_l(pairs: Sequence[EvalPair]) -> float:
+    """LCS-based F measure per pair, macro-averaged.
 
-    P = LCS/reference_length, R = LCS/candidate_length,
-    F = (1+b^2)RP / (R + b^2 P); empty candidates score 0.
+    P = LCS/reference_length, R = LCS/candidate_length, F = 2RP / (R + P);
+    a pair with no common token scores 0.
     """
     _require_pairs(pairs)
     scores = []
     for p in pairs:
-        best = 0.0
-        for r in p.references:
-            lcs = _lcs_len(r, p.candidate)
-            if lcs == 0:
-                continue
-            prec = lcs / len(r)
-            rec = lcs / len(p.candidate)
-            f = (1.0 + b * b) * rec * prec / (rec + b * b * prec)
-            best = max(best, f)
-        scores.append(best)
+        lcs = _lcs_len(p.reference, p.candidate)
+        if lcs == 0:
+            scores.append(0.0)
+            continue
+        prec = lcs / len(p.reference)
+        rec = lcs / len(p.candidate)
+        scores.append(2.0 * rec * prec / (rec + prec))
     return sum(scores) / len(scores)
 
 
@@ -173,49 +154,42 @@ def _cosine(u: dict, v: dict) -> float:
     return dot / (nu * nv)
 
 
-def cider(pairs: Sequence[EvalPair], max_n: int = 4) -> float:
-    """Mean over n of TF-IDF n-gram cosine similarity against each reference
-    (averaged over references), macro-averaged over pairs.
+def cider(pairs: Sequence[EvalPair]) -> float:
+    """Mean over n of TF-IDF n-gram cosine similarity against the reference,
+    macro-averaged over pairs.
 
     Document frequencies come from the reference corpus with N = corpus
-    size.  Orders whose references have no n-grams at all are skipped from a
-    pair's average (so identical short pairs still score 1).  When IDF
+    size.  Orders whose reference has no n-grams are skipped from a pair's
+    average (so identical short pairs still score 1).  When IDF
     weighting degenerates (both vectors zero-norm because every shared gram
     occurs in all N reference sets), the cosine falls back to raw counts so
     self-similarity stays 1; a one-sided zero-norm vector contributes 0 for
     that n.
     """
     _require_pairs(pairs)
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
     corpus_size = len(pairs)
     df: Counter = Counter()
     for p in pairs:
         seen = set()
-        for r in p.references:
-            for n in range(1, max_n + 1):
-                seen.update(_ngrams(r, n))
+        for n in range(1, MAX_N + 1):
+            seen.update(_ngrams(p.reference, n))
         df.update(seen)
     per_pair = []
     for p in pairs:
         sims = []
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
+            r_raw = _ngrams(p.reference, n)
+            if not r_raw:
+                continue
             c_raw = _ngrams(p.candidate, n)
             c_vec = _tfidf(c_raw, df, corpus_size)
-            ref_sims = []
-            for r in p.references:
-                r_raw = _ngrams(r, n)
-                if not r_raw:
-                    continue
-                r_vec = _tfidf(r_raw, df, corpus_size)
-                nu = math.sqrt(sum(x * x for x in c_vec.values()))
-                nv = math.sqrt(sum(x * x for x in r_vec.values()))
-                if nu == 0.0 and nv == 0.0:
-                    ref_sims.append(_cosine(c_raw, r_raw))
-                else:
-                    ref_sims.append(_cosine(c_vec, r_vec))
-            if ref_sims:
-                sims.append(sum(ref_sims) / len(ref_sims))
+            r_vec = _tfidf(r_raw, df, corpus_size)
+            nu = math.sqrt(sum(x * x for x in c_vec.values()))
+            nv = math.sqrt(sum(x * x for x in r_vec.values()))
+            if nu == 0.0 and nv == 0.0:
+                sims.append(_cosine(c_raw, r_raw))
+            else:
+                sims.append(_cosine(c_vec, r_vec))
         per_pair.append(sum(sims) / len(sims) if sims else 0.0)
     return sum(per_pair) / len(per_pair)
 
@@ -245,10 +219,10 @@ def _ribes_single(candidate: Tokens, reference: Tokens) -> float:
 
 def ribes(pairs: Sequence[EvalPair]) -> float:
     """Normalized Spearman rank correlation of token order after greedy
-    unigram alignment (best reference per pair), macro-averaged.  Pairs with
-    fewer than two aligned tokens score a neutral 0.5."""
+    unigram alignment, per pair, macro-averaged.  Pairs with fewer than two
+    aligned tokens score a neutral 0.5."""
     _require_pairs(pairs)
-    scores = [max(_ribes_single(p.candidate, r) for r in p.references) for p in pairs]
+    scores = [_ribes_single(p.candidate, p.reference) for p in pairs]
     return sum(scores) / len(scores)
 
 
@@ -315,7 +289,7 @@ class MetricReport:
     rouge_1: float
     rouge_2: float
     ribes: float
-    pov: Optional[float]
+    pov: float
     size: int
 
     def as_dict(self) -> dict:
@@ -355,24 +329,20 @@ COLUMN_ORDER = ("Acc", "Bleu", "F1", "CIDEr", "RougeL", "Rouge1", "Rouge2", "RIB
 
 def report_cells(report: MetricReport) -> list[str]:
     """The report's values in ``COLUMN_ORDER``: CIDEr to three places, the
-    rest as percentages to two, ``-`` for a missing value."""
+    rest as percentages to two."""
     values = report.as_dict()
     cells = []
     for col in COLUMN_ORDER:
         v = values[col]
-        if v is None:
-            cells.append("-")
-        elif col == "CIDEr":
+        if col == "CIDEr":
             cells.append(f"{v:.3f}")
         else:
             cells.append(f"{100.0 * v:.2f}")
     return cells
 
 
-def format_report(report: MetricReport, label: str = "") -> str:
+def format_report(report: MetricReport) -> str:
     """One header line and one value row; percentage scale except CIDEr."""
     header = "\t".join(COLUMN_ORDER)
     row = "\t".join(report_cells(report))
-    if label:
-        return f"{label}\n{header}\n{row}"
     return f"{header}\n{row}"

@@ -26,11 +26,10 @@ from . import neural
 from .embedder import EmbedderConfig, EmbedderParams, check_field_types
 from .graph import Adg, dump_graph, load_graph
 from .neural import LstmParams, Parameter, Tensor
-from .signatures import link_api_tokens
+from .signatures import RESERVED_TOKENS, link_api_tokens
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
-PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN = "⟨PAD⟩", "⟨BOS⟩", "⟨EOS⟩", "⟨UNK⟩"
-RESERVED_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
+PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN = RESERVED_TOKENS
 # Reserved ids that are never valid code: corpora cannot contain them, BOS only
 # seeds the decoder, and an emitted UNK can never match a reference.  EOS is
 # not among them because emitting it ends the sequence.

@@ -11,7 +11,8 @@ Names are identifiers that may contain ``.`` (qualified names) and ``#``
 declaration is implicitly declared as a root type.
 
 Dataset files hold one record per line: description and code separated by a
-single tab, each side already space-tokenized.
+single tab, each side already space-tokenized.  The description must not be
+empty, and no record may hold a token the model reserves.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class SignatureError(ValueError):
 
 class DataFormatError(ValueError):
     """Malformed dataset record, or an input file that is not UTF-8."""
+
+
+# The model's padding, sequence-boundary and unknown-word tokens, in id order.
+RESERVED_TOKENS = ("⟨PAD⟩", "⟨BOS⟩", "⟨EOS⟩", "⟨UNK⟩")
 
 
 @dataclass(frozen=True)
@@ -220,7 +225,8 @@ Pair = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 def parse_pairs(text: str, *, source: str = "<data>") -> list[Pair]:
-    """Parse description/code records: two tab-separated token fields per line."""
+    """Parse description/code records: two tab-separated token fields per line,
+    the description non-empty and no token reserved."""
     pairs: list[Pair] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -232,6 +238,11 @@ def parse_pairs(text: str, *, source: str = "<data>") -> list[Pair]:
             )
         desc = tuple(fields[0].split())
         code = tuple(fields[1].split())
+        if not desc:
+            raise DataFormatError(f"{source}, line {line_no}: empty description")
+        for token in desc + code:
+            if token in RESERVED_TOKENS:
+                raise DataFormatError(f"{source}, line {line_no}: reserved token {token!r}")
         pairs.append((desc, code))
     return pairs
 

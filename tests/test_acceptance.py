@@ -231,7 +231,7 @@ def test_08_metric_oracles():
         for p in pairs:
             single = [p]
             assert metrics.ribes(single) == pytest.approx(
-                oracle_ribes(p.candidate, p.references[0]), abs=1e-9
+                oracle_ribes(p.candidate, p.reference), abs=1e-9
             )
     for _ in range(100):
         pairs = random_pairs(rng, int(rng.integers(1, 5)), lo=1, hi=13)

@@ -332,37 +332,61 @@ class TestEvaluateCommand:
 
 class TestInputFiles:
     """One mapping for every command: a file that cannot be opened or written
-    exits 2, an input that is not UTF-8 exits 3, each with one error line."""
+    exits 2; an input that is not UTF-8, a bad TSV record or a train or test
+    file without records exits 3; each with one error line naming the file.
+    ``edit`` appends bytes to a file, or empties it when they are None."""
 
     @pytest.mark.parametrize(
-        "command, paths, bad_file, expect",
+        "command, paths, edit, expect",
         [
             ("train", {"valid": "absent.tsv"}, None, EXIT_USAGE),
             ("train", {"graph": "."}, None, EXIT_USAGE),
             ("build-graph", {"graph": "absent/graph.adg"}, None, EXIT_USAGE),
-            ("train", {}, "config.json", EXIT_DATA),
-            ("build-graph", {}, "signatures.sig", EXIT_DATA),
-            ("train", {}, "train.tsv", EXIT_DATA),
+            ("train", {}, ("config.json", b"\xff\n"), EXIT_DATA),
+            ("build-graph", {}, ("signatures.sig", b"\xff\n"), EXIT_DATA),
+            ("train", {}, ("train.tsv", b"\xff\n"), EXIT_DATA),
+            ("train", {}, ("train.tsv", b"\tv0 = m0 ( ) ;\n"), EXIT_DATA),
+            ("evaluate", {}, ("test.tsv", b"\tv0 = m0 ( ) ;\n"), EXIT_DATA),
+            ("train", {}, ("train.tsv", "call ⟨PAD⟩\tv0 = m0 ( ) ;\n".encode()), EXIT_DATA),
+            ("train", {}, ("train.tsv", "call m0\tv0 = ⟨UNK⟩ ( ) ;\n".encode()), EXIT_DATA),
+            ("train", {}, ("train.tsv", None), EXIT_DATA),
+            ("evaluate", {}, ("test.tsv", None), EXIT_DATA),
         ],
         ids=[
             "valid-missing", "graph-is-directory", "graph-output-dir-missing",
             "config-not-utf8", "signatures-not-utf8", "tsv-not-utf8",
+            "train-empty-description", "test-empty-description",
+            "train-reserved-pad", "train-reserved-unk", "train-no-records", "test-no-records",
         ],
     )
-    def test_exit_code(self, workspace, capsys, command, paths, bad_file, expect):
+    def test_exit_code(self, workspace, capsys, command, paths, edit, expect):
         cfg = write_config(workspace)
         assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
+        if command == "evaluate":
+            assert run_cli(["train", "--config", cfg])[0] == EXIT_OK
         raw = json.loads((workspace / "config.json").read_text())
         raw["paths"].update({key: str(workspace / rel) for key, rel in paths.items()})
         (workspace / "config.json").write_text(json.dumps(raw))
-        if bad_file is not None:
-            path = workspace / bad_file
-            path.write_bytes(path.read_bytes() + b"\xff\n")
+        if edit is not None:
+            path = workspace / edit[0]
+            path.write_bytes(b"" if edit[1] is None else path.read_bytes() + edit[1])
         capsys.readouterr()
         code, _ = run_cli([command, "--config", cfg])
         assert code == expect
-        assert str(workspace) in single_error_line(capsys.readouterr().err)
-        assert not (workspace / "model.ckpt").exists()
+        line = single_error_line(capsys.readouterr().err)
+        assert str(workspace) in line
+        if edit is not None and edit[1] not in (None, b"\xff\n"):
+            assert "line" in line
+        # a failed command writes no checkpoint; evaluate read the trained one
+        assert (workspace / "model.ckpt").exists() == (command == "evaluate")
+
+    def test_empty_code_and_empty_valid_file_are_legal(self, workspace):
+        cfg = write_config(workspace)
+        assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
+        with open(workspace / "train.tsv", "a", encoding="utf-8") as fh:
+            fh.write("call nothing\t\n")
+        (workspace / "valid.tsv").write_bytes(b"")
+        assert run_cli(["train", "--config", cfg])[0] == EXIT_OK
 
 
 class TestConfigValidation:

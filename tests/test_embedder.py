@@ -10,15 +10,15 @@ import itertools
 import numpy as np
 import pytest
 
-from adgcode import embedder, neural
+from adgcode import neural
 from adgcode.embedder import (
     EmbedderConfig,
     EmbedderParams,
     embed_all,
     embed_tensors,
-    node_groups,
+    hop_groups,
 )
-from adgcode.graph import ApiMethodNode, ParamType, TypeHierarchy, UnknownNodeError, build_adg
+from adgcode.graph import Adg, ApiMethodNode, ParamType, TypeHierarchy, UnknownNodeError, build_adg
 from adgcode.neural import Parameter, constant, gradient_check, segment_reduce
 
 from conftest import random_adg
@@ -58,6 +58,23 @@ def naive_groups(adg, m, config):
         if merged:
             groups.append(sorted(merged))
     return [], groups
+
+
+def naive_sequence(adg, m, config):
+    """The node's groups before it, itself as a group of one, then the groups
+    after it."""
+    before, after = naive_groups(adg, m, config)
+    return [tuple(g) for g in before] + [(m,)] + [tuple(g) for g in after]
+
+
+def planned_sequences(adg, nodes, config):
+    """``hop_groups``'s plan for ``nodes``, cut back into one list of groups
+    per node."""
+    members, sizes, per_node = hop_groups(adg, np.asarray(nodes, dtype=np.intp), config)
+    assert sizes.sum() == members.size and per_node.sum() == sizes.size
+    groups = [tuple(g.tolist()) for g in np.split(members, np.cumsum(sizes)[:-1])]
+    ends = np.cumsum(per_node).tolist()
+    return {m: groups[end - count : end] for m, count, end in zip(nodes, per_node.tolist(), ends)}
 
 
 def naive_embed(adg, params, config):
@@ -184,14 +201,14 @@ class TestVirtualizeGroup:
 
 
 class TestOrderedSet:
-    """Sequence layout: the groups from ``node_groups`` before the node, the
+    """Sequence layout from ``hop_groups``: the groups before the node, the
     node itself, then the groups after it."""
 
     def test_isolated_node_only_self(self):
         hierarchy = TypeHierarchy([ParamType("C")])
         adg = build_adg([ApiMethodNode(0, "m", (), ("C",))], hierarchy)
         config = EmbedderConfig(dim=3, hops=1)
-        assert node_groups(adg, 0, config) == ([], [])
+        assert planned_sequences(adg, [0], config) == {0: [(0,)]}
         params = make_params(adg, config)
         cell = params.hop_lstms[0]
         h, _ = neural.lstm_cell(
@@ -202,36 +219,36 @@ class TestOrderedSet:
 
     def test_chain_node_group_layout(self, chain_adg):
         config = EmbedderConfig(dim=3)
-        # providers of C (m2), providers of D (m3), then consumers via E (m5)
-        assert node_groups(chain_adg, 2, config) == ([(0,), (1,)], [(3,)])
+        # providers of C (m2), providers of D (m3), m4 itself, then consumers
+        # via E (m5)
+        assert planned_sequences(chain_adg, [2], config) == {2: [(0,), (1,), (2,), (3,)]}
 
     def test_label_ablation_changes_group_count(self, chain_adg):
         labelled = EmbedderConfig(dim=3, use_edge_labels=True)
         unlabelled = EmbedderConfig(dim=3, use_edge_labels=False)
         # node m4: two in-tags and one out-tag when labelled; one
         # forward and one backward group when unlabelled
-        assert node_groups(chain_adg, 2, labelled) == ([(0,), (1,)], [(3,)])
-        assert node_groups(chain_adg, 2, unlabelled) == ([(0, 1)], [(3,)])
+        assert planned_sequences(chain_adg, [2], labelled) == {2: [(0,), (1,), (2,), (3,)]}
+        assert planned_sequences(chain_adg, [2], unlabelled) == {2: [(0, 1), (2,), (3,)]}
 
     def test_direction_ablation_merges_sides(self, chain_adg):
         undirected = EmbedderConfig(dim=3, use_edge_direction=False)
         # tags C, D, E each with one neighbor; no sides, so the node stays first
-        assert node_groups(chain_adg, 2, undirected) == ([], [(0,), (1,), (3,)])
+        assert planned_sequences(chain_adg, [2], undirected) == {2: [(2,), (0,), (1,), (3,)]}
 
     def test_group_counts_match_edge_oracle(self):
         rng = np.random.default_rng(21)
-        adg, _, _ = random_adg(rng, 5, 18)
-        for labels in (True, False):
-            for direction in (True, False):
+        for _ in range(3):
+            adg, _, _ = random_adg(rng, 5, 18)
+            subset = sorted(rng.choice(adg.num_nodes, size=7, replace=False).tolist())
+            for labels, direction in itertools.product((True, False), repeat=2):
                 config = EmbedderConfig(
                     dim=2, use_edge_labels=labels, use_edge_direction=direction
                 )
-                for m in range(adg.num_nodes):
-                    before, after = naive_groups(adg, m, config)
-                    assert node_groups(adg, m, config) == (
-                        [tuple(g) for g in before],
-                        [tuple(g) for g in after],
-                    )
+                for nodes in (list(range(adg.num_nodes)), subset):
+                    assert planned_sequences(adg, nodes, config) == {
+                        m: naive_sequence(adg, m, config) for m in nodes
+                    }
 
     def test_unknown_node_rejected(self, chain_adg):
         config = EmbedderConfig(dim=3)
@@ -263,16 +280,14 @@ class TestAggregate:
         assert np.array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
     def test_lstm_is_order_sensitive(self, chain_adg, monkeypatch):
-        def swapped(adg, node_id, config):
-            before, after = node_groups(adg, node_id, config)
-            return after, before
-
+        # Reversing every edge swaps the provider and consumer sides.
+        heads, tags, tails = chain_adg.edge_arrays
         for aggregator in ("lstm", "mean"):
             config = EmbedderConfig(dim=4, hops=1, aggregator=aggregator)
             params = make_params(chain_adg, config, seed=1)
             forward = embed_all(chain_adg, params, config)[2]
             with monkeypatch.context() as patch:
-                patch.setattr(embedder, "node_groups", swapped)
+                patch.setattr(Adg, "edge_arrays", property(lambda adg: (tails, tags, heads)))
                 backward = embed_all(chain_adg, params, config)[2]
             if aggregator == "lstm":
                 assert not np.allclose(forward, backward)

@@ -301,7 +301,6 @@ class TestBuildAdg:
         ]
         adg = build_adg(methods, hierarchy, max_edges=1)
         assert [(e.head, e.tag, e.tail) for e in adg.edges] == [(1, "C", 2)]
-        assert adg.forward_members(0) == {} and adg.backward_members(0) == {}
         assert adg.reachability_rows([0], [set()])[0].tolist() == [True]
         assert build_adg(methods[:1], hierarchy, max_edges=0).num_edges == 0
         with pytest.raises(ConstructionError, match="cap"):
@@ -430,44 +429,6 @@ class TestReachability:
         with pytest.raises(UnknownNodeError):
             toy_adg.reachability_rows([-1], [set()])
         assert toy_adg.reachability_rows([], [{"A"}])[0].shape == (0,)
-
-
-class TestNeighbors:
-    def test_forward_toy(self, toy_adg):
-        assert toy_adg.forward_members(3) == {"C": (1,), "D": (2,)}
-
-    def test_backward_toy(self, toy_adg):
-        assert toy_adg.backward_members(1) == {"C": (3,)}
-
-    def test_isolated_node_empty(self):
-        hierarchy = TypeHierarchy([ParamType("C")])
-        adg = build_adg([ApiMethodNode(0, "m", (), ("C",))], hierarchy)
-        assert adg.forward_members(0) == {}
-        assert adg.backward_members(0) == {}
-
-    def test_unknown_node_raises(self, toy_adg):
-        with pytest.raises(UnknownNodeError):
-            toy_adg.forward_members(42)
-        with pytest.raises(UnknownNodeError):
-            toy_adg.backward_members(42)
-
-    def test_matches_edge_filter_oracle(self):
-        rng = np.random.default_rng(17)
-        adg, _, _ = random_adg(rng, 5, 25)
-        for m in range(adg.num_nodes):
-            fwd_oracle: dict[str, set[int]] = {}
-            bwd_oracle: dict[str, set[int]] = {}
-            for e in adg.edges:
-                if e.tail == m:
-                    fwd_oracle.setdefault(e.tag, set()).add(e.head)
-                if e.head == m:
-                    bwd_oracle.setdefault(e.tag, set()).add(e.tail)
-            assert adg.forward_members(m) == {
-                t: tuple(sorted(s)) for t, s in fwd_oracle.items()
-            }
-            assert adg.backward_members(m) == {
-                t: tuple(sorted(s)) for t, s in bwd_oracle.items()
-            }
 
 
 class TestDegreeStats:

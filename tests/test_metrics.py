@@ -34,7 +34,7 @@ def random_tokens(rng, lo=1, hi=10):
 
 def random_pairs(rng, n, lo=1, hi=10):
     return [
-        EvalPair(random_tokens(rng, lo, hi), (random_tokens(rng, lo, hi),))
+        EvalPair(random_tokens(rng, lo, hi), random_tokens(rng, lo, hi))
         for _ in range(n)
     ]
 
@@ -44,29 +44,18 @@ def random_pairs(rng, n, lo=1, hi=10):
 
 def oracle_bleu(pairs, max_n=4):
     """List-consumption reimplementation of corpus BLEU with the same
-    conventions (closest reference length, add-one smoothing for n >= 2)."""
+    conventions (add-one smoothing for n >= 2)."""
     matches = {n: 0 for n in range(1, max_n + 1)}
     totals = {n: 0 for n in range(1, max_n + 1)}
     c_total, r_total = 0, 0
     for p in pairs:
         c_total += len(p.candidate)
-        best = None
-        for r in p.references:
-            key = (abs(len(r) - len(p.candidate)), len(r))
-            if best is None or key < best:
-                best = key
-        r_total += best[1]
+        r_total += len(p.reference)
+        r = p.reference
         for n in range(1, max_n + 1):
             cand = [tuple(p.candidate[i : i + n]) for i in range(len(p.candidate) - n + 1)]
             totals[n] += len(cand)
-            pool: list = []
-            for r in p.references:
-                ref = [tuple(r[i : i + n]) for i in range(len(r) - n + 1)]
-                # elementwise max of reference counts
-                for g in set(ref):
-                    have = pool.count(g)
-                    want = ref.count(g)
-                    pool.extend([g] * (want - have) if want > have else [])
+            pool = [tuple(r[i : i + n]) for i in range(len(r) - n + 1)]
             for g in cand:
                 if g in pool:
                     pool.remove(g)
@@ -92,16 +81,14 @@ def oracle_rouge_n(pairs, n):
     scores = []
     for p in pairs:
         cand = [tuple(p.candidate[i : i + n]) for i in range(len(p.candidate) - n + 1)]
-        match, total = 0, 0
-        pool = list(cand)
-        for r in p.references:
-            ref = [tuple(r[i : i + n]) for i in range(len(r) - n + 1)]
-            total += len(ref)
-            remaining = list(cand)
-            for g in ref:
-                if g in remaining:
-                    remaining.remove(g)
-                    match += 1
+        r = p.reference
+        ref = [tuple(r[i : i + n]) for i in range(len(r) - n + 1)]
+        total, match = len(ref), 0
+        remaining = list(cand)
+        for g in ref:
+            if g in remaining:
+                remaining.remove(g)
+                match += 1
         if total == 0:
             continue
         scores.append(match / total)
@@ -123,17 +110,16 @@ def oracle_lcs(a, b):
     return best
 
 
-def oracle_rouge_l(pairs, b=1.0):
+def oracle_rouge_l(pairs):
     scores = []
     for p in pairs:
-        best = 0.0
-        for r in p.references:
-            lcs = oracle_lcs(list(r), list(p.candidate))
-            if lcs:
-                prec = lcs / len(r)
-                rec = lcs / len(p.candidate)
-                best = max(best, (1 + b * b) * rec * prec / (rec + b * b * prec))
-        scores.append(best)
+        lcs = oracle_lcs(list(p.reference), list(p.candidate))
+        f = 0.0
+        if lcs:
+            prec = lcs / len(p.reference)
+            rec = lcs / len(p.candidate)
+            f = 1 / (0.5 / prec + 0.5 / rec)  # harmonic mean
+        scores.append(f)
     return sum(scores) / len(scores)
 
 
@@ -142,10 +128,10 @@ def oracle_cider(pairs, max_n=4):
     n_docs = len(pairs)
     for p in pairs:
         seen = set()
-        for r in p.references:
-            for n in range(1, max_n + 1):
-                for i in range(len(r) - n + 1):
-                    seen.add(tuple(r[i : i + n]))
+        r = p.reference
+        for n in range(1, max_n + 1):
+            for i in range(len(r) - n + 1):
+                seen.add(tuple(r[i : i + n]))
         for g in seen:
             all_grams[g] = all_grams.get(g, 0) + 1
 
@@ -178,20 +164,16 @@ def oracle_cider(pairs, max_n=4):
         for n in range(1, max_n + 1):
             c_counts = counts(p.candidate, n)
             c_vec = weight_vector(c_counts) if c_counts else {}
-            ref_scores = []
-            for r in p.references:
-                r_counts = counts(r, n)
-                if not r_counts:  # orders absent from the reference are skipped
-                    continue
-                r_vec = weight_vector(r_counts) if r_counts else {}
-                nu = math.sqrt(sum(x * x for x in c_vec.values()))
-                nv = math.sqrt(sum(x * x for x in r_vec.values()))
-                if nu == 0.0 and nv == 0.0:
-                    ref_scores.append(cosine(c_counts, r_counts))
-                else:
-                    ref_scores.append(cosine(c_vec, r_vec))
-            if ref_scores:
-                per_n.append(sum(ref_scores) / len(ref_scores))
+            r_counts = counts(p.reference, n)
+            if not r_counts:  # orders absent from the reference are skipped
+                continue
+            r_vec = weight_vector(r_counts)
+            nu = math.sqrt(sum(x * x for x in c_vec.values()))
+            nv = math.sqrt(sum(x * x for x in r_vec.values()))
+            if nu == 0.0 and nv == 0.0:
+                per_n.append(cosine(c_counts, r_counts))
+            else:
+                per_n.append(cosine(c_vec, r_vec))
         total_score += sum(per_n) / len(per_n) if per_n else 0.0
     return total_score / len(pairs)
 
@@ -269,8 +251,8 @@ class TestRougeN:
 
     def test_short_references_skipped(self):
         pairs = [
-            EvalPair(("a", "b"), (("a",),)),  # no reference bigrams
-            EvalPair(("a", "b"), (("a", "b"),)),
+            EvalPair(("a", "b"), ("a",)),  # no reference bigrams
+            EvalPair(("a", "b"), ("a", "b")),
         ]
         assert rouge_n(pairs, 2) == pytest.approx(1.0)
 
@@ -292,7 +274,7 @@ class TestRougeL:
         assert rouge_l(pairs) == pytest.approx(0.25)
 
     def test_empty_candidate_zero(self):
-        assert rouge_l([EvalPair((), (("a", "b"),))]) == 0.0
+        assert rouge_l([EvalPair((), ("a", "b"))]) == 0.0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2)
@@ -353,7 +335,7 @@ class TestRibes:
             pairs = random_pairs(rng, 1, lo=2, hi=9)
             p = pairs[0]
             assert ribes(pairs) == pytest.approx(
-                oracle_ribes(p.candidate, p.references[0]), abs=1e-12
+                oracle_ribes(p.candidate, p.reference), abs=1e-12
             )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adgcode.graph import build_adg
 from adgcode.signatures import (
@@ -11,6 +13,7 @@ from adgcode.signatures import (
     SignatureError,
     format_pairs,
     link_api_tokens,
+    RESERVED_TOKENS,
     parse_pairs,
     parse_signatures,
     tokenize_description,
@@ -172,4 +175,32 @@ class TestDatasets:
 
     def test_format_round_trip(self):
         pairs = [(("a", "b"), ("x",)), (("c",), ("y", "z"))]
+        assert parse_pairs(format_pairs(pairs)) == pairs
+
+    def test_empty_description_or_reserved_token_rejected(self):
+        with pytest.raises(DataFormatError, match="line 2: empty description"):
+            parse_pairs("a\tb\n \tv0 = m0 ( ) ;\n")
+        for token in RESERVED_TOKENS:
+            with pytest.raises(DataFormatError, match="line 1: reserved token"):
+                parse_pairs(f"a {token}\tb\n")
+            with pytest.raises(DataFormatError, match="line 1: reserved token"):
+                parse_pairs(f"a\tb {token}\n")
+        assert parse_pairs("a\t\n") == [(("a",), ())]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=st.text()
+        | st.lists(
+            st.sampled_from(
+                ["a", "bc", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\u00a0", *RESERVED_TOKENS]
+            )
+        ).map("".join)
+    )
+    def test_any_text_parses_or_raises_the_typed_error(self, text):
+        try:
+            pairs = parse_pairs(text)
+        except DataFormatError:
+            return
+        for desc, code in pairs:
+            assert desc and not set(desc + code) & set(RESERVED_TOKENS)
         assert parse_pairs(format_pairs(pairs)) == pairs
