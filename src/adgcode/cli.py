@@ -134,16 +134,7 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
             dim=cfg.model.code_dim, **{EMBEDDER_KEYS[k]: v for k, v in emb.items()}
         )
         if "train" in raw:
-            tr = dict(raw["train"])
-            if "initial_types" in tr:
-                types = tr["initial_types"]
-                if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
-                    raise ConfigError(
-                        f"config file {path}: initial_types must be a list of strings, "
-                        f"got {types!r}"
-                    )
-                tr["initial_types"] = tuple(types)
-            cfg.train_cfg = TrainConfig(**tr)
+            cfg.train_cfg = TrainConfig(**raw["train"])
         cfg.seed = raw.get("seed", cfg.seed)
     except TypeError as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
@@ -250,7 +241,6 @@ def cmd_generate(cfg: PipelineConfig, description: str, out) -> int:
         width=cfg.model.beam_width,
         max_len=cfg.model.max_len,
         reach_filter=cfg.train_cfg.reach_filter,
-        initial_types=cfg.train_cfg.initial_types,
     )
     print(" ".join(result), file=out)
     return EXIT_OK
@@ -267,7 +257,6 @@ def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> metrics_
             max_len=cfg.model.max_len,
             node_embeddings=node_embeddings,
             reach_filter=cfg.train_cfg.reach_filter,
-            initial_types=cfg.train_cfg.initial_types,
         )
         for desc, _ in pairs
     ]

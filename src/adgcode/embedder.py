@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import neural
-from .graph import Adg
+from .graph import Adg, GraphError
 from .neural import LstmParams, Parameter, Tensor
 
 AGGREGATORS = ("mean", "pooling", "lstm")
@@ -136,32 +136,30 @@ def hop_groups(
     ascending.  Without labels each side is one group; without direction
     both sides merge after the node.  An edge gives the rows (tail, before,
     tag, head) and (head, after, tag, tail), each node the row (m, self, 0,
-    m); one sort of the requested owners' rows lays out the groups.
+    m).  Each requested owner's row packs into the int64 key
+    ``((owner*3 + side)*T + tag)*n + member`` for n nodes and T types, and
+    one sort of the distinct keys lays out the groups.  The key needs
+    ``n²·3·T < 2⁶³``; a larger graph raises :class:`GraphError`.
     """
+    n, types = adg.num_nodes, max(adg.provides.shape[1], 1)
+    if n * n * 3 * types >= 2**63:
+        raise GraphError(f"{n} nodes and {types} types overflow the hop plan's int64 key")
     heads, tags, tails = adg.edge_arrays
     before = 0 if config.use_edge_direction else 2
-    rows = np.stack((
-        np.concatenate((tails, heads, nodes)),
-        np.repeat([before, 2, 1], [heads.size, heads.size, nodes.size]),
-        np.concatenate((tags, tags, np.zeros_like(nodes))),
-        np.concatenate((heads, tails, nodes)),
-    ))
-    if not config.use_edge_labels:
-        rows[2] = 0
-    requested = np.zeros(adg.num_nodes, dtype=bool)
+    owners = np.concatenate((tails, heads, nodes))
+    sides = np.repeat([before, 2, 1], [heads.size, heads.size, nodes.size])
+    tags = np.concatenate((tags, tags, np.zeros_like(nodes))) if config.use_edge_labels else 0
+    keys = ((owners * 3 + sides) * types + tags) * n + np.concatenate((heads, tails, nodes))
+    requested = np.zeros(n, dtype=bool)
     requested[nodes] = True
-    rows = rows[:, requested[rows[0]]]
-    rows = rows[:, np.lexsort(rows[::-1])]
-    # Without direction or labels, a member can repeat within its group.
-    rows = rows[:, _run_starts(rows)]
-    starts = np.flatnonzero(_run_starts(rows[:3]))
-    per_node = np.bincount(rows[0, starts], minlength=adg.num_nodes)[nodes]
-    return rows[3], np.diff(starts, append=rows.shape[1]), per_node
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Marks each column of ``keys`` that differs from the column before it."""
-    return np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
+    # Equal keys are equal rows: without direction or labels a member can
+    # repeat within its group, and keeping one of them is the plan.
+    keys = np.sort(keys[requested[owners]])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    groups = keys // n
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    per_node = np.bincount(groups[starts] // (3 * types), minlength=n)[nodes]
+    return keys % n, np.diff(starts, append=keys.size), per_node
 
 
 def _activation(name: str):

@@ -87,12 +87,14 @@ class TypeHierarchy:
                 cur = parent[cur]
             ancestors[name] = tuple(chain)
         self._parent = parent
+        self._names = tuple(sorted(parent))
         self._ancestors = ancestors
-        self._ancestor_sets = {n: frozenset(c) for n, c in ancestors.items()}
+        self._ancestor_sets = {n: set(c) for n, c in ancestors.items()}
 
     @property
-    def names(self) -> frozenset[str]:
-        return frozenset(self._parent)
+    def names(self) -> tuple[str, ...]:
+        """Declared type names in sorted order, the order of the type index."""
+        return self._names
 
     def require(self, name: str) -> None:
         if name not in self._parent:
@@ -116,9 +118,7 @@ class TypeHierarchy:
 
     def types(self) -> tuple[ParamType, ...]:
         """Declared types in lexicographic name order."""
-        return tuple(
-            ParamType(n, self._parent[n]) for n in sorted(self._parent)
-        )
+        return tuple(ParamType(n, self._parent[n]) for n in self._names)
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,10 @@ class Adg:
 
     Use :func:`build_adg` to construct one.  Node ids are dense 0..n-1 and
     double as indices into the nodes table.  The graph is held as arrays:
-    a type-satisfies-type matrix and a node-by-required-type matrix, with
-    type indices in sorted-name order, and the edges as three aligned index
-    arrays (head, tag type index, tail) in canonical order.  Every other
-    view is derived from these on first use.
+    a type-satisfies-type matrix and node-by-required-type and
+    node-by-provided-type matrices, with type indices in sorted-name order,
+    and the edges as three aligned index arrays (head, tag type index, tail)
+    in canonical order.  Every other view is derived from these on first use.
     """
 
     def __init__(
@@ -160,20 +160,21 @@ class Adg:
         hierarchy: TypeHierarchy,
         satisfies: np.ndarray,
         required: np.ndarray,
+        provides: np.ndarray,
         edge_ids: tuple[np.ndarray, np.ndarray, np.ndarray],
     ):
         self._nodes = nodes
         self._hierarchy = hierarchy
-        self._type_names = tuple(sorted(hierarchy.names))
-        self._type_index = {name: i for i, name in enumerate(self._type_names)}
+        self._type_names = hierarchy.names
         self._satisfies = satisfies
         self._required = required
-        for ids in edge_ids:
-            ids.flags.writeable = False
+        for array in (provides, *edge_ids):
+            array.flags.writeable = False
+        self._provides = provides
         self._edge_ids = edge_ids
         self._id_by_name = {m.name: m.id for m in nodes}
         self._edges: Optional[tuple[TaggedEdge, ...]] = None
-        self._iit: Optional[dict[str, frozenset[int]]] = None
+        self._iit: Optional[dict[str, tuple[int, ...]]] = None
 
     @property
     def nodes(self) -> tuple[ApiMethodNode, ...]:
@@ -197,6 +198,12 @@ class Adg:
         return self._edge_ids
 
     @property
+    def provides(self) -> np.ndarray:
+        """Read-only bool [nodes, types] matrix: ``provides[m, t]`` is true iff
+        some output of node m satisfies required type t."""
+        return self._provides
+
+    @property
     def hierarchy(self) -> TypeHierarchy:
         return self._hierarchy
 
@@ -217,20 +224,20 @@ class Adg:
         """Node id for a method name, or None if the name is not a method."""
         return self._id_by_name.get(name)
 
-    def iit_lookup(self, type_name: str) -> frozenset[int]:
-        """Nodes that accept a provided value of ``type_name`` as an input.
+    def iit_lookup(self, type_name: str) -> set[int]:
+        """Nodes that accept a provided value of ``type_name`` as an input,
+        as a new set.
 
-        Constant-time keyed access after the first call; unknown keys yield
-        the empty set.
+        Keyed access after the first call; unknown keys yield the empty set.
         """
         if self._iit is None:
             accepts = _any_product(self._satisfies, self._required.T)
             self._iit = {
-                name: frozenset(np.flatnonzero(row).tolist())
+                name: tuple(np.flatnonzero(row).tolist())
                 for name, row in zip(self._type_names, accepts)
                 if row.any()
             }
-        return self._iit.get(type_name, frozenset())
+        return set(self._iit.get(type_name, ()))
 
     def is_reachable(self, node_id: int, available: Iterable[str]) -> bool:
         """Counting-based reachability: every distinct required input type of
@@ -250,28 +257,18 @@ class Adg:
                 counter -= 1
         return counter == 0
 
-    def reachability_rows(
-        self, node_ids: Sequence[int], availables: Sequence[Iterable[str]]
-    ) -> np.ndarray:
-        """:meth:`is_reachable` for many nodes and several available sets as
-        one vector op: a bool [len(availables), len(node_ids)] array whose row
-        r answers for ``availables[r]``.
-
-        A row's available names become a provided-type row, the
-        type-satisfies-type matrix turns it into the required types it
-        satisfies (the semantics of :meth:`TypeHierarchy.matches_lenient`),
-        and a node is reachable iff none of its required types is unmet.
+    def reachability_rows(self, node_ids: Sequence[int], met: np.ndarray) -> np.ndarray:
+        """:meth:`is_reachable` for many nodes and several states as one
+        vector op: a bool [len(met), len(node_ids)] array whose row r answers
+        for ``met[r]``, a bool row over the type index marking the required
+        types met so far (an OR of :attr:`provides` rows).  A node is
+        reachable iff none of its required types is unmet.
         """
         ids = np.asarray(node_ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= len(self._nodes)):
             bad = ids[(ids < 0) | (ids >= len(self._nodes))][0]
             raise UnknownNodeError(f"unknown node id {bad}")
-        index = self._type_index
-        provided = np.zeros((len(availables), len(index)), dtype=bool)
-        for row, available in zip(provided, availables):
-            row[[index[a] for a in set(available) if a in index]] = True
-        unmet = ~_any_product(provided, self._satisfies)
-        return ~_any_product(unmet, self._required[ids].T)
+        return ~_any_product(~met, self._required[ids].T)
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """In-degree and out-degree of every node: its incoming and outgoing
@@ -318,7 +315,7 @@ def build_adg(
     nodes = tuple(sorted(methods, key=lambda m: m.id))
     if [m.id for m in nodes] != list(range(len(nodes))):
         raise ConstructionError("node ids must be dense and unique (0..n-1)")
-    type_names = sorted(hierarchy.names)
+    type_names = hierarchy.names
     type_index = {name: i for i, name in enumerate(type_names)}
     seen_names: dict[str, int] = {}
     for m in nodes:
@@ -351,7 +348,8 @@ def build_adg(
 
     # Each (provider, tag it provides) pair expands into that tag's consumers;
     # both nonzero scans are row-major, so the result is in canonical order.
-    provider, tag = np.nonzero(_any_product(produced, satisfies))
+    provides = _any_product(produced, satisfies)
+    provider, tag = np.nonzero(provides)
     consumer_tag, consumer = np.nonzero(required.T)
     per_tag = np.bincount(consumer_tag, minlength=len(type_names))
     first = np.cumsum(per_tag) - per_tag
@@ -365,6 +363,7 @@ def build_adg(
         hierarchy=hierarchy,
         satisfies=satisfies,
         required=required,
+        provides=provides,
         edge_ids=(heads[keep], np.repeat(tag, sizes)[keep], tails[keep]),
     )
 

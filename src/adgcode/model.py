@@ -138,7 +138,6 @@ class TrainConfig:
     warmup_steps: int = 4000
     seed: int = 0
     reach_filter: bool = False
-    initial_types: tuple[str, ...] = ()
 
     def validate(self) -> None:
         check_field_types(self)
@@ -150,9 +149,6 @@ class TrainConfig:
             raise ValueError("max_steps must be >= 1 when set")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
-        types = self.initial_types
-        if not isinstance(types, tuple) or not all(isinstance(t, str) for t in types):
-            raise TypeError(f"initial_types must be a tuple of strings, got {types!r}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,6 @@ class BeamHypothesis:
 
     tokens: tuple[int, ...]
     logp: float
-    available: frozenset[str]
 
     def score(self) -> float:
         """Length-normalized cumulative log-probability."""
@@ -230,13 +225,16 @@ class Seq2SeqModel:
         self.out_b2 = Parameter("out.b2", np.zeros(len(code_vocab)))
         self.embedder_params = EmbedderParams.create(adg, embedder_config, rng)
 
-        self.api_index = link_api_tokens(code_vocab.tokens, adg)
         self.api_node_of_token_id = {
-            code_vocab.id(tok): node_id for tok, node_id in self.api_index.items()
+            code_vocab.id(tok): node_id
+            for tok, node_id in link_api_tokens(code_vocab.tokens, adg).items()
         }
         # The same links as two aligned arrays, for the reach filter's mask.
         self.api_token_ids = np.fromiter(self.api_node_of_token_id, dtype=np.intp)
         self.api_node_ids = np.fromiter(self.api_node_of_token_id.values(), dtype=np.intp)
+        # Row t: the required types that emitting code token t meets.
+        self.token_provides = np.zeros((len(code_vocab), adg.provides.shape[1]), dtype=bool)
+        self.token_provides[self.api_token_ids] = adg.provides[self.api_node_ids]
 
     def parameters(self) -> list[Parameter]:
         """All trainable parameters in canonical (sorted-name) order."""
@@ -392,15 +390,15 @@ class Seq2SeqModel:
 def _masked_log_probs(
     model: Seq2SeqModel,
     logits: np.ndarray,
-    availables: Sequence[frozenset[str]],
+    met: np.ndarray,
     reach_filter: bool,
 ) -> np.ndarray:
     """Log-probabilities of the next token for each row of [N, V] ``logits``,
     with unselectable ids at -inf.
 
     ``_NEVER_EMITTED_IDS`` (PAD, BOS, UNK) are always masked; with
-    ``reach_filter`` so are API methods whose required input types are not in
-    row i's ``availables[i]``.  Masks apply after the log-softmax without
+    ``reach_filter`` so are API methods with a required input type that row
+    i's ``met[i]`` does not mark.  Masks apply after the log-softmax without
     renormalizing, so the surviving entries stay the model's own
     log-probabilities.  EOS is never masked, so every row has at least one
     selectable token.
@@ -408,24 +406,15 @@ def _masked_log_probs(
     lp = neural.log_softmax(logits)
     lp[:, list(_NEVER_EMITTED_IDS)] = -np.inf
     if reach_filter:
-        rows, cols = np.nonzero(~model.adg.reachability_rows(model.api_node_ids, availables))
+        rows, cols = np.nonzero(~model.adg.reachability_rows(model.api_node_ids, met))
         lp[rows, model.api_token_ids[cols]] = -np.inf
     return lp
-
-
-def _advance_available(
-    model: Seq2SeqModel, available: frozenset[str], token_id: int
-) -> frozenset[str]:
-    node_id = model.api_node_of_token_id.get(token_id)
-    if node_id is None:
-        return available
-    return available | set(model.adg.node(node_id).outputs)
 
 
 def _next_log_probs(
     model: Seq2SeqModel,
     prevs: Sequence[int],
-    availables: Sequence[frozenset[str]],
+    met: np.ndarray,
     state: tuple[Tensor, Tensor],
     memory: Tensor,
     node_embeddings: QueryTable,
@@ -435,7 +424,7 @@ def _next_log_probs(
     ``prevs[i]`` from row i of ``state``.  Returns the masked [N, V]
     log-probabilities and the new [N, h] state."""
     logits, state = model.decode_step(model.decoder_query(prevs, node_embeddings), state, memory)
-    return _masked_log_probs(model, logits.data, availables, reach_filter), state
+    return _masked_log_probs(model, logits.data, met, reach_filter), state
 
 
 def generate_greedy(
@@ -445,13 +434,12 @@ def generate_greedy(
     *,
     node_embeddings: Optional[QueryTable] = None,
     reach_filter: bool = False,
-    initial_types: Sequence[str] = (),
 ) -> list[str]:
     """Greedy decoding, which is beam search of width 1: an argmax rollout
     until the end marker or the length limit, ties to the smallest token id."""
     return beam_search(
         model, desc_tokens, 1, max_len, node_embeddings=node_embeddings,
-        reach_filter=reach_filter, initial_types=initial_types,
+        reach_filter=reach_filter,
     )
 
 
@@ -464,7 +452,6 @@ def beam_search(
     *,
     node_embeddings: Optional[QueryTable] = None,
     reach_filter: bool = False,
-    initial_types: Sequence[str] = (),
 ) -> list[str]:
     """Beam generation with length-normalized ranking.
 
@@ -473,10 +460,11 @@ def beam_search(
     length limit are frozen into a completed pool, and the best completed
     hypothesis by normalized score wins (ties break toward the
     lexicographically smaller token id sequence).  All live hypotheses
-    advance as the rows of one decoder step.  Never emits ``⟨PAD⟩``,
-    ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the log-softmax, like
-    methods the reach filter rejects, so hypothesis scores remain the model's
-    own log-probabilities.
+    advance as the rows of one decoder step; for the reach filter each row
+    also holds ``met``, the required types its emitted methods meet.  Never
+    emits ``⟨PAD⟩``, ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the
+    log-softmax, like methods the reach filter rejects, so hypothesis scores
+    remain the model's own log-probabilities.
 
     The search stops once no live hypothesis can still win (Huang et al.,
     2017, "When to Finish?"): log-probabilities are <= 0, so every completion
@@ -492,7 +480,8 @@ def beam_search(
     if node_embeddings is None:
         node_embeddings = model.embed_nodes()
     memory, state = model.encode([model.desc_vocab.encode(desc_tokens)])
-    live = [BeamHypothesis(tokens=(), logp=0.0, available=frozenset(initial_types))]
+    live = [BeamHypothesis(tokens=(), logp=0.0)]
+    met = np.zeros((1, model.token_provides.shape[1]), dtype=bool)
     best: Optional[BeamHypothesis] = None  # the running min of (-score, tokens) over completed
     for _ in range(max_len):
         if best is not None and all(hyp.logp / max_len < best.score() for hyp in live):
@@ -500,7 +489,7 @@ def beam_search(
         lp, (h, c) = _next_log_probs(
             model,
             [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live],
-            [hyp.available for hyp in live],
+            met,
             state, memory, node_embeddings, reach_filter,
         )
         order = np.argsort(-lp, axis=1, kind="stable")[:, :width]
@@ -513,8 +502,7 @@ def beam_search(
                 tokens = hyp.tokens + (token_id,)
                 logp = hyp.logp + float(token_lp)
                 if token_id == EOS_ID or len(tokens) >= max_len:
-                    available = _advance_available(model, hyp.available, token_id)
-                    done = BeamHypothesis(tokens, logp, available)
+                    done = BeamHypothesis(tokens, logp)
                     if best is None or (-done.score(), tokens) < (-best.score(), best.tokens):
                         best = done
                 else:
@@ -524,13 +512,9 @@ def beam_search(
         # ranked by (-logp, tokens); token sequences are distinct, so the row never decides
         expansions.sort()
         kept = expansions[:width]
-        live = [
-            BeamHypothesis(
-                tokens, -neg_logp, _advance_available(model, live[row].available, tokens[-1])
-            )
-            for neg_logp, tokens, row in kept
-        ]
+        live = [BeamHypothesis(tokens, -neg_logp) for neg_logp, tokens, _ in kept]
         rows = [row for _, _, row in kept]
+        met = met[rows] | model.token_provides[[tokens[-1] for _, tokens, _ in kept]]
         if rows != list(range(len(h.data))):  # kept in place, as always at width 1
             h, c = neural.take_rows(h, rows), neural.take_rows(c, rows)
         state = (h, c)
@@ -556,14 +540,12 @@ def validation_bleu(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     *,
     reach_filter: bool = False,
-    initial_types: Sequence[str] = (),
 ) -> float:
     """Corpus BLEU of greedy generations against the reference codes."""
     node_embeddings = model.embed_nodes()
     candidates = [
         generate_greedy(
-            model, desc, node_embeddings=node_embeddings,
-            reach_filter=reach_filter, initial_types=initial_types,
+            model, desc, node_embeddings=node_embeddings, reach_filter=reach_filter
         )
         for desc, _ in pairs
     ]
@@ -618,11 +600,7 @@ def train(
 
             val_bleu = None
             if valid_pairs and step % config.eval_interval == 0:
-                val_bleu = validation_bleu(
-                    model, valid_pairs,
-                    reach_filter=config.reach_filter,
-                    initial_types=config.initial_types,
-                )
+                val_bleu = validation_bleu(model, valid_pairs, reach_filter=config.reach_filter)
                 if val_bleu > best_bleu + 1e-12:
                     best_bleu = val_bleu
                     stale_checks = 0

@@ -42,6 +42,17 @@ def random_adg(rng: np.random.Generator, n_types: int, n_methods: int):
     return build_adg(methods, hierarchy), methods, hierarchy
 
 
+def met_rows(adg, name_sets) -> np.ndarray:
+    """The reach filter's met-type rows for sets of available type names: row
+    r marks each declared type that some name in ``name_sets[r]`` satisfies;
+    undeclared names satisfy nothing."""
+    types = sorted(adg.hierarchy.names)
+    return np.array(
+        [[any(adg.hierarchy.matches_lenient(a, t) for a in names) for t in types] for names in name_sets],
+        dtype=bool,
+    ).reshape(len(name_sets), len(types))
+
+
 def corrupt_parameter(blob: bytes, name: str, kind: str) -> bytes:
     """Checkpoint bytes with one parameter row damaged: ``"name"`` writes byte
     0xff into the row's name, ``"nan"`` makes its first value a float32 quiet

@@ -401,14 +401,11 @@ class TestConfigValidation:
             (["train"], {"embedder": {"direction": "off"}}, "direction"),
             (["train"], {"model": {"beam_width": 2.5}}, "beam_width"),
             (["train"], {"train": {"batch_size": True}}, "batch_size"),
-            (["train"], {"train": {"initial_types": "Reader"}}, "initial_types"),
-            (["train"], {"train": {"initial_types": [1, 2]}}, "initial_types"),
-            (["train"], {"train": {"initial_types": {"a": 1}}}, "initial_types"),
+            (["train"], {"train": {"initial_types": ["Reader"]}}, "initial_types"),
         ],
         ids=[
             "beam-flag", "beam-width", "aggregator", "batch-size", "unknown-embedder-key",
-            "direction-string", "beam-width-float", "batch-size-bool",
-            "initial-types-string", "initial-types-ints", "initial-types-object",
+            "direction-string", "beam-width-float", "batch-size-bool", "unknown-train-key",
         ],
     )
     def test_bad_value_is_usage_error(self, workspace, capsys, command, patch, setting):
@@ -427,11 +424,6 @@ class TestConfigValidation:
         assert setting in lines[0]
         assert "Traceback" not in err
         assert not (workspace / "model.ckpt").exists()
-
-    def test_initial_types_list_loads_as_tuple(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"train": {"initial_types": ["Reader"]}}))
-        assert cli._load_config(str(path)).train_cfg.initial_types == ("Reader",)
 
     @pytest.mark.parametrize(
         "raw", [[1], {"paths": []}, {"embedder": ["hops"]}], ids=["list", "paths-list", "embedder-list"]

@@ -6,6 +6,7 @@ edge list and applies each update step literally."""
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from adgcode.embedder import (
     embed_tensors,
     hop_groups,
 )
-from adgcode.graph import Adg, ApiMethodNode, ParamType, TypeHierarchy, UnknownNodeError, build_adg
+from adgcode.graph import (
+    Adg, ApiMethodNode, GraphError, ParamType, TypeHierarchy, UnknownNodeError, build_adg,
+)
 from adgcode.neural import Parameter, constant, gradient_check, segment_reduce
 
 from conftest import random_adg
@@ -256,6 +259,14 @@ class TestOrderedSet:
         for bad in (99, -1):
             with pytest.raises(UnknownNodeError):
                 embed_tensors(chain_adg, params, config, needed=[0, bad])
+
+    @pytest.mark.parametrize("n, types", [(2**31, 2), (2**20, 2**22)])
+    def test_key_bound_rejects_graphs_that_would_wrap(self, n, types):
+        # n²·3·T >= 2⁶³: the packed int64 key would wrap, so the plan refuses
+        # before it allocates anything of the graph's size
+        huge = SimpleNamespace(num_nodes=n, provides=np.zeros((0, types), dtype=bool))
+        with pytest.raises(GraphError, match="int64"):
+            hop_groups(huge, np.arange(3, dtype=np.intp), EmbedderConfig(dim=3))
 
 
 class TestAggregate:

@@ -32,7 +32,7 @@ from adgcode.graph import (
     load_graph,
 )
 
-from conftest import random_adg, random_hierarchy, random_methods
+from conftest import met_rows, random_adg, random_hierarchy, random_methods
 
 
 def brute_force_edges(methods, hierarchy) -> set[tuple[int, str, int]]:
@@ -301,7 +301,7 @@ class TestBuildAdg:
         ]
         adg = build_adg(methods, hierarchy, max_edges=1)
         assert [(e.head, e.tag, e.tail) for e in adg.edges] == [(1, "C", 2)]
-        assert adg.reachability_rows([0], [set()])[0].tolist() == [True]
+        assert adg.reachability_rows([0], met_rows(adg, [set()]))[0].tolist() == [True]
         assert build_adg(methods[:1], hierarchy, max_edges=0).num_edges == 0
         with pytest.raises(ConstructionError, match="cap"):
             build_adg(methods, hierarchy, max_edges=0)
@@ -403,10 +403,11 @@ class TestReachability:
         names = sorted(hierarchy.names) + ["NotAType", "T99"]
         available = {names[i % len(names)] for i in picks}
         all_ids = list(range(adg.num_nodes))
-        got = adg.reachability_rows(all_ids, [available])[0]
+        met = met_rows(adg, [available])
+        got = adg.reachability_rows(all_ids, met)[0]
         assert got.dtype == bool
         assert got.tolist() == [adg.is_reachable(n, available) for n in all_ids]
-        assert adg.reachability_rows(all_ids[::-1], [available])[0].tolist() == got.tolist()[::-1]
+        assert adg.reachability_rows(all_ids[::-1], met)[0].tolist() == got.tolist()[::-1]
 
     def test_reach_rows_match_one_query_per_row(self):
         rng = np.random.default_rng(41)
@@ -418,17 +419,17 @@ class TestReachability:
             for _ in range(10)
         ]
         ids = rng.permutation(adg.num_nodes)
-        got = adg.reachability_rows(ids, availables)
+        got = adg.reachability_rows(ids, met_rows(adg, availables))
         assert got.dtype == bool and got.shape == (len(availables), len(ids))
         assert got.tolist() == [[adg.is_reachable(n, a) for n in ids] for a in availables]
-        assert adg.reachability_rows(ids, []).shape == (0, len(ids))
+        assert adg.reachability_rows(ids, met_rows(adg, [])).shape == (0, len(ids))
 
     def test_vector_reachability_unknown_node_raises(self, toy_adg):
         with pytest.raises(UnknownNodeError):
-            toy_adg.reachability_rows([0, 4], [set()])
+            toy_adg.reachability_rows([0, 4], met_rows(toy_adg, [set()]))
         with pytest.raises(UnknownNodeError):
-            toy_adg.reachability_rows([-1], [set()])
-        assert toy_adg.reachability_rows([], [{"A"}])[0].shape == (0,)
+            toy_adg.reachability_rows([-1], met_rows(toy_adg, [set()]))
+        assert toy_adg.reachability_rows([], met_rows(toy_adg, [{"A"}]))[0].shape == (0,)
 
 
 class TestDegreeStats:

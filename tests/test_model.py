@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adgcode import neural
 from adgcode.embedder import EmbedderConfig, embed_all
@@ -34,7 +36,7 @@ from adgcode.model import (
 from adgcode.signatures import parse_signatures
 from adgcode.synthetic import SyntheticSpec, generate
 
-from conftest import corrupt_parameter
+from conftest import corrupt_parameter, met_rows, random_adg
 
 
 def tiny_model(seed=0, **overrides):
@@ -318,6 +320,24 @@ class TestLossSanity:
         assert np.all(base_grad[lonely] == 0.0)
 
 
+def mask_by_names(model, lp, available, reach_filter):
+    """Oracle masking of one row of log-probabilities, in place: the reserved
+    ids, and with ``reach_filter`` every API token whose method is not
+    reachable from the type names in ``available``."""
+    lp[[PAD_ID, BOS_ID, UNK_ID]] = -np.inf
+    if reach_filter:
+        for token_id, node_id in model.api_node_of_token_id.items():
+            if not model.adg.is_reachable(node_id, available):
+                lp[token_id] = -np.inf
+    return lp
+
+
+def emitted_outputs(model, token_id):
+    """The output type names of the method that ``token_id`` names, if any."""
+    node_id = model.api_node_of_token_id.get(token_id)
+    return set(model.adg.node(node_id).outputs) if node_id is not None else set()
+
+
 def argmax_rollout(model, desc, max_len, reach_filter=False):
     """Oracle: greedy decoding as its own loop, each step the argmax of
     ``decode_step``'s masked log-probabilities, ties to the smallest id."""
@@ -326,13 +346,12 @@ def argmax_rollout(model, desc, max_len, reach_filter=False):
     prev, available, out = BOS_ID, set(), []
     for _ in range(max_len):
         logits, state = model.decode_step(model.decoder_query([prev], node_emb), state, memory)
-        lp = model_mod._masked_log_probs(model, logits.data, [available], reach_filter)[0]
+        lp = mask_by_names(model, neural.log_softmax(logits.data)[0], available, reach_filter)
         prev = int(np.argmax(lp))  # the first maximum, so the smallest id on ties
         if prev == EOS_ID:
             break
         out.append(model.code_vocab.token(prev))
-        if prev in model.api_node_of_token_id:
-            available |= set(model.adg.node(model.api_node_of_token_id[prev]).outputs)
+        available |= emitted_outputs(model, prev)
     return out
 
 
@@ -513,27 +532,29 @@ class TestGeneration:
 def full_length_beam(model, desc, width, max_len, node_embeddings, reach_filter=False):
     """Oracle: the beam loop without the stopping bound, run until every
     hypothesis is frozen by EOS or ``max_len``, then ranked by
-    (-score, tokens) over all completed hypotheses."""
+    (-score, tokens) over all completed hypotheses.  Each hypothesis
+    (tokens, logp, available) tracks the type names its methods output, and
+    the reach filter masks by :func:`mask_by_names`."""
     memory, state = model.encode([model.desc_vocab.encode(desc)])
-    live = [model_mod.BeamHypothesis((), 0.0, frozenset())]
+    live = [((), 0.0, set())]
     completed = []
     for _ in range(max_len):
         lp, (h, c) = model_mod._next_log_probs(
-            model,
-            [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live],
-            [hyp.available for hyp in live],
-            state, memory, node_embeddings, reach_filter,
+            model, [tokens[-1] if tokens else BOS_ID for tokens, _, _ in live],
+            None, state, memory, node_embeddings, False,
         )
+        for row, (_, _, available) in enumerate(live):
+            mask_by_names(model, lp[row], available, reach_filter)
         order = np.argsort(-lp, axis=1, kind="stable")[:, :width]
         expansions = []
-        for row, hyp in enumerate(live):
+        for row, (prefix, prefix_logp, _) in enumerate(live):
             for token_id in order[row].tolist():
                 if lp[row, token_id] == -np.inf:
                     continue
-                tokens = hyp.tokens + (token_id,)
-                logp = hyp.logp + float(lp[row, token_id])
+                tokens = prefix + (token_id,)
+                logp = prefix_logp + float(lp[row, token_id])
                 if token_id == EOS_ID or len(tokens) >= max_len:
-                    completed.append(model_mod.BeamHypothesis(tokens, logp, hyp.available))
+                    completed.append((tokens, logp))
                 else:
                     expansions.append((-logp, tokens, row))
         if not expansions:
@@ -541,15 +562,14 @@ def full_length_beam(model, desc, width, max_len, node_embeddings, reach_filter=
         expansions.sort()
         kept = expansions[:width]
         live = [
-            model_mod.BeamHypothesis(
-                tokens, -neg_logp, model_mod._advance_available(model, live[row].available, tokens[-1])
-            )
+            (tokens, -neg_logp, live[row][2] | emitted_outputs(model, tokens[-1]))
             for neg_logp, tokens, row in kept
         ]
         rows = [row for _, _, row in kept]
         state = (neural.take_rows(h, rows), neural.take_rows(c, rows))
-    best = min(completed or live, key=lambda hyp: (-hyp.score(), hyp.tokens))
-    return [model.code_vocab.token(t) for t in best.tokens if t != EOS_ID]
+    finished = completed or [(tokens, logp) for tokens, logp, _ in live]
+    best, _ = min(finished, key=lambda hyp: (-hyp[1] / max(len(hyp[0]), 1), hyp[0]))
+    return [model.code_vocab.token(t) for t in best if t != EOS_ID]
 
 
 def count_decode_steps(monkeypatch, model):
@@ -624,7 +644,7 @@ class TestBeamStopping:
         first[[a, b, EOS_ID]] = [first_a, -1.0, -100.0]
         after = {a: {a: 0.0, EOS_ID: -64.0}, b: {EOS_ID: 0.0, b: -64.0}}
 
-        def scripted(model, prevs, availables, state, memory, node_embeddings, reach_filter):
+        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter):
             lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
             for row, prev in enumerate(prevs):
                 if prev == BOS_ID:
@@ -683,7 +703,7 @@ class TestReachFilter:
             for _ in range(40)
         ]
         logits = rng.standard_normal((len(availables), len(code_vocab)))
-        lp = model_mod._masked_log_probs(model, logits, availables, True)
+        lp = model_mod._masked_log_probs(model, logits, met_rows(adg, availables), True)
         for row, available in zip(lp, availables):
             expect = {PAD_ID, BOS_ID, UNK_ID} | {
                 token_id
@@ -691,7 +711,7 @@ class TestReachFilter:
                 if not adg.is_reachable(node_id, available)
             }
             assert set(np.flatnonzero(row == -np.inf)) == expect
-        unfiltered = model_mod._masked_log_probs(model, logits, availables, False)
+        unfiltered = model_mod._masked_log_probs(model, logits, met_rows(adg, availables), False)
         assert {int(j) for j in np.flatnonzero(np.isinf(unfiltered).any(axis=0))} == {PAD_ID, BOS_ID, UNK_ID}
 
     def test_one_query_per_step_matches_per_row_oracle(self, monkeypatch):
@@ -709,9 +729,9 @@ class TestReachFilter:
         reachability_rows = type(adg).reachability_rows
         monkeypatch.setattr(
             type(adg), "reachability_rows",
-            lambda self, ids, rows: queries.append(len(rows)) or reachability_rows(self, ids, rows),
+            lambda self, ids, met: queries.append(len(met)) or reachability_rows(self, ids, met),
         )
-        lp = model_mod._masked_log_probs(model, logits, availables, True)
+        lp = model_mod._masked_log_probs(model, logits, met_rows(adg, availables), True)
         assert queries == [len(availables)]
         plain = neural.log_softmax(logits)
         for row, plain_row, available in zip(lp, plain, availables):
@@ -725,6 +745,47 @@ class TestReachFilter:
             assert np.array_equal(row[keep], plain_row[keep])
         assert np.array_equal(np.isneginf(lp[2]), np.isneginf(lp[4]))
         assert np.isneginf(lp[0]).sum() > len((PAD_ID, BOS_ID, UNK_ID))  # the empty set masks methods
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_types=st.integers(1, 8),
+        n_methods=st.integers(1, 20),
+        picks=st.lists(st.integers(0, 19), max_size=8),
+    )
+    def test_met_rows_follow_the_emitted_methods(self, seed, n_types, n_methods, picks):
+        # provides[m] marks the types m's outputs satisfy; a scripted scorer
+        # forces beam search through a random method sequence, and the met
+        # rows it hands each step must reach what the emitted names reach
+        adg, methods, hierarchy = random_adg(np.random.default_rng(seed), n_types, n_methods)
+        types = sorted(hierarchy.names)
+        assert adg.provides.tolist() == [
+            [any(hierarchy.matches(o, t) for o in m.outputs) for t in types] for m in methods
+        ]
+        assert not adg.provides.flags.writeable
+        emitted = [methods[i % n_methods] for i in picks]
+        code_vocab = Vocabulary.from_sequences([[m.name for m in methods]])
+        config = ModelConfig(word_dim=4, code_dim=4, hidden_dim=4, mlp_hidden=4, max_len=len(emitted) + 1)
+        model = Seq2SeqModel(Vocabulary([("go", 1)]), code_vocab, adg, config, EmbedderConfig(dim=4))
+        script = [code_vocab.id(m.name) for m in emitted] + [EOS_ID]
+        seen = []
+
+        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter):
+            seen.append(met.copy())
+            lp = np.full((len(prevs), len(code_vocab)), -np.inf)
+            lp[:, script[len(seen) - 1]] = 0.0
+            return lp, state
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_mod, "_next_log_probs", scripted)
+            out = beam_search(model, ("go",), width=1, reach_filter=True)
+        assert out == [m.name for m in emitted] and len(seen) == len(script)
+        all_ids = list(range(adg.num_nodes))
+        for k, met in enumerate(seen):
+            available = {o for m in emitted[:k] for o in m.outputs}
+            assert met.shape == (1, len(types))
+            got = adg.reachability_rows(all_ids, met)[0].tolist()
+            assert got == [adg.is_reachable(n, available) for n in all_ids], k
 
     def test_generated_api_tokens_always_reachable(self):
         spec = SyntheticSpec(n_types=4, n_methods=8, max_chain_len=3, corpus_size=10, seed=3)
@@ -761,12 +822,6 @@ class TestTraining:
         model, _ = tiny_model()
         with pytest.raises(ValueError):
             train(model, [], [], TrainConfig())
-
-    def test_initial_types_must_be_strings(self):
-        TrainConfig(initial_types=("Reader",)).validate()
-        for bad in (("Reader", 1), ["Reader"], "Reader"):
-            with pytest.raises(TypeError, match="initial_types"):
-                TrainConfig(initial_types=bad).validate()
 
     def test_divergence_detected_with_step(self):
         model, pairs = tiny_model()
