@@ -532,44 +532,43 @@ class TestGeneration:
 def full_length_beam(model, desc, width, max_len, node_embeddings, reach_filter=False):
     """Oracle: the beam loop without the stopping bound, run until every
     hypothesis is frozen by EOS or ``max_len``, then ranked by
-    (-score, tokens) over all completed hypotheses.  Each hypothesis
-    (tokens, logp, available) tracks the type names its methods output, and
-    the reach filter masks by :func:`mask_by_names`."""
+    (-score, tokens) over all completed hypotheses.  Each live hypothesis
+    keeps the set of type names its methods output, and the reach filter
+    masks by :func:`mask_by_names`."""
     memory, state = model.encode([model.desc_vocab.encode(desc)])
-    live = [((), 0.0, set())]
+    live, names = [model_mod.BeamHypothesis((), 0.0)], [set()]
     completed = []
     for _ in range(max_len):
         lp, (h, c) = model_mod._next_log_probs(
-            model, [tokens[-1] if tokens else BOS_ID for tokens, _, _ in live],
-            None, state, memory, node_embeddings, False,
+            model,
+            [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live],
+            None,  # no met rows: the oracle masks by names below
+            state, memory, node_embeddings, False,
         )
-        for row, (_, _, available) in enumerate(live):
+        for row, available in enumerate(names):
             mask_by_names(model, lp[row], available, reach_filter)
         order = np.argsort(-lp, axis=1, kind="stable")[:, :width]
         expansions = []
-        for row, (prefix, prefix_logp, _) in enumerate(live):
+        for row, hyp in enumerate(live):
             for token_id in order[row].tolist():
                 if lp[row, token_id] == -np.inf:
                     continue
-                tokens = prefix + (token_id,)
-                logp = prefix_logp + float(lp[row, token_id])
+                tokens = hyp.tokens + (token_id,)
+                logp = hyp.logp + float(lp[row, token_id])
                 if token_id == EOS_ID or len(tokens) >= max_len:
-                    completed.append((tokens, logp))
+                    completed.append(model_mod.BeamHypothesis(tokens, logp))
                 else:
                     expansions.append((-logp, tokens, row))
         if not expansions:
             break
         expansions.sort()
         kept = expansions[:width]
-        live = [
-            (tokens, -neg_logp, live[row][2] | emitted_outputs(model, tokens[-1]))
-            for neg_logp, tokens, row in kept
-        ]
+        live = [model_mod.BeamHypothesis(tokens, -neg_logp) for neg_logp, tokens, _ in kept]
+        names = [names[row] | emitted_outputs(model, tokens[-1]) for _, tokens, row in kept]
         rows = [row for _, _, row in kept]
         state = (neural.take_rows(h, rows), neural.take_rows(c, rows))
-    finished = completed or [(tokens, logp) for tokens, logp, _ in live]
-    best, _ = min(finished, key=lambda hyp: (-hyp[1] / max(len(hyp[0]), 1), hyp[0]))
-    return [model.code_vocab.token(t) for t in best if t != EOS_ID]
+    best = min(completed or live, key=lambda hyp: (-hyp.score(), hyp.tokens))
+    return [model.code_vocab.token(t) for t in best.tokens if t != EOS_ID]
 
 
 def count_decode_steps(monkeypatch, model):
