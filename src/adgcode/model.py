@@ -318,21 +318,25 @@ class Seq2SeqModel:
         state: tuple[Tensor, Tensor],
         memory: Tensor,
         mask: Optional[Tensor] = None,
-        hidden_mask: Optional[Tensor] = None,
     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Attend over the encoder memory with the current state, feed
-        [query; context] through the decoder LSTM, then a two-layer
-        perceptron over [state; context].  The query and state are N
-        independent rows of shape [N, d].  Training passes the attention
-        mask and inverted-dropout factors for the perceptron's hidden layer."""
+        """The recurrent part of one decoder step: attend over the encoder
+        memory with the current state, then feed [query; context] through
+        the decoder LSTM.  The query and state are N independent rows of
+        shape [N, d]; training passes the attention mask.  Returns the
+        [N, 2h] readout input [state; context] and the new state."""
         h_prev, c_prev = state
         _, context = neural.attention(memory, h_prev, self.att_w, mask)
         h, c = neural.lstm_cell(neural.concat([query, context]), h_prev, c_prev, self.dec_lstm)
-        hid = neural.relu(neural.linear(neural.concat([h, context]), self.out_w1, self.out_b1))
+        return neural.concat([h, context]), (h, c)
+
+    def readout(self, features: Tensor, hidden_mask: Optional[Tensor] = None) -> Tensor:
+        """The [N, V] logits of ``decode_step``'s [N, 2h] outputs: a two-layer
+        perceptron; training passes inverted-dropout factors for its hidden
+        layer."""
+        hid = neural.relu(neural.linear(features, self.out_w1, self.out_b1))
         if hidden_mask is not None:
             hid = neural.mul(hid, hidden_mask)
-        logits = neural.linear(hid, self.out_w2, self.out_b2)
-        return logits, (h, c)
+        return neural.linear(hid, self.out_w2, self.out_b2)
 
     def sequence_loss(
         self,
@@ -346,7 +350,8 @@ class Seq2SeqModel:
         code sequence plus the end marker.
 
         The batch runs as one padded pass over [B, ·] rows; each decoder row
-        attends only to its own description's states.  Training draws the
+        attends only to its own description's states.  The readout then runs
+        once, over the rows that carry a target.  Training draws the
         inverted-dropout factors pair by pair: the pair's features, then its
         memory, then its decoder hidden layer."""
         if not batch:
@@ -357,8 +362,7 @@ class Seq2SeqModel:
         steps = max(len(t) for t in targets)
         # decoder step s of pair b is row s*B + b of the padded [steps*B, ·] rows
         rows = [s * size + b for b, t in enumerate(targets) for s in range(len(t))]
-        feature_mask = memory_mask = None
-        hidden = [None] * steps
+        feature_mask = memory_mask = hidden_mask = None
         if train and cfg.dropout > 0.0:
             if rng is None:
                 raise ValueError("training-mode dropout requires an explicit rng")
@@ -367,24 +371,23 @@ class Seq2SeqModel:
                 for d, t in zip(descs, targets)
             ]
             draws = [[neural.dropout_mask(s, cfg.dropout, rng) for s in pair] for pair in shapes]
-            features, memories, hiddens = (np.concatenate(parts) for parts in zip(*draws))
-            feature_mask, memory_mask = neural.constant(features), neural.constant(memories)
-            padded = np.ones((steps * size, cfg.mlp_hidden))
-            padded[rows] = hiddens
-            hidden = [neural.constant(padded[s * size : (s + 1) * size]) for s in range(steps)]
+            masks = (neural.constant(np.concatenate(parts)) for parts in zip(*draws))
+            feature_mask, memory_mask, hidden_mask = masks
         memory, state = self.encode(descs, feature_mask, memory_mask)
         owner = np.repeat(np.arange(size), [len(d) for d in descs])  # pair of each memory row
         key_mask = neural.constant(np.where(owner == np.arange(size)[:, None], 0.0, -np.inf))
         prevs = np.full(steps * size, PAD_ID)
         prevs[rows] = [p for t in targets for p in [BOS_ID] + t[:-1]]
-        logits = []
+        features = []
         for s in range(steps):
             query = self.decoder_query(prevs[s * size : (s + 1) * size], node_embeddings)
-            out, state = self.decode_step(query, state, memory, key_mask, hidden[s])
-            logits.append(out)
+            out, state = self.decode_step(query, state, memory, key_mask)
+            features.append(out)
+        # the target rows, pair by pair, in the order of the hidden-layer draws
+        logits = self.readout(neural.take_rows(neural.concat(features, axis=0), rows), hidden_mask)
         weights = [(1.0 / size) * (1.0 / len(t)) for t in targets for _ in t]
         tokens = [tok for t in targets for tok in t]
-        return neural.softmax_xent(neural.take_rows(neural.concat(logits, axis=0), rows), tokens, weights)
+        return neural.softmax_xent(logits, tokens, weights)
 
 
 def _masked_log_probs(
@@ -423,8 +426,8 @@ def _next_log_probs(
     """One decoder step for N rows at once: row i continues after token
     ``prevs[i]`` from row i of ``state``.  Returns the masked [N, V]
     log-probabilities and the new [N, h] state."""
-    logits, state = model.decode_step(model.decoder_query(prevs, node_embeddings), state, memory)
-    return _masked_log_probs(model, logits.data, met, reach_filter), state
+    features, state = model.decode_step(model.decoder_query(prevs, node_embeddings), state, memory)
+    return _masked_log_probs(model, model.readout(features).data, met, reach_filter), state
 
 
 def generate_greedy(

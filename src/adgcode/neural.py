@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers
-this model family needs: LSTM cell and a masked LSTM sweep over several
-sequences at once, windowed ReLU feature layers, masked multiplicative
-attention, stabilized softmax/weighted cross-entropy, inverted-dropout masks,
-Glorot initialization, Adam with an inverse-square-root warmup schedule.
+this model family needs: a fused LSTM cell (one op, tape nodes h and c) and
+a masked LSTM sweep over several sequences at once, windowed ReLU feature
+layers, masked multiplicative attention, stabilized softmax/weighted
+cross-entropy, inverted-dropout masks, Glorot initialization, Adam with an
+inverse-square-root warmup schedule.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
 topological sweep.  Inside ``no_grad()`` ops record no tape: decoding runs
@@ -272,35 +273,11 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a,), bw=bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bw(g):
-        _accum(a, g * out_data * (1.0 - out_data))
-
-    return Tensor(out_data, parents=(a,), bw=bw)
-
-
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
 
     def bw(g):
         _accum(a, g * (a.data > 0.0))
-
-    return Tensor(out_data, parents=(a,), bw=bw)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Numerically stabilized softmax over each row; an entry of -inf gets
-    weight 0, and each row needs one finite entry."""
-    if a.data.ndim != 2 or a.data.shape[1] == 0:
-        raise ShapeError("softmax needs a non-empty [N, n] tensor")
-    e = np.exp(a.data - np.max(a.data, axis=-1, keepdims=True))
-    out_data = e / np.sum(e, axis=-1, keepdims=True)
-
-    def bw(g):
-        _accum(a, out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
 
     return Tensor(out_data, parents=(a,), bw=bw)
 
@@ -401,21 +378,57 @@ class LstmParams:
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
     """One LSTM step for N independent [N, d] rows: sigmoid input/forget/
-    output gates and tanh candidate over [h_prev, x]; returns (h, c)."""
+    output gates and tanh candidate over z = [h_prev, x], each gate its own
+    ``z @ w.T + b``; returns (h, c).
+
+    The step is one fused op with two tape nodes.  ``h``'s backward leaves
+    the output gate's gradient for ``c``'s, which runs after it and turns
+    the four gate gradients, taken in closed form from the saved gate
+    values, into the gradients of z and of the parameters; if nothing
+    reaches ``h``, the output gate's gradient is zero."""
     hidden = params.hidden_dim
     if x.data.ndim != 2 or x.data.shape[1] != params.input_dim:
         raise ShapeError(f"lstm_cell input shape {x.data.shape}, expected [N, {params.input_dim}]")
     state = (x.data.shape[0], hidden)
     if h_prev.data.shape != state or c_prev.data.shape != state:
         raise ShapeError("lstm_cell state shapes do not match the cell size")
-    z = concat([h_prev, x])
-    i = sigmoid(linear(z, params.w_i, params.b_i))
-    f = sigmoid(linear(z, params.w_f, params.b_f))
-    o = sigmoid(linear(z, params.w_o, params.b_o))
-    c_tilde = tanh(linear(z, params.w_c, params.b_c))
-    c = add(mul(f, c_prev), mul(i, c_tilde))
-    h = mul(o, tanh(c))
-    return h, c
+    p = params
+    z = np.concatenate([h_prev.data, x.data], axis=1)
+    with np.errstate(over="ignore"):
+        i, f, o = (
+            1.0 / (1.0 + np.exp(-(z @ w.data.T + b.data)))
+            for w, b in ((p.w_i, p.b_i), (p.w_f, p.b_f), (p.w_o, p.b_o))
+        )
+    g = np.tanh(z @ p.w_c.data.T + p.b_c.data)
+    c_data = f * c_prev.data + i * g
+    tanh_c = np.tanh(c_data)
+    d_o = [None]  # the output gate's pre-activation gradient, left by h's backward
+
+    def c_bw(dc):
+        d_f = dc * c_prev.data * f * (1.0 - f)
+        d_i = dc * g * i * (1.0 - i)
+        d_g = dc * i * (1.0 - g * g)
+        d_z = None
+        # z's gradient sums the gates in the order of the unfused tape: o, f, i, c
+        for d, w, b in (
+            (d_o[0], p.w_o, p.b_o), (d_f, p.w_f, p.b_f), (d_i, p.w_i, p.b_i), (d_g, p.w_c, p.b_c),
+        ):
+            if d is None:
+                continue
+            d_z = d @ w.data if d_z is None else d_z + d @ w.data
+            _accum(w, d.T @ z)
+            _accum(b, np.add.reduce(d, axis=0))
+        _accum(c_prev, dc * f)
+        _accum(h_prev, d_z[:, :hidden])
+        _accum(x, d_z[:, hidden:])
+
+    c = Tensor(c_data, parents=(x, h_prev, c_prev, *p.parameters()), bw=c_bw)
+
+    def h_bw(dh):
+        d_o[0] = dh * tanh_c * o * (1.0 - o)
+        _accum(c, dh * o * (1.0 - tanh_c * tanh_c))
+
+    return Tensor(o * tanh_c, parents=(c,), bw=h_bw), c
 
 
 def lstm_runs(
@@ -478,17 +491,33 @@ def attention(
 ) -> tuple[Tensor, Tensor]:
     """Multiplicative attention over the [M, h] ``memory`` for each row s of
     the [N, h] ``query``: scores h_m . (W s), plus the additive [N, M]
-    ``mask`` (0 to keep, -inf to hide a state) when given, softmax weights
-    over M, and the convex-combination context rows."""
+    ``mask`` (0 to keep, -inf to hide a state) when given, stabilized
+    softmax weights over M (a score of -inf gets weight 0; each row needs
+    one finite score), and the convex-combination context rows.  The
+    weights are one tape node, the mask taking no gradient, and the context
+    a second."""
     if memory.data.ndim != 2 or memory.data.shape[0] == 0:
         raise ValueError("attention requires a [M, h] memory with at least one state")
-    projected = linear(query, w)
-    scores = linear(projected, memory)
+    if query.data.ndim != 2 or w.data.shape != (memory.data.shape[1], query.data.shape[1]):
+        raise ShapeError(
+            f"attention needs [N, d] queries and a [h, d] W, got {query.data.shape} and {w.data.shape}"
+        )
+    projected = query.data @ w.data.T
+    scores = projected @ memory.data.T
     if mask is not None:
-        scores = add(scores, mask)
-    alphas = softmax(scores)
-    context = matmul(alphas, memory)
-    return alphas, context
+        scores = scores + mask.data
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    alpha_data = e / np.sum(e, axis=-1, keepdims=True)
+
+    def bw(g):
+        d_scores = alpha_data * (g - np.sum(g * alpha_data, axis=-1, keepdims=True))
+        d_projected = d_scores @ memory.data
+        _accum(memory, d_scores.T @ projected)
+        _accum(query, d_projected @ w.data)
+        _accum(w, d_projected.T @ query.data)
+
+    alphas = Tensor(alpha_data, parents=(query, w, memory), bw=bw)
+    return alphas, matmul(alphas, memory)
 
 
 class Adam:

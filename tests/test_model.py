@@ -209,20 +209,27 @@ class TestDecoderQuery:
             model.decoder_query([model.code_vocab.id("("), model.code_vocab.id("m4")], only_m2)
 
 
+def step_logits(model, query, state, memory):
+    """One decoder step's logits and new state: ``decode_step``, then the
+    readout."""
+    features, state = model.decode_step(query, state, memory)
+    return model.readout(features), state
+
+
 class TestDecodeStep:
     def test_logit_width_is_vocab_size(self):
         model, _ = tiny_model()
         states, s0 = model.encode([[4, 5]])
         node_emb = model.embed_nodes()
-        logits, _ = model.decode_step(model.decoder_query([BOS_ID], node_emb), s0, states)
+        logits, _ = step_logits(model, model.decoder_query([BOS_ID], node_emb), s0, states)
         assert logits.data.shape == (1, len(model.code_vocab))
 
     def test_deterministic(self):
         model, _ = tiny_model()
         states, s0 = model.encode([[4, 5]])
         q = neural.constant(np.zeros((1, 8)))
-        a, _ = model.decode_step(q, s0, states)
-        b, _ = model.decode_step(q, s0, states)
+        a, _ = step_logits(model, q, s0, states)
+        b, _ = step_logits(model, q, s0, states)
         assert np.array_equal(a.data, b.data)
 
     def test_matches_composition_oracle(self):
@@ -230,7 +237,7 @@ class TestDecodeStep:
         states, (h0, c0) = model.encode([[4, 5, 6]])
         rng = np.random.default_rng(1)
         q = neural.constant(rng.standard_normal((1, 8)))
-        logits, (h1, c1) = model.decode_step(q, (h0, c0), states)
+        logits, (h1, c1) = step_logits(model, q, (h0, c0), states)
 
         _, ctx = neural.attention(states, h0, model.att_w)
         h2, c2 = neural.lstm_cell(neural.concat([q, ctx]), h0, c0, model.dec_lstm)
@@ -245,14 +252,14 @@ class TestDecodeStep:
         memory, _ = model.encode([[4, 5, 6]])
         rng = np.random.default_rng(2)
         q, h0, c0 = (rng.standard_normal((4, d)) for d in (8, 12, 12))
-        logits, (h1, c1) = model.decode_step(
-            neural.constant(q), (neural.constant(h0), neural.constant(c0)), memory
+        logits, (h1, c1) = step_logits(
+            model, neural.constant(q), (neural.constant(h0), neural.constant(c0)), memory
         )
         assert logits.data.shape == (4, len(model.code_vocab))
         for i in range(4):
             row = np.s_[i : i + 1]
-            one, (h, c) = model.decode_step(
-                neural.constant(q[row]), (neural.constant(h0[row]), neural.constant(c0[row])), memory
+            one, (h, c) = step_logits(
+                model, neural.constant(q[row]), (neural.constant(h0[row]), neural.constant(c0[row])), memory
             )
             assert np.allclose(logits.data[i], one.data[0], rtol=0.0, atol=1e-12)
             assert np.allclose(h1.data[i], h.data[0], rtol=0.0, atol=1e-12)
@@ -340,12 +347,12 @@ def emitted_outputs(model, token_id):
 
 def argmax_rollout(model, desc, max_len, reach_filter=False):
     """Oracle: greedy decoding as its own loop, each step the argmax of
-    ``decode_step``'s masked log-probabilities, ties to the smallest id."""
+    one decoder step's masked log-probabilities, ties to the smallest id."""
     node_emb = model.embed_nodes()
     memory, state = model.encode([model.desc_vocab.encode(desc)])
     prev, available, out = BOS_ID, set(), []
     for _ in range(max_len):
-        logits, state = model.decode_step(model.decoder_query([prev], node_emb), state, memory)
+        logits, state = step_logits(model, model.decoder_query([prev], node_emb), state, memory)
         lp = mask_by_names(model, neural.log_softmax(logits.data)[0], available, reach_filter)
         prev = int(np.argmax(lp))  # the first maximum, so the smallest id on ties
         if prev == EOS_ID:
@@ -467,7 +474,7 @@ class TestGeneration:
 
         def log_probs(prev, state):
             q = model.decoder_query([prev], node_emb)
-            logits, new_state = model.decode_step(q, state, states)
+            logits, new_state = step_logits(model, q, state, states)
             x = logits.data[0]
             m = np.max(x)
             return x - m - math.log(np.sum(np.exp(x - m))), new_state
@@ -511,8 +518,8 @@ class TestGeneration:
             prev = BOS_ID
             total = 0.0
             for tid in ids:
-                logits, state = model.decode_step(
-                    model.decoder_query([prev], node_emb), state, states
+                logits, state = step_logits(
+                    model, model.decoder_query([prev], node_emb), state, states
                 )
                 x = logits.data[0]
                 m = np.max(x)

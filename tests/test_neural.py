@@ -54,7 +54,6 @@ class TestTensorOps:
             "mul": lambda: neural.vsum(neural.mul(neural.mul(a, b), weights)),
             "scalar_broadcast": lambda: neural.vsum(neural.mul(s, a)),
             "tanh": lambda: neural.vsum(neural.mul(neural.tanh(a), weights)),
-            "sigmoid": lambda: neural.vsum(neural.mul(neural.sigmoid(a), weights)),
             "relu": lambda: neural.vsum(neural.mul(neural.relu(a), weights)),
             "concat": lambda: neural.vsum(neural.concat([a, b])),
             "segment_mean": lambda: neural.vsum(
@@ -67,7 +66,6 @@ class TestTensorOps:
             "segment_max_tie": lambda: neural.vsum(
                 neural.mul(neural.segment_reduce(aba(), [3], "max"), weights)
             ),
-            "softmax": lambda: neural.vsum(neural.mul(neural.softmax(a), weights)),
             "xent": lambda: neural.softmax_xent(a, [2]),
         }
         for name, fn in cases.items():
@@ -166,7 +164,7 @@ class TestTensorOps:
         with pytest.raises(ShapeError):
             neural.linear(neural.constant(np.ones(3)), a)
         with pytest.raises(ShapeError):
-            neural.softmax(b)
+            neural.attention(a, neural.constant(np.ones(3)), neural.constant(np.ones((3, 3))))
 
     def test_gradient_accumulates_over_shared_use(self):
         a = Parameter("a", np.array([2.0]))
@@ -283,6 +281,69 @@ class TestLstmCell:
 
         err = gradient_check(loss, p.parameters() + [x, h0, c0])
         assert err < 1e-4
+
+    @pytest.mark.parametrize("target", ["h", "c", "both"])
+    def test_fused_gradients_on_three_rows(self, target):
+        rng = RNG(50)
+        p = LstmParams.create("cell", 5, 4, rng)
+        for b in (p.b_i, p.b_f, p.b_o, p.b_c):
+            b.data = rng.standard_normal(b.data.shape)
+        x = tensor_param("x", rng, (3, 5))
+        h0 = tensor_param("h0", rng, (3, 4))
+        c0 = tensor_param("c0", rng, (3, 4))
+        probe_h, probe_c = (neural.constant(rng.standard_normal((3, 4))) for _ in range(2))
+
+        def loss():
+            h, c = lstm_cell(x, h0, c0, p)
+            terms = {"h": [neural.mul(h, probe_h)], "c": [neural.mul(c, probe_c)]}
+            parts = terms["h"] + terms["c"] if target == "both" else terms[target]
+            return neural.vsum(parts[0] if len(parts) == 1 else neural.add(*parts))
+
+        err = gradient_check(loss, p.parameters() + [x, h0, c0])
+        assert err < 1e-4
+        if target == "c":  # nothing reaches h, so the output gate gets no gradient
+            for w in (p.w_o, p.b_o):
+                assert w.grad is None or not np.any(w.grad)
+
+    def test_lstm_runs_gradients_with_ended_runs(self):
+        # runs of 4, 1 and 4 rows: the middle run ends after one step and
+        # holds its state while the others go on
+        rng = RNG(51)
+        p = LstmParams.create("cell", 3, 4, rng)
+        seq = tensor_param("seq", rng, (9, 3))
+        probes = [neural.constant(rng.standard_normal((3, 4))) for _ in range(6)]
+
+        def loss():
+            hs, (h, c) = neural.lstm_runs(seq, [4, 1, 4], p)
+            outs = [neural.mul(t, probe) for t, probe in zip(hs + [h, c], probes)]
+            total = outs[0]
+            for t in outs[1:]:
+                total = neural.add(total, t)
+            return neural.vsum(total)
+
+        hs, (h, c) = neural.lstm_runs(seq, [4, 1, 4], p)
+        for t in range(1, 4):
+            assert np.array_equal(hs[t].data[1], hs[0].data[1])
+        err = gradient_check(loss, p.parameters() + [seq])
+        assert err < 1e-4
+
+    def test_forward_bit_identical_to_per_gate_reference(self):
+        rng = RNG(52)
+        p = LstmParams.create("cell", 6, 5, rng)
+        for b in (p.b_i, p.b_f, p.b_o, p.b_c):
+            b.data = rng.standard_normal(b.data.shape)
+        x, h0, c0 = (rng.standard_normal((4, d)) for d in (6, 5, 5))
+        h, c = lstm_cell(neural.constant(x), neural.constant(h0), neural.constant(c0), p)
+
+        z = np.concatenate([h0, x], axis=1)
+        i, f, o = (
+            1.0 / (1.0 + np.exp(-(z @ w.data.T + b.data)))
+            for w, b in ((p.w_i, p.b_i), (p.w_f, p.b_f), (p.w_o, p.b_o))
+        )
+        g = np.tanh(z @ p.w_c.data.T + p.b_c.data)
+        c_ref = f * c0 + i * g
+        assert np.array_equal(c.data, c_ref)
+        assert np.array_equal(h.data, o * np.tanh(c_ref))
 
     def test_shape_mismatch(self):
         rng = RNG(6)
@@ -452,6 +513,20 @@ class TestAttention:
             assert np.all(np.delete(alphas.data[i], np.s_[lo:hi]) == 0.0)
             assert np.allclose(alphas.data[i, lo:hi], one_alpha.data[0], atol=1e-12)
             assert np.allclose(ctx.data[i], one_ctx.data[0], atol=1e-12)
+
+    def test_forward_bit_identical_to_reference(self):
+        # numpy in the order of the unfused ops: two products, the mask, a
+        # max-shifted softmax, the context product
+        rng = RNG(21)
+        memory, queries, w = (rng.standard_normal(s) for s in ((5, 4), (3, 4), (4, 4)))
+        hidden = (rng.random((3, 5)) < 0.3) & (np.arange(5) > 0)  # state 0 stays visible
+        mask = np.where(hidden, -np.inf, 0.0)
+        alphas, ctx = attention(*(neural.constant(a) for a in (memory, queries, w, mask)))
+        scores = (queries @ w.T) @ memory.T + mask
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        expect = e / np.sum(e, axis=-1, keepdims=True)
+        assert np.array_equal(alphas.data, expect)
+        assert np.array_equal(ctx.data, expect @ memory)
 
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
