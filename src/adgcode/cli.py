@@ -27,11 +27,11 @@ from .model import (
     TrainingDivergedError,
     Vocabulary,
     beam_search,
+    beam_search_many,
     load_checkpoint,
     save_checkpoint,
     train,
 )
-from .neural import no_grad
 from .signatures import (
     DataFormatError,
     SignatureError,
@@ -41,7 +41,6 @@ from .signatures import (
     tokenize_description,
     write_pairs,
 )
-from .synthetic import SyntheticGenerationError, SyntheticSpec, generate, split_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -247,19 +246,13 @@ def cmd_generate(cfg: PipelineConfig, description: str, out) -> int:
 
 
 def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> metrics_mod.MetricReport:
-    with no_grad():
-        node_embeddings = model.embed_nodes()
-    candidates = [
-        beam_search(
-            model,
-            desc,
-            width=cfg.model.beam_width,
-            max_len=cfg.model.max_len,
-            node_embeddings=node_embeddings,
-            reach_filter=cfg.train_cfg.reach_filter,
-        )
-        for desc, _ in pairs
-    ]
+    candidates = beam_search_many(
+        model,
+        [desc for desc, _ in pairs],
+        width=cfg.model.beam_width,
+        max_len=cfg.model.max_len,
+        reach_filter=cfg.train_cfg.reach_filter,
+    )
     eval_pairs = metrics_mod.make_pairs(candidates, [c for _, c in pairs])
     return metrics_mod.evaluate_pairs(eval_pairs)
 
@@ -317,6 +310,10 @@ def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace, out) -> int:
+    # imported here: no other command needs the generator, and every command
+    # would pay for compiling it
+    from .synthetic import SyntheticGenerationError, SyntheticSpec, generate, split_pairs
+
     spec = SyntheticSpec(
         n_types=args.types,
         n_methods=args.methods,
@@ -326,7 +323,10 @@ def cmd_gen_synthetic(args: argparse.Namespace, out) -> int:
         min_chain_len=args.min_chain,
         order_sensitive=args.order_sensitive,
     )
-    corpus = generate(spec)
+    try:
+        corpus = generate(spec)
+    except SyntheticGenerationError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     sig_path = os.path.join(args.out, "signatures.sig")
     with open(sig_path, "w", encoding="utf-8") as fh:
@@ -417,7 +417,7 @@ def run(argv: Sequence[str], out=None) -> int:
         if args.command == "ablate":
             return cmd_ablate(cfg, args.axes, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, SyntheticGenerationError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SignatureError, DataFormatError, GraphError, CheckpointFormatError) as exc:

@@ -37,6 +37,12 @@ _NEVER_EMITTED_IDS = (PAD_ID, BOS_ID, UNK_ID)
 
 CHECKPOINT_HEADER = b"ADGS2S-v1\n"
 
+# Descriptions decoded as one batched beam at most.  Every row attends over
+# the memory of the whole batch, so a step costs rows x memory rows: bounding
+# the batch keeps a large test set linear in its size.  On the benchmark's
+# model shapes, blocks of 8 to 16 decoded fastest.
+DECODE_BLOCK = 16
+
 
 class CheckpointFormatError(ValueError):
     """Corrupted or incompatible checkpoint bytes."""
@@ -172,7 +178,7 @@ class QueryTable:
 @dataclass
 class BeamHypothesis:
     """One live or finished beam entry; the decoder states of the live
-    entries are the rows of one [W, h] pair held by ``beam_search``."""
+    entries are the rows of one [ΣW, h] pair held by ``beam_search_many``."""
 
     tokens: tuple[int, ...]
     logp: float
@@ -374,8 +380,7 @@ class Seq2SeqModel:
             masks = (neural.constant(np.concatenate(parts)) for parts in zip(*draws))
             feature_mask, memory_mask, hidden_mask = masks
         memory, state = self.encode(descs, feature_mask, memory_mask)
-        owner = np.repeat(np.arange(size), [len(d) for d in descs])  # pair of each memory row
-        key_mask = neural.constant(np.where(owner == np.arange(size)[:, None], 0.0, -np.inf))
+        key_mask = neural.constant(_own_memory_mask([len(d) for d in descs]))
         prevs = np.full(steps * size, PAD_ID)
         prevs[rows] = [p for t in targets for p in [BOS_ID] + t[:-1]]
         features = []
@@ -388,6 +393,14 @@ class Seq2SeqModel:
         weights = [(1.0 / size) * (1.0 / len(t)) for t in targets for _ in t]
         tokens = [tok for t in targets for tok in t]
         return neural.softmax_xent(logits, tokens, weights)
+
+
+def _own_memory_mask(lengths: Sequence[int]) -> np.ndarray:
+    """The [B, ΣT] additive attention mask over the memory of B descriptions
+    of ``lengths``, stacked one after another: row b is 0 over description
+    b's states and -inf over the others'."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)  # description of each memory row
+    return np.where(owner == np.arange(len(lengths))[:, None], 0.0, -np.inf)
 
 
 def _masked_log_probs(
@@ -422,11 +435,14 @@ def _next_log_probs(
     memory: Tensor,
     node_embeddings: QueryTable,
     reach_filter: bool,
+    key_mask: Optional[Tensor] = None,
 ) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
     """One decoder step for N rows at once: row i continues after token
-    ``prevs[i]`` from row i of ``state``.  Returns the masked [N, V]
-    log-probabilities and the new [N, h] state."""
-    features, state = model.decode_step(model.decoder_query(prevs, node_embeddings), state, memory)
+    ``prevs[i]`` from row i of ``state``, attending over the memory rows
+    that the [N, M] additive ``key_mask`` keeps (all of them without one).
+    Returns the masked [N, V] log-probabilities and the new [N, h] state."""
+    query = model.decoder_query(prevs, node_embeddings)
+    features, state = model.decode_step(query, state, memory, key_mask)
     return _masked_log_probs(model, model.readout(features).data, met, reach_filter), state
 
 
@@ -446,7 +462,6 @@ def generate_greedy(
     )
 
 
-@neural.no_grad()
 def beam_search(
     model: Seq2SeqModel,
     desc_tokens: Sequence[str],
@@ -456,75 +471,124 @@ def beam_search(
     node_embeddings: Optional[QueryTable] = None,
     reach_filter: bool = False,
 ) -> list[str]:
-    """Beam generation with length-normalized ranking.
+    """Beam generation for one description: :func:`beam_search_many` of a
+    one-description list."""
+    return beam_search_many(
+        model, [desc_tokens], width, max_len, node_embeddings=node_embeddings,
+        reach_filter=reach_filter,
+    )[0]
+
+
+@neural.no_grad()
+def beam_search_many(
+    model: Seq2SeqModel,
+    descs: Sequence[Sequence[str]],
+    width: Optional[int] = None,
+    max_len: Optional[int] = None,
+    *,
+    node_embeddings: Optional[QueryTable] = None,
+    reach_filter: bool = False,
+) -> list[list[str]]:
+    """Beam generation with length-normalized ranking, for every description
+    of ``descs`` at once; the result equals decoding them one by one.
 
     Each live hypothesis expands by its top-``width`` successors (ties break
     toward the smaller token id); hypotheses reaching the end marker or the
     length limit are frozen into a completed pool, and the best completed
     hypothesis by normalized score wins (ties break toward the
-    lexicographically smaller token id sequence).  All live hypotheses
-    advance as the rows of one decoder step; for the reach filter each row
-    also holds ``met``, the required types its emitted methods meet.  Never
-    emits ``⟨PAD⟩``, ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the
-    log-softmax, like methods the reach filter rejects, so hypothesis scores
-    remain the model's own log-probabilities.
+    lexicographically smaller token id sequence).  Never emits ``⟨PAD⟩``,
+    ``⟨BOS⟩`` or ``⟨UNK⟩``: they are masked after the log-softmax, like
+    methods the reach filter rejects, so hypothesis scores remain the
+    model's own log-probabilities.
 
-    The search stops once no live hypothesis can still win (Huang et al.,
-    2017, "When to Finish?"): log-probabilities are <= 0, so every completion
-    of a live hypothesis with log-probability L scores at most L / max_len,
-    and the search ends when that bound is below the best completed score
-    for every live hypothesis.  The bound is strict because a tie could
-    still win on tokens; the result is that of running to ``max_len``.
+    The descriptions are encoded as one batch, and the live hypotheses of
+    all of them advance as the rows of one decoder step; each row attends
+    only to its own description's memory, and for the reach filter also
+    holds ``met``, the required types its emitted methods meet.  Each
+    description keeps its own hypotheses, completed pool and stopping
+    bound, and its rows leave the step once it is done.
+
+    A description's search stops once no live hypothesis can still win
+    (Huang et al., 2017, "When to Finish?"): log-probabilities are <= 0, so
+    every completion of a live hypothesis with log-probability L scores at
+    most L / max_len, and the search ends when that bound is below the best
+    completed score for every live hypothesis.  The bound is strict because
+    a tie could still win on tokens; the result is that of running to
+    ``max_len``.
     """
     width = model.config.beam_width if width is None else width
     max_len = model.config.max_len if max_len is None else max_len
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
+    if not descs:
+        return []
     if node_embeddings is None:
         node_embeddings = model.embed_nodes()
-    memory, state = model.encode([model.desc_vocab.encode(desc_tokens)])
-    live = [BeamHypothesis(tokens=(), logp=0.0)]
-    met = np.zeros((1, model.token_provides.shape[1]), dtype=bool)
-    best: Optional[BeamHypothesis] = None  # the running min of (-score, tokens) over completed
+    if len(descs) > DECODE_BLOCK:
+        return [
+            out
+            for start in range(0, len(descs), DECODE_BLOCK)
+            for out in beam_search_many(
+                model, descs[start : start + DECODE_BLOCK], width, max_len,
+                node_embeddings=node_embeddings, reach_filter=reach_filter,
+            )
+        ]
+    encoded = [model.desc_vocab.encode(d) for d in descs]
+    memory, state = model.encode(encoded)
+    key_rows = _own_memory_mask([len(d) for d in encoded])
+    live = [[BeamHypothesis(tokens=(), logp=0.0)] for _ in descs]
+    best: list[Optional[BeamHypothesis]] = [None] * len(descs)  # running min of (-score, tokens)
+    active = list(range(len(descs)))  # descriptions still searching, in row order
+    met = np.zeros((len(descs), model.token_provides.shape[1]), dtype=bool)
     for _ in range(max_len):
-        if best is not None and all(hyp.logp / max_len < best.score() for hyp in live):
-            break
+        prevs = [hyp.tokens[-1] if hyp.tokens else BOS_ID for d in active for hyp in live[d]]
+        owners = np.repeat(active, [len(live[d]) for d in active])
         lp, (h, c) = _next_log_probs(
-            model,
-            [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live],
-            met,
-            state, memory, node_embeddings, reach_filter,
+            model, prevs, met, state, memory, node_embeddings, reach_filter,
+            neural.constant(key_rows[owners]),
         )
-        order = np.argsort(-lp, axis=1, kind="stable")[:, :width]
-        expansions: list[tuple[float, tuple[int, ...], int]] = []  # (-logp, tokens, parent row)
-        for row, hyp in enumerate(live):
-            for token_id in order[row].tolist():
-                token_lp = lp[row, token_id]
-                if token_lp == -np.inf:
-                    continue
-                tokens = hyp.tokens + (token_id,)
-                logp = hyp.logp + float(token_lp)
-                if token_id == EOS_ID or len(tokens) >= max_len:
-                    done = BeamHypothesis(tokens, logp)
-                    if best is None or (-done.score(), tokens) < (-best.score(), best.tokens):
-                        best = done
-                else:
-                    expansions.append((-logp, tokens, row))
-        if not expansions:
+        ranked = np.argsort(-lp, axis=1, kind="stable")[:, :width]
+        ranked_lp, ranked = np.take_along_axis(lp, ranked, axis=1).tolist(), ranked.tolist()
+        searching: list[int] = []
+        rows: list[int] = []  # the parent row of each kept hypothesis
+        row = 0
+        for d in active:
+            expansions: list[tuple[float, tuple[int, ...], int]] = []  # (-logp, tokens, parent row)
+            for hyp in live[d]:
+                for token_id, token_lp in zip(ranked[row], ranked_lp[row]):
+                    if token_lp == -np.inf:
+                        continue
+                    tokens = hyp.tokens + (token_id,)
+                    logp = hyp.logp + token_lp
+                    if token_id == EOS_ID or len(tokens) >= max_len:
+                        done, top = BeamHypothesis(tokens, logp), best[d]
+                        if top is None or (-done.score(), tokens) < (-top.score(), top.tokens):
+                            best[d] = done
+                    else:
+                        expansions.append((-logp, tokens, row))
+                row += 1
+            if not expansions:  # every row froze: EOS is never masked, so best is set
+                continue
+            # ranked by (-logp, tokens); token sequences are distinct, so the row never decides
+            expansions.sort()
+            kept = expansions[:width]
+            live[d] = [BeamHypothesis(tokens, -neg_logp) for neg_logp, tokens, _ in kept]
+            top = best[d]
+            if top is not None and all(hyp.logp / max_len < top.score() for hyp in live[d]):
+                continue  # the stopping bound: no live hypothesis can still win
+            searching.append(d)
+            rows.extend(parent for _, _, parent in kept)
+        if not searching:
             break
-        # ranked by (-logp, tokens); token sequences are distinct, so the row never decides
-        expansions.sort()
-        kept = expansions[:width]
-        live = [BeamHypothesis(tokens, -neg_logp) for neg_logp, tokens, _ in kept]
-        rows = [row for _, _, row in kept]
-        met = met[rows] | model.token_provides[[tokens[-1] for _, tokens, _ in kept]]
-        if rows != list(range(len(h.data))):  # kept in place, as always at width 1
+        last = [hyp.tokens[-1] for d in searching for hyp in live[d]]
+        met = met[rows] | model.token_provides[last]
+        if rows != list(range(len(prevs))):  # kept in place, as always at width 1 while all search
             h, c = neural.take_rows(h, rows), neural.take_rows(c, rows)
-        state = (h, c)
-    if best is None:  # max_len freezes everything, so this needs live fallback only
-        best = min(live, key=lambda hyp: (-hyp.score(), hyp.tokens))
-    out = [t for t in best.tokens if t != EOS_ID]
-    return [model.code_vocab.token(t) for t in out]
+        state, active = (h, c), searching
+    return [
+        [model.code_vocab.token(t) for t in hyp.tokens if t != EOS_ID]
+        for hyp in best
+    ]
 
 
 def _referenced_nodes(model: Seq2SeqModel, batch: Sequence[tuple[list[int], list[int]]]) -> list[int]:
@@ -537,21 +601,15 @@ def _referenced_nodes(model: Seq2SeqModel, batch: Sequence[tuple[list[int], list
     return sorted(nodes)
 
 
-@neural.no_grad()
 def validation_bleu(
     model: Seq2SeqModel,
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     *,
     reach_filter: bool = False,
 ) -> float:
-    """Corpus BLEU of greedy generations against the reference codes."""
-    node_embeddings = model.embed_nodes()
-    candidates = [
-        generate_greedy(
-            model, desc, node_embeddings=node_embeddings, reach_filter=reach_filter
-        )
-        for desc, _ in pairs
-    ]
+    """Corpus BLEU of greedy generations (beam width 1) against the
+    reference codes."""
+    candidates = beam_search_many(model, [desc for desc, _ in pairs], 1, reach_filter=reach_filter)
     eval_pairs = metrics_mod.make_pairs(candidates, [code for _, code in pairs])
     return metrics_mod.bleu(eval_pairs)
 

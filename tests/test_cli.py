@@ -93,11 +93,24 @@ class TestGenSynthetic:
         for name in ("signatures.sig", "train.tsv", "valid.tsv", "test.tsv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
-    def test_invalid_spec_usage_error(self, tmp_path):
+    def test_invalid_spec_usage_error(self, tmp_path, capsys):
         code, _ = run_cli([
             "gen-synthetic", "--out", str(tmp_path), "--methods", "0",
         ])
         assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_other_commands_do_not_import_the_generator(self):
+        root = Path(__file__).resolve().parents[1]
+        probe = "import sys, adgcode.cli; print('adgcode.synthetic' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestBuildGraph:

@@ -650,7 +650,7 @@ class TestBeamStopping:
         first[[a, b, EOS_ID]] = [first_a, -1.0, -100.0]
         after = {a: {a: 0.0, EOS_ID: -64.0}, b: {EOS_ID: 0.0, b: -64.0}}
 
-        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter):
+        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter, key_mask=None):
             lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
             for row, prev in enumerate(prevs):
                 if prev == BOS_ID:
@@ -678,6 +678,7 @@ class TestBeamStopping:
 
         monkeypatch.setattr(neural.Tensor, "__init__", recording_init)
         beam_search(model, pairs[2][0], width=3, max_len=8, reach_filter=True)
+        model_mod.beam_search_many(model, [d for d, _ in pairs], width=3, max_len=8, reach_filter=True)
         generate_greedy(model, pairs[0][0], max_len=8)
         model_mod.validation_bleu(model, pairs[:2])
         assert made
@@ -776,7 +777,7 @@ class TestReachFilter:
         script = [code_vocab.id(m.name) for m in emitted] + [EOS_ID]
         seen = []
 
-        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter):
+        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter, key_mask=None):
             seen.append(met.copy())
             lp = np.full((len(prevs), len(code_vocab)), -np.inf)
             lp[:, script[len(seen) - 1]] = 0.0
@@ -810,6 +811,89 @@ class TestReachFilter:
                 if node_id is not None:
                     assert adg.is_reachable(node_id, available), (token, available)
                     available |= set(adg.node(node_id).outputs)
+
+
+class TestBatchedBeam:
+    """``beam_search_many`` decodes a list of descriptions as one beam and
+    must equal decoding them one by one with ``beam_search``."""
+
+    @staticmethod
+    def _sharpened(seed, eos_bias):
+        # as in TestBeamStopping: completions of different lengths compete
+        model, pairs = tiny_model(seed=seed)
+        model.code_lut.data = model.code_lut.data * 4.0
+        model.out_w2.data = model.out_w2.data * 8.0
+        model.out_b2.data = model.out_b2.data * 8.0
+        model.out_b2.data[EOS_ID] += eos_bias
+        return model, [d for d, _ in pairs]
+
+    @pytest.mark.parametrize("reach_filter", [False, True])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_equals_one_by_one(self, monkeypatch, width, reach_filter):
+        synthetic = TestReachFilter._synthetic_model()
+        cases = [self._sharpened(seed, bias) for seed in (1, 4) for bias in (1.0, 0.5)]
+        cases.append((synthetic, [d for d, _ in generate(
+            SyntheticSpec(n_types=6, n_methods=14, max_chain_len=3, corpus_size=16, seed=5)
+        ).pairs]))
+        for model, descs in cases:
+            assert len({len(d) for d in descs}) > 1  # descriptions of unequal length
+            node_emb = model.embed_nodes()
+            expect = [
+                beam_search(model, d, width, 12, node_embeddings=node_emb, reach_filter=reach_filter)
+                for d in descs
+            ]
+            assert expect == [
+                full_length_beam(model, d, width, 12, node_emb, reach_filter) for d in descs
+            ]
+            for block in (model_mod.DECODE_BLOCK, 3):
+                monkeypatch.setattr(model_mod, "DECODE_BLOCK", block)
+                got = model_mod.beam_search_many(
+                    model, descs, width, 12, node_embeddings=node_emb, reach_filter=reach_filter
+                )
+                assert got == expect, block
+        assert model_mod.beam_search_many(synthetic, [], width) == []
+
+    def test_descriptions_leave_the_step_when_done(self, monkeypatch):
+        # A scripted scorer that reads each row's description off its key
+        # mask (the number of memory rows it may attend to is the
+        # description's length).  Length 1: a at 0, EOS at -1, then EOS at 0,
+        # so (a, EOS) completes at score 0 on step 2 and the bound fires.
+        # Length 2: a at -0.1 and b at -0.2 forever, EOS at -50: it runs to
+        # max_len.  Length 3: EOS is the one selectable token, so it ends
+        # after one step with nothing to expand.
+        model, _ = tiny_model()
+        a, b = 4, 5
+        sizes = []
+
+        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter, key_mask=None):
+            sizes.append(len(prevs))
+            lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
+            for row, prev in enumerate(prevs):
+                length = int(np.sum(key_mask.data[row] == 0.0))
+                if length == 1:
+                    lp[row, [a, EOS_ID]] = [0.0, -1.0] if prev == BOS_ID else [-np.inf, 0.0]
+                    lp[row, b] = -np.inf if prev == BOS_ID else -1.0
+                elif length == 2:
+                    lp[row, [a, b, EOS_ID]] = [-0.1, -0.2, -50.0]
+                else:
+                    lp[row, EOS_ID] = 0.0
+            rows = neural.zeros((len(prevs), 1))
+            return lp, (rows, rows)
+
+        monkeypatch.setattr(model_mod, "_next_log_probs", scripted)
+        descs = [("make",), ("make", "c"), ("combine", "c", "d")]
+        node_emb = model.embed_nodes()
+        token = model.code_vocab.token
+        expect = [[token(a)], [token(a)] * 4, []]
+        assert [beam_search(model, d, 2, 4, node_embeddings=node_emb) for d in descs] == expect
+        sizes.clear()
+        assert model_mod.beam_search_many(model, descs, 2, 4, node_embeddings=node_emb) == expect
+        # step 1: one row per description; step 2: length 1's (a) and length
+        # 2's (a) and (b); steps 3 and 4: only length 2's two rows
+        assert sizes == [3, 3, 2, 2]
+        sizes.clear()
+        assert model_mod.beam_search_many(model, descs[::-1], 2, 4, node_embeddings=node_emb) == expect[::-1]
+        assert sizes == [3, 3, 2, 2]
 
 
 class TestTraining:
