@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from . import metrics as metrics_mod
-from .embedder import EmbedderConfig
+from .embedder import EmbedderConfig, check_field_types
 from .graph import GraphError, build_adg, dump_graph, load_graph
 from .model import (
     CheckpointFormatError,
@@ -90,6 +90,9 @@ class PipelineConfig:
     def validate(self) -> None:
         """Check the model, embedder and training settings together."""
         try:
+            check_field_types(self)
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
             self.model.validate()
             self.embedder.validate()
             self.train_cfg.validate()
@@ -117,6 +120,9 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
             raise ConfigError(f"config file {path}: {block!r} must be a JSON object")
     try:
         paths = raw.get("paths", {})
+        for key, value in paths.items():
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"config file {path}: paths.{key} must be a string, got {value!r}")
         cfg.signatures = paths.get("signatures", cfg.signatures)
         cfg.graph = paths.get("graph", cfg.graph)
         cfg.train_data = paths.get("train", cfg.train_data)

@@ -9,8 +9,9 @@ through a per-hop affine map plus nonlinearity.  Hop updates are synchronous:
 hop-k vectors read only hop-(k-1) vectors.  Each hop runs as a few array ops
 over every node it needs: one sort of the graph's edge rows to plan its
 groups, one gather and segment reduction per virtualization, one segment
-reduction or one batched LSTM pass per aggregation (``neural.lstm_runs``),
-one affine map.
+reduction or one batched LSTM pass per aggregation (``neural.lstm_runs``,
+which steps every sequence as often as the longest and takes each node's
+state after its own last element), one affine map.
 """
 
 from __future__ import annotations
@@ -171,22 +172,17 @@ def _virtualize(z: Tensor, rows: np.ndarray, sizes: np.ndarray, config: Embedder
     runs of ``sizes[i]`` row indices into ``z``.
 
     mean: the rows' arithmetic mean.  concat: the rows in group order, then
-    zeros up to ``concat_cap`` rows, joined into one [cap * d] row.
+    zero rows up to ``concat_cap`` rows, joined into one [cap * d] row.
     """
     if config.virtualization == "mean":
         return neural.segment_reduce(neural.take_rows(z, rows), sizes, "mean")
     cap = config.concat_cap
     if sizes.max() > cap:
         raise ValueError(f"group of {sizes.max()} exceeds the concat cap {cap}")
-    starts = np.cumsum(sizes) - sizes
-    slots = []
-    for j in range(cap):
-        present = sizes > j
-        slot = np.zeros(sizes.size, dtype=np.intp)
-        slot[present] = rows[starts[present] + j]
-        mask = neural.constant(present[:, None].astype(np.float64))
-        slots.append(neural.mul(neural.take_rows(z, slot), mask))
-    return neural.concat(slots)
+    padded = neural.concat([z, neural.zeros((1, z.data.shape[1]))], axis=0)  # last row: zeros
+    slots = np.full((sizes.size, cap), z.data.shape[0], dtype=np.intp)
+    slots[np.arange(cap) < sizes[:, None]] = rows  # group after group, each in order
+    return neural.concat([neural.take_rows(padded, slots[:, j]) for j in range(cap)])
 
 
 def embed_tensors(

@@ -228,8 +228,10 @@ def ribes(pairs: Sequence[EvalPair]) -> float:
 
 def f1(pairs: Sequence[EvalPair]) -> float:
     """Harmonic mean of corpus BLEU (precision) and ROUGE-1 (recall)."""
-    precision = bleu(pairs)
-    recall = rouge_n(pairs, 1)
+    return _harmonic_mean(bleu(pairs), rouge_n(pairs, 1))
+
+
+def _harmonic_mean(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -310,13 +312,14 @@ class MetricReport:
 def evaluate_pairs(pairs: Sequence[EvalPair]) -> MetricReport:
     """Full metric battery over a corpus; PoV uses the call-chain grammar."""
     _require_pairs(pairs)
+    corpus_bleu, rouge_1 = bleu(pairs), rouge_n(pairs, 1)
     return MetricReport(
         acc=acc(pairs),
-        bleu=bleu(pairs),
-        f1=f1(pairs),
+        bleu=corpus_bleu,
+        f1=_harmonic_mean(corpus_bleu, rouge_1),
         cider=cider(pairs),
         rouge_l=rouge_l(pairs),
-        rouge_1=rouge_n(pairs, 1),
+        rouge_1=rouge_1,
         rouge_2=rouge_n(pairs, 2),
         ribes=ribes(pairs),
         pov=pov_toy([p.candidate for p in pairs]),

@@ -155,6 +155,8 @@ class TrainConfig:
             raise ValueError("max_steps must be >= 1 when set")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -280,9 +282,9 @@ class Seq2SeqModel:
         if feature_mask is not None:
             feats = neural.mul(feats, feature_mask)
         hs, state = neural.lstm_runs(feats, lengths, self.enc_lstm)
-        # hs[t] holds step t of every description: row t*B + b of the stack
+        # step t of description b is row t*B + b of the step-major stack
         order = [t * len(descs) + b for b, n in enumerate(lengths) for t in range(n)]
-        memory = neural.take_rows(neural.concat(hs, axis=0), order)
+        memory = neural.take_rows(hs, order)
         if memory_mask is not None:
             memory = neural.mul(memory, memory_mask)
         return memory, state
@@ -582,9 +584,7 @@ def beam_search_many(
             break
         last = [hyp.tokens[-1] for d in searching for hyp in live[d]]
         met = met[rows] | model.token_provides[last]
-        if rows != list(range(len(prevs))):  # kept in place, as always at width 1 while all search
-            h, c = neural.take_rows(h, rows), neural.take_rows(c, rows)
-        state, active = (h, c), searching
+        state, active = (neural.take_rows(h, rows), neural.take_rows(c, rows)), searching
     return [
         [model.code_vocab.token(t) for t in hyp.tokens if t != EOS_ID]
         for hyp in best

@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers
-this model family needs: a fused LSTM cell (one op, tape nodes h and c) and
-a masked LSTM sweep over several sequences at once, windowed ReLU feature
-layers, masked multiplicative attention, stabilized softmax/weighted
-cross-entropy, inverted-dropout masks, Glorot initialization, Adam with an
+this model family needs: a fused LSTM cell (one op, tape nodes h and c), an
+LSTM sweep that steps sequences of unequal length together as often as the
+longest and reads each at its own steps, windowed ReLU feature layers,
+masked multiplicative attention, stabilized softmax/weighted cross-entropy,
+inverted-dropout masks, Glorot initialization, Adam with an
 inverse-square-root warmup schedule.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
@@ -433,28 +434,23 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> 
 
 def lstm_runs(
     seq: Tensor, lengths: Sequence[int], cell: LstmParams
-) -> tuple[list[Tensor], tuple[Tensor, Tensor]]:
+) -> tuple[Tensor, tuple[Tensor, Tensor]]:
     """Run ``cell`` from a zero state over each run of ``lengths[i]``
-    consecutive rows of ``seq``, all runs advanced together as the rows of one
-    [n, h] state; a run that has ended holds its state (a step where every
-    run is live skips the hold).  Returns the [n, h] hidden state after each
-    step and the final (h, c)."""
+    consecutive rows of ``seq``, the n runs as the rows of one [n, h] state.
+    Every row steps as often as the longest run (an ended run repeats its
+    last row, and nothing reads those steps).  Returns the step-major
+    [steps·n, h] stack of hidden states (row t·n + i is run i after step t)
+    and each run's (h, c) after its own last step."""
     counts, starts = _runs(lengths, seq.data.shape[0])
-    h = c = zeros((len(counts), cell.hidden_dim))
-    hs = []
+    h = c = zeros((counts.size, cell.hidden_dim))
+    hs, cs = [], []
     for t in range(int(counts.max())):
-        live = counts > t
-        x = take_rows(seq, np.where(live, starts + t, starts))
-        h_new, c_new = lstm_cell(x, h, c, cell)
-        if live.all():
-            h, c = h_new, c_new
-        else:
-            step = constant(live[:, None].astype(np.float64))
-            hold = constant((~live)[:, None].astype(np.float64))
-            h = add(mul(h_new, step), mul(h, hold))
-            c = add(mul(c_new, step), mul(c, hold))
+        h, c = lstm_cell(take_rows(seq, starts + np.minimum(t, counts - 1)), h, c, cell)
         hs.append(h)
-    return hs, (h, c)
+        cs.append(c)
+    last = (counts - 1) * counts.size + np.arange(counts.size)
+    stack = concat(hs, axis=0)
+    return stack, (take_rows(stack, last), take_rows(concat(cs, axis=0), last))
 
 
 def window_relu_stack(
@@ -520,38 +516,34 @@ def attention(
     return alphas, matmul(alphas, memory)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list.
+    """Bias-corrected Adam over a fixed parameter list, with the standard
+    setting ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     ``step(lr)`` applies one update using each parameter's accumulated
-    gradient (absent gradients count as zero).  Defaults follow the standard
-    setting: beta1=0.9, beta2=0.999, eps=1e-8.
+    gradient (absent gradients count as zero).
     """
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Iterable[Parameter]):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
 
     def step(self, lr: float) -> None:
         self.step_count += 1
-        b1c = 1.0 - self.beta1**self.step_count
-        b2c = 1.0 - self.beta2**self.step_count
+        b1c = 1.0 - ADAM_BETA1**self.step_count
+        b2c = 1.0 - ADAM_BETA2**self.step_count
         for p in self.params:
             g = p.grad if p.grad is not None else 0.0
-            m = self.m[p.name] = self.beta1 * self.m[p.name] + (1.0 - self.beta1) * g
-            v = self.v[p.name] = self.beta2 * self.v[p.name] + (1.0 - self.beta2) * (g * g)
-            p.data = p.data - lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m = self.m[p.name] = ADAM_BETA1 * self.m[p.name] + (1.0 - ADAM_BETA1) * g
+            v = self.v[p.name] = ADAM_BETA2 * self.v[p.name] + (1.0 - ADAM_BETA2) * (g * g)
+            p.data = p.data - lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

@@ -48,6 +48,8 @@ class SyntheticSpec:
             raise SyntheticGenerationError(
                 "chain length bounds must satisfy 1 <= min <= max"
             )
+        if self.seed < 0:
+            raise SyntheticGenerationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

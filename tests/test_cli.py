@@ -439,6 +439,41 @@ class TestConfigValidation:
         assert not (workspace / "model.ckpt").exists()
 
     @pytest.mark.parametrize(
+        "command, edit, setting",
+        [
+            (["train"], {"seed": "x"}, "seed"),
+            (["train"], {"seed": 1.5}, "seed"),
+            (["train"], {"seed": -1}, "seed"),
+            (["train"], {"train": {"seed": -1}}, "seed"),
+            (["train", "--seed", "-1"], {}, "seed"),
+            (["gen-synthetic", "--seed", "-1"], {}, "seed"),
+            (["train"], {"paths": {"train": ["a"]}}, "paths.train"),
+            (["train"], {"paths": {"graph": 3}}, "paths.graph"),
+        ],
+        ids=[
+            "seed-string", "seed-float", "seed-negative", "train-seed-negative",
+            "seed-flag-negative", "gen-synthetic-seed-negative", "path-list", "path-number",
+        ],
+    )
+    def test_bad_seed_or_path_is_usage_error(self, workspace, capsys, command, edit, setting):
+        cfg = write_config(workspace)
+        assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
+        raw = json.loads((workspace / "config.json").read_text())
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                raw[key].update(value)
+            else:
+                raw[key] = value
+        (workspace / "config.json").write_text(json.dumps(raw))
+        where = ["--out", str(workspace / "out")] if command[0] == "gen-synthetic" else ["--config", cfg]
+        capsys.readouterr()
+        code, _ = run_cli([command[0], *where, *command[1:]])
+        assert code == EXIT_USAGE
+        # the workspace path names this test, so it is left out of the match
+        assert setting in single_error_line(capsys.readouterr().err).replace(str(workspace), "")
+        assert not (workspace / "model.ckpt").exists() and not (workspace / "out").exists()
+
+    @pytest.mark.parametrize(
         "raw", [[1], {"paths": []}, {"embedder": ["hops"]}], ids=["list", "paths-list", "embedder-list"]
     )
     def test_block_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, raw):

@@ -1004,7 +1004,9 @@ class TestTraining:
 
 
 def masked_lstm_runs(seq, lengths, cell):
-    """``neural.lstm_runs`` with the hold applied on every step, live rows or not."""
+    """A reference for ``neural.lstm_runs``: a run that has ended holds its
+    state through 0/1 masks on every step, so every row of the step-major
+    stack is its run's latest state."""
     counts = np.asarray(lengths)
     starts = np.cumsum(counts) - counts
     h = c = neural.zeros((len(counts), cell.hidden_dim))
@@ -1018,11 +1020,11 @@ def masked_lstm_runs(seq, lengths, cell):
         h = neural.add(neural.mul(h_new, step), neural.mul(h, hold))
         c = neural.add(neural.mul(c_new, step), neural.mul(c, hold))
         hs.append(h)
-    return hs, (h, c)
+    return neural.concat(hs, axis=0), (h, c)
 
 
-class TestLstmRunsHold:
-    def _one_pair_forward(self, monkeypatch, runs):
+class TestLstmRunsReference:
+    def _batch_forward(self, monkeypatch, runs):
         monkeypatch.setattr(neural, "lstm_runs", runs)
         made = []
         init = neural.Tensor.__init__
@@ -1032,31 +1034,33 @@ class TestLstmRunsHold:
             init(self, *args, **kwargs)
 
         model, pairs = tiny_model(seed=5, dropout=0.0)
-        desc, code = pairs[2]
+        batch = [(model.desc_vocab.encode(d), model.code_vocab.encode(c)) for d, c in pairs]
+        assert len({len(d) for d, _ in batch}) > 1  # descriptions of unequal length
         monkeypatch.setattr(neural.Tensor, "__init__", counting_init)
-        loss = model.sequence_loss(
-            [(model.desc_vocab.encode(desc), model.code_vocab.encode(code))], model.embed_nodes()
-        )
+        loss = model.sequence_loss(batch, model.embed_nodes())
         params = model.parameters()
         neural.zero_grads(params)
         loss.backward()
         monkeypatch.undo()
         return len(made), float(loss.data), [p.grad.copy() for p in params]
 
-    def test_all_live_steps_skip_the_hold(self, monkeypatch):
-        made, loss, grads = self._one_pair_forward(monkeypatch, neural.lstm_runs)
-        ref_made, ref_loss, ref_grads = self._one_pair_forward(monkeypatch, masked_lstm_runs)
+    def test_sequence_loss_bit_equal_with_fewer_tensors(self, monkeypatch):
+        made, loss, grads = self._batch_forward(monkeypatch, neural.lstm_runs)
+        ref_made, ref_loss, ref_grads = self._batch_forward(monkeypatch, masked_lstm_runs)
         assert made < ref_made
         assert loss == ref_loss
         assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
-    def test_ended_runs_still_hold(self):
+    def test_live_rows_and_final_state_bit_equal(self):
         rng = np.random.default_rng(3)
         cell = neural.LstmParams.create("c", 3, 4, rng)
         seq = neural.constant(rng.standard_normal((9, 3)))
-        hs, (h, c) = neural.lstm_runs(seq, [4, 1, 4], cell)
-        ref_hs, (ref_h, ref_c) = masked_lstm_runs(seq, [4, 1, 4], cell)
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(hs, ref_hs))
+        lengths = np.array([4, 1, 4])
+        hs, (h, c) = neural.lstm_runs(seq, lengths, cell)
+        ref_hs, (ref_h, ref_c) = masked_lstm_runs(seq, lengths, cell)
+        assert hs.data.shape == ref_hs.data.shape == (4 * 3, 4)
+        live = np.arange(4)[:, None] < lengths  # [step, run]
+        assert np.array_equal(hs.data[live.reshape(-1)], ref_hs.data[live.reshape(-1)])
         assert np.array_equal(h.data, ref_h.data) and np.array_equal(c.data, ref_c.data)
 
 

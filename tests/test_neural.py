@@ -306,26 +306,47 @@ class TestLstmCell:
                 assert w.grad is None or not np.any(w.grad)
 
     def test_lstm_runs_gradients_with_ended_runs(self):
-        # runs of 4, 1 and 4 rows: the middle run ends after one step and
-        # holds its state while the others go on
+        # runs of 4, 1 and 4 rows: the middle run ends after one step while
+        # the others go on; the loss reads each run's own steps and its
+        # final state
         rng = RNG(51)
         p = LstmParams.create("cell", 3, 4, rng)
         seq = tensor_param("seq", rng, (9, 3))
-        probes = [neural.constant(rng.standard_normal((3, 4))) for _ in range(6)]
+        lengths = np.array([4, 1, 4])
+        live = np.flatnonzero(np.arange(4)[:, None] < lengths)  # rows t*3 + i of the stack
+        probes = [neural.constant(rng.standard_normal(shape)) for shape in ((9, 4), (3, 4), (3, 4))]
 
         def loss():
-            hs, (h, c) = neural.lstm_runs(seq, [4, 1, 4], p)
-            outs = [neural.mul(t, probe) for t, probe in zip(hs + [h, c], probes)]
-            total = outs[0]
-            for t in outs[1:]:
-                total = neural.add(total, t)
-            return neural.vsum(total)
+            hs, (h, c) = neural.lstm_runs(seq, lengths, p)
+            outs = [
+                neural.vsum(neural.mul(t, probe))
+                for t, probe in zip((neural.take_rows(hs, live), h, c), probes)
+            ]
+            return neural.add(neural.add(outs[0], outs[1]), outs[2])
 
-        hs, (h, c) = neural.lstm_runs(seq, [4, 1, 4], p)
-        for t in range(1, 4):
-            assert np.array_equal(hs[t].data[1], hs[0].data[1])
+        hs, (h, c) = neural.lstm_runs(seq, lengths, p)
+        assert np.array_equal(h.data, hs.data[(lengths - 1) * 3 + np.arange(3)])
         err = gradient_check(loss, p.parameters() + [seq])
         assert err < 1e-4
+
+    def test_lstm_runs_tensors_per_step_do_not_depend_on_ended_runs(self, monkeypatch):
+        made = []
+        init = neural.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(neural.Tensor, "__init__", counting_init)
+        rng = RNG(52)
+        p = LstmParams.create("cell", 3, 4, rng)
+        counts = []
+        for lengths in ([3, 3, 3], [3, 1, 2], [1, 3, 1], [2, 2, 3]):  # three steps each
+            seq = tensor_param("seq", rng, (sum(lengths), 3))
+            before = len(made)
+            neural.lstm_runs(seq, lengths, p)
+            counts.append(len(made) - before)
+        assert len(set(counts)) == 1, counts
 
     def test_forward_bit_identical_to_per_gate_reference(self):
         rng = RNG(52)
