@@ -5,6 +5,10 @@ Exit codes: 0 success, 2 usage/configuration (a file that cannot be opened
 included), 3 data/format (an input that is not UTF-8 included), 4 training
 divergence.  All commands are deterministic given --seed and never mutate
 their input files.
+
+Only the commands that score import ``metrics``: ``evaluate``, ``ablate``,
+and ``train`` when it validates (through ``model.validation_bleu``).
+``gen-synthetic`` alone imports ``synthetic``.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import metrics as metrics_mod
 from .embedder import EmbedderConfig, check_field_types
 from .graph import GraphError, build_adg, dump_graph, load_graph
 from .model import (
@@ -42,6 +45,9 @@ from .signatures import (
     write_pairs,
 )
 
+if TYPE_CHECKING:
+    from .metrics import MetricReport
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -58,6 +64,11 @@ EMBEDDER_KEYS = {
     "concat_cap": "concat_cap",
     "activation": "activation",
 }
+
+# Top-level config keys.  Unknown keys are rejected here and in every block
+# but ``paths``, which may carry paths that another tool reads from the file.
+CONFIG_BLOCKS = ("paths", "model", "embedder", "train")
+CONFIG_KEYS = CONFIG_BLOCKS + ("seed",)
 
 # Ablation axes (each an ``embedder`` key) and the values they accept.
 ABLATION_AXES = {
@@ -115,7 +126,10 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: the top level must be a JSON object")
-    for block in ("paths", "model", "embedder", "train"):
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown top-level keys {unknown}")
+    for block in CONFIG_BLOCKS:
         if not isinstance(raw.get(block, {}), dict):
             raise ConfigError(f"config file {path}: {block!r} must be a JSON object")
     try:
@@ -251,7 +265,9 @@ def cmd_generate(cfg: PipelineConfig, description: str, out) -> int:
     return EXIT_OK
 
 
-def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> metrics_mod.MetricReport:
+def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> MetricReport:
+    from . import metrics as metrics_mod  # here: generate and build-graph score nothing
+
     candidates = beam_search_many(
         model,
         [desc for desc, _ in pairs],
@@ -264,6 +280,8 @@ def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> metrics_
 
 
 def cmd_evaluate(cfg: PipelineConfig, out) -> int:
+    from . import metrics as metrics_mod
+
     cfg.require("test_data")
     model = _load_model(cfg)
     pairs = _read_corpus(cfg.test_data)
@@ -294,6 +312,8 @@ def _parse_axes(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
+    from . import metrics as metrics_mod
+
     cfg.require("graph", "train_data", "test_data")
     variants = _parse_axes(axes)
     adg = load_graph(read_text(cfg.graph))

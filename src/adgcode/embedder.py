@@ -103,7 +103,7 @@ class EmbedderParams:
         cls,
         adg: Adg,
         config: EmbedderConfig,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
     ) -> "EmbedderParams":
         config.validate()
         d = config.dim

@@ -21,7 +21,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import embedder as emb_mod
-from . import metrics as metrics_mod
 from . import neural
 from .embedder import EmbedderConfig, EmbedderParams, check_field_types
 from .graph import Adg, dump_graph, load_graph
@@ -200,8 +199,11 @@ class Seq2SeqModel:
         adg: Adg,
         config: ModelConfig,
         embedder_config: EmbedderConfig,
-        seed: int = 0,
+        seed: Optional[int] = 0,
     ):
+        """``seed`` seeds the Glorot draws of every weight.  With ``seed``
+        None nothing is drawn and every parameter starts at zero, for a
+        caller that then sets each one (``load_checkpoint``)."""
         config.validate()
         embedder_config.validate()
         if embedder_config.dim != config.code_dim:
@@ -215,7 +217,7 @@ class Seq2SeqModel:
         self.config = config
         self.embedder_config = embedder_config
 
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
         h, wd, cd = config.hidden_dim, config.word_dim, config.code_dim
         self.desc_lut = Parameter("desc_lut", neural.glorot_init((len(desc_vocab), wd), rng))
         self.code_lut = Parameter("code_lut", neural.glorot_init((len(code_vocab), cd), rng))
@@ -609,6 +611,8 @@ def validation_bleu(
 ) -> float:
     """Corpus BLEU of greedy generations (beam width 1) against the
     reference codes."""
+    from . import metrics as metrics_mod  # here: only training with validation scores
+
     candidates = beam_search_many(model, [desc for desc, _ in pairs], 1, reach_filter=reach_filter)
     eval_pairs = metrics_mod.make_pairs(candidates, [code for _, code in pairs])
     return metrics_mod.bleu(eval_pairs)
@@ -725,7 +729,8 @@ class _Reader:
 def load_checkpoint(data: bytes) -> Seq2SeqModel:
     """Rebuild a model from checkpoint bytes; rejects bad headers, truncated
     tables, undecodable names, shape mismatches, non-finite values, and
-    trailing garbage without partial effects."""
+    trailing garbage without partial effects.  Every parameter comes from the
+    table, so no random number is drawn."""
     reader = _Reader(data)
     if reader.take(len(CHECKPOINT_HEADER)) != CHECKPOINT_HEADER:
         raise CheckpointFormatError("bad checkpoint header")
@@ -743,7 +748,7 @@ def load_checkpoint(data: bytes) -> Seq2SeqModel:
             adg=adg,
             config=ModelConfig(**meta["model_config"]),
             embedder_config=EmbedderConfig(**meta["embedder_config"]),
-            seed=0,
+            seed=None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"bad hyperparameter block: {exc}") from exc

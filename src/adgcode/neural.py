@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -322,12 +322,18 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def glorot_init(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """Uniform Glorot sample on +/- sqrt(6 / (fan_in + fan_out)) for 2-D shapes."""
+def glorot_init(shape: tuple[int, int], rng: Optional[np.random.Generator]) -> np.ndarray:
+    """Uniform Glorot sample on +/- sqrt(6 / (fan_in + fan_out)) for 2-D shapes.
+
+    With ``rng`` None it draws nothing and returns zeros of that shape, for a
+    parameter whose value is set next (a loaded checkpoint's).
+    """
     if len(shape) != 2:
         raise ValueError(f"glorot_init needs a 2-D shape, got {shape}")
     if shape[0] <= 0 or shape[1] <= 0:
         raise ValueError(f"glorot_init dimensions must be positive, got {shape}")
+    if rng is None:
+        return np.zeros(shape)
     bound = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-bound, bound, size=shape)
 
@@ -356,7 +362,9 @@ class LstmParams:
     b_c: Parameter
 
     @classmethod
-    def create(cls, prefix: str, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LstmParams":
+    def create(
+        cls, prefix: str, input_dim: int, hidden_dim: int, rng: Optional[np.random.Generator]
+    ) -> "LstmParams":
         def w(gate: str) -> Parameter:
             return Parameter(f"{prefix}.w_{gate}", glorot_init((hidden_dim, hidden_dim + input_dim), rng))
 
@@ -526,7 +534,9 @@ class Adam:
     setting ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     ``step(lr)`` applies one update using each parameter's accumulated
-    gradient (absent gradients count as zero).
+    gradient (absent gradients count as zero).  It updates the moments and
+    each parameter's array in place, so nothing may keep a parameter's array
+    across a step expecting its old values.
     """
 
     def __init__(self, params: Iterable[Parameter]):
@@ -541,9 +551,19 @@ class Adam:
         b2c = 1.0 - ADAM_BETA2**self.step_count
         for p in self.params:
             g = p.grad if p.grad is not None else 0.0
-            m = self.m[p.name] = ADAM_BETA1 * self.m[p.name] + (1.0 - ADAM_BETA1) * g
-            v = self.v[p.name] = ADAM_BETA2 * self.v[p.name] + (1.0 - ADAM_BETA2) * (g * g)
-            p.data = p.data - lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+            m, v = self.m[p.name], self.v[p.name]
+            # p - lr * (m / b1c) / (sqrt(v / b2c) + eps), op for op
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            delta = m / b1c
+            delta *= lr
+            denom = v / b2c
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            delta /= denom
+            p.data -= delta
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

@@ -102,15 +102,19 @@ class TestGenSynthetic:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_other_commands_do_not_import_the_generator(self):
+        # nor the metrics, which only the scoring commands import
         root = Path(__file__).resolve().parents[1]
-        probe = "import sys, adgcode.cli; print('adgcode.synthetic' in sys.modules)"
+        probe = (
+            "import sys, adgcode.cli; "
+            "print([m for m in ('adgcode.synthetic', 'adgcode.metrics') if m in sys.modules])"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", probe],
             env=dict(os.environ, PYTHONPATH=str(root / "src")),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBuildGraph:
@@ -290,6 +294,35 @@ class TestGenerateCommand:
         assert "vocabulary" in single_error_line(capsys.readouterr().err)
 
 
+class TestLoadedModelImports:
+    """A loaded model takes every parameter from the checkpoint, so decoding
+    never imports ``numpy.random``; only scoring imports ``metrics``."""
+
+    @pytest.mark.parametrize(
+        "command, absent",
+        [
+            (["generate", "call the first method"], ["numpy.random", "adgcode.metrics"]),
+            (["evaluate"], ["numpy.random"]),
+        ],
+        ids=["generate", "evaluate"],
+    )
+    def test_command_leaves_modules_unimported(self, trained, command, absent):
+        root = Path(__file__).resolve().parents[1]
+        probe = (
+            "import io, sys\n"
+            "from adgcode import cli\n"
+            f"code = cli.run({[command[0], '--config', trained, *command[1:]]!r}, out=io.StringIO())\n"
+            f"print(code, [m for m in {absent!r} if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{EXIT_OK} []"
+
+
 class TestTracedRuns:
     """``adgbench/launcher.py`` wraps model functions by name, so a renamed or
     deleted one breaks traced benchmark runs; this catches it first."""
@@ -449,10 +482,12 @@ class TestConfigValidation:
             (["gen-synthetic", "--seed", "-1"], {}, "seed"),
             (["train"], {"paths": {"train": ["a"]}}, "paths.train"),
             (["train"], {"paths": {"graph": 3}}, "paths.graph"),
+            (["train"], {"sed": 5}, "'sed'"),
         ],
         ids=[
             "seed-string", "seed-float", "seed-negative", "train-seed-negative",
             "seed-flag-negative", "gen-synthetic-seed-negative", "path-list", "path-number",
+            "unknown-top-level-key",
         ],
     )
     def test_bad_seed_or_path_is_usage_error(self, workspace, capsys, command, edit, setting):
