@@ -6,7 +6,10 @@ encoder states each step; its query is the previous code token's embedding,
 except that tokens naming graph methods use the method's node embedding
 instead (query switching).  Training is teacher-forced joint optimization of
 encoder, embedder, and decoder under a single mean cross-entropy loss, each
-batch run as one padded pass over [B, ·] rows.
+batch run as one padded pass over [B, ·] rows, in which the encoder and the
+decoder recurrences are one sweep op each (``neural.lstm_runs``,
+``neural.attention_lstm_sweep``).  Decoding steps the decoder one
+``decode_step`` at a time: the same arithmetic, without a tape.
 """
 
 from __future__ import annotations
@@ -309,16 +312,21 @@ class Seq2SeqModel:
         )
         return QueryTable(neural.concat([self.code_lut, nodes], axis=0), row_of)
 
-    def decoder_query(self, prev_token_ids: Sequence[int], node_embeddings: QueryTable) -> Tensor:
-        """Query switching as one gather of [N, d] rows: the node embedding
-        for tokens naming a graph method, the code-token lookup row otherwise."""
+    def query_rows(self, prev_token_ids: Sequence[int], node_embeddings: QueryTable) -> np.ndarray:
+        """Query switching: the query-table row of each previous token, its
+        node embedding for tokens naming a graph method, its code-token
+        lookup row otherwise."""
         rows = node_embeddings.row_of[np.asarray(prev_token_ids, dtype=np.intp)]
         if np.any(rows < 0):
             token_id = int(np.asarray(prev_token_ids)[rows < 0][0])
             raise KeyError(
                 f"node {self.api_node_of_token_id[token_id]} referenced by the query was not embedded"
             )
-        return neural.take_rows(node_embeddings.table, rows)
+        return rows
+
+    def decoder_query(self, prev_token_ids: Sequence[int], node_embeddings: QueryTable) -> Tensor:
+        """The [N, d] queries of ``query_rows`` as one gather."""
+        return neural.take_rows(node_embeddings.table, self.query_rows(prev_token_ids, node_embeddings))
 
     # -- decoder -----------------------------------------------------------
 
@@ -329,20 +337,22 @@ class Seq2SeqModel:
         memory: Tensor,
         mask: Optional[Tensor] = None,
     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """The recurrent part of one decoder step: attend over the encoder
-        memory with the current state, then feed [query; context] through
-        the decoder LSTM.  The query and state are N independent rows of
-        shape [N, d]; training passes the attention mask.  Returns the
-        [N, 2h] readout input [state; context] and the new state."""
+        """The recurrent part of one decoder step, for decoding: attend over
+        the encoder memory with the current state, then feed [query; context]
+        through the decoder LSTM.  The query and state are N independent
+        rows of shape [N, d]; ``mask`` is the additive attention mask.
+        Returns the [N, 2h] readout input [state; context] and the new state.
+        Training runs the same arithmetic for all its steps as one op,
+        ``neural.attention_lstm_sweep``."""
         h_prev, c_prev = state
         _, context = neural.attention(memory, h_prev, self.att_w, mask)
         h, c = neural.lstm_cell(neural.concat([query, context]), h_prev, c_prev, self.dec_lstm)
         return neural.concat([h, context]), (h, c)
 
     def readout(self, features: Tensor, hidden_mask: Optional[Tensor] = None) -> Tensor:
-        """The [N, V] logits of ``decode_step``'s [N, 2h] outputs: a two-layer
-        perceptron; training passes inverted-dropout factors for its hidden
-        layer."""
+        """The [N, V] logits of [N, 2h] decoder outputs [state; context]: a
+        two-layer perceptron; training passes inverted-dropout factors for
+        its hidden layer."""
         hid = neural.relu(neural.linear(features, self.out_w1, self.out_b1))
         if hidden_mask is not None:
             hid = neural.mul(hid, hidden_mask)
@@ -359,9 +369,11 @@ class Seq2SeqModel:
         pairs: the mean over pairs of each pair's mean cross-entropy over its
         code sequence plus the end marker.
 
-        The batch runs as one padded pass over [B, ·] rows; each decoder row
-        attends only to its own description's states.  The readout then runs
-        once, over the rows that carry a target.  Training draws the
+        The batch runs as one padded pass over [B, ·] rows: the encoder as
+        one ``lstm_runs`` sweep, the decoder steps as one
+        ``attention_lstm_sweep``, each decoder row attending only to its own
+        description's states.  The readout then runs once, over the rows
+        that carry a target.  Training draws the
         inverted-dropout factors pair by pair: the pair's features, then its
         memory, then its decoder hidden layer."""
         if not batch:
@@ -384,16 +396,19 @@ class Seq2SeqModel:
             masks = (neural.constant(np.concatenate(parts)) for parts in zip(*draws))
             feature_mask, memory_mask, hidden_mask = masks
         memory, state = self.encode(descs, feature_mask, memory_mask)
-        key_mask = neural.constant(_own_memory_mask([len(d) for d in descs]))
         prevs = np.full(steps * size, PAD_ID)
         prevs[rows] = [p for t in targets for p in [BOS_ID] + t[:-1]]
-        features = []
-        for s in range(steps):
-            query = self.decoder_query(prevs[s * size : (s + 1) * size], node_embeddings)
-            out, state = self.decode_step(query, state, memory, key_mask)
-            features.append(out)
+        features = neural.attention_lstm_sweep(
+            node_embeddings.table,
+            self.query_rows(prevs, node_embeddings).reshape(steps, size),
+            memory,
+            _own_memory_mask([len(d) for d in descs]),
+            state,
+            self.att_w,
+            self.dec_lstm,
+        )
         # the target rows, pair by pair, in the order of the hidden-layer draws
-        logits = self.readout(neural.take_rows(neural.concat(features, axis=0), rows), hidden_mask)
+        logits = self.readout(neural.take_rows(features, rows), hidden_mask)
         weights = [(1.0 / size) * (1.0 / len(t)) for t in targets for _ in t]
         tokens = [tok for t in targets for tok in t]
         return neural.softmax_xent(logits, tokens, weights)

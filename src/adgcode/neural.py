@@ -1,10 +1,18 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers
-this model family needs: a fused LSTM cell (one op, tape nodes h and c), an
-LSTM sweep that steps sequences of unequal length together as often as the
-longest and reads each at its own steps, windowed ReLU feature layers,
-masked multiplicative attention, stabilized softmax/weighted cross-entropy,
-inverted-dropout masks, Glorot initialization, Adam with an
-inverse-square-root warmup schedule.
+this model family needs: a fused LSTM cell (one op, tape nodes h and c),
+windowed ReLU feature layers, masked multiplicative attention, stabilized
+softmax/weighted cross-entropy, inverted-dropout masks, Glorot
+initialization, Adam with an inverse-square-root warmup schedule.
+
+Training's two recurrences are sweep ops, each one op on the tape whatever
+its length: ``lstm_runs`` steps sequences of unequal length together as
+often as the longest and reads each at its own steps (tape nodes: the h and
+c stacks), and ``attention_lstm_sweep`` runs a teacher-forced attention
+decoder (one tape node).  The gate arithmetic lives once, over arrays
+(``_cell_forward``, ``_h_backward``, ``_c_backward``), for the cell and both
+sweeps; a sweep's backward runs the per-step closed-form products from the
+last step to the first and adds into each gradient in the order a tape of
+per-step ops would, so its results equal that tape's bit for bit.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
 topological sweep.  Inside ``no_grad()`` ops record no tape: decoding runs
@@ -119,6 +127,19 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.data.shape != g.shape:  # broadcast scalar operand
         g = np.sum(g).reshape(t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
+
+
+def _records(parents: Iterable[Tensor]) -> bool:
+    """Whether an op over ``parents`` builds a tape node, so that its forward
+    must keep what its backward reads."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
+def _plus(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """``a + b`` where None stands for a gradient that nothing added to."""
+    if a is None:
+        return b
+    return a if b is None else a + b
 
 
 def constant(data) -> Tensor:
@@ -385,10 +406,62 @@ class LstmParams:
         return [self.w_i, self.w_f, self.w_o, self.w_c, self.b_i, self.b_f, self.b_o, self.b_c]
 
 
+def _cell_forward(
+    z: np.ndarray, c_prev: np.ndarray, p: LstmParams
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """One LSTM step over arrays from z = [h_prev, x]: sigmoid input/forget/
+    output gates and tanh candidate, each gate its own ``z @ w.T + b``.
+    Returns h, c and the gate values the backward reads (i, f, o, g, tanh c)."""
+    with np.errstate(over="ignore"):
+        i, f, o = (
+            1.0 / (1.0 + np.exp(-(z @ w.data.T + b.data)))
+            for w, b in ((p.w_i, p.b_i), (p.w_f, p.b_f), (p.w_o, p.b_o))
+        )
+    g = np.tanh(z @ p.w_c.data.T + p.b_c.data)
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, (i, f, o, g, tanh_c)
+
+
+def _h_backward(dh: np.ndarray, gates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """From h's gradient: the output gate's pre-activation gradient and h's
+    share of c's gradient."""
+    _, _, o, _, tanh_c = gates
+    return dh * tanh_c * o * (1.0 - o), dh * o * (1.0 - tanh_c * tanh_c)
+
+
+def _c_backward(
+    dc: np.ndarray,
+    d_o: np.ndarray | None,
+    z: np.ndarray,
+    c_prev: np.ndarray,
+    gates: tuple[np.ndarray, ...],
+    p: LstmParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rest of one step's backward in closed form, from c's whole
+    gradient and the output gate's (None if nothing reached h): adds each
+    gate's weight and bias gradient into ``p`` and returns the gradients of
+    z = [h_prev, x] and of c_prev."""
+    i, f, _, g, _ = gates
+    d_f = dc * c_prev * f * (1.0 - f)
+    d_i = dc * g * i * (1.0 - i)
+    d_g = dc * i * (1.0 - g * g)
+    d_z = None
+    # z's gradient sums the gates in the order of the unfused tape: o, f, i, c
+    for d, w, b in (
+        (d_o, p.w_o, p.b_o), (d_f, p.w_f, p.b_f), (d_i, p.w_i, p.b_i), (d_g, p.w_c, p.b_c),
+    ):
+        if d is None:
+            continue
+        d_z = d @ w.data if d_z is None else d_z + d @ w.data
+        _accum(w, d.T @ z)
+        _accum(b, np.add.reduce(d, axis=0))
+    return d_z, dc * f
+
+
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM step for N independent [N, d] rows: sigmoid input/forget/
-    output gates and tanh candidate over z = [h_prev, x], each gate its own
-    ``z @ w.T + b``; returns (h, c).
+    """One LSTM step for N independent [N, d] rows over z = [h_prev, x]
+    (``_cell_forward``); returns (h, c).
 
     The step is one fused op with two tape nodes.  ``h``'s backward leaves
     the output gate's gradient for ``c``'s, which runs after it and turns
@@ -401,43 +474,23 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> 
     state = (x.data.shape[0], hidden)
     if h_prev.data.shape != state or c_prev.data.shape != state:
         raise ShapeError("lstm_cell state shapes do not match the cell size")
-    p = params
     z = np.concatenate([h_prev.data, x.data], axis=1)
-    with np.errstate(over="ignore"):
-        i, f, o = (
-            1.0 / (1.0 + np.exp(-(z @ w.data.T + b.data)))
-            for w, b in ((p.w_i, p.b_i), (p.w_f, p.b_f), (p.w_o, p.b_o))
-        )
-    g = np.tanh(z @ p.w_c.data.T + p.b_c.data)
-    c_data = f * c_prev.data + i * g
-    tanh_c = np.tanh(c_data)
+    h_data, c_data, gates = _cell_forward(z, c_prev.data, params)
     d_o = [None]  # the output gate's pre-activation gradient, left by h's backward
 
     def c_bw(dc):
-        d_f = dc * c_prev.data * f * (1.0 - f)
-        d_i = dc * g * i * (1.0 - i)
-        d_g = dc * i * (1.0 - g * g)
-        d_z = None
-        # z's gradient sums the gates in the order of the unfused tape: o, f, i, c
-        for d, w, b in (
-            (d_o[0], p.w_o, p.b_o), (d_f, p.w_f, p.b_f), (d_i, p.w_i, p.b_i), (d_g, p.w_c, p.b_c),
-        ):
-            if d is None:
-                continue
-            d_z = d @ w.data if d_z is None else d_z + d @ w.data
-            _accum(w, d.T @ z)
-            _accum(b, np.add.reduce(d, axis=0))
-        _accum(c_prev, dc * f)
+        d_z, dc_prev = _c_backward(dc, d_o[0], z, c_prev.data, gates, params)
+        _accum(c_prev, dc_prev)
         _accum(h_prev, d_z[:, :hidden])
         _accum(x, d_z[:, hidden:])
 
-    c = Tensor(c_data, parents=(x, h_prev, c_prev, *p.parameters()), bw=c_bw)
+    c = Tensor(c_data, parents=(x, h_prev, c_prev, *params.parameters()), bw=c_bw)
 
     def h_bw(dh):
-        d_o[0] = dh * tanh_c * o * (1.0 - o)
-        _accum(c, dh * o * (1.0 - tanh_c * tanh_c))
+        d_o[0], dc = _h_backward(dh, gates)
+        _accum(c, dc)
 
-    return Tensor(o * tanh_c, parents=(c,), bw=h_bw), c
+    return Tensor(h_data, parents=(c,), bw=h_bw), c
 
 
 def lstm_runs(
@@ -448,17 +501,62 @@ def lstm_runs(
     Every row steps as often as the longest run (an ended run repeats its
     last row, and nothing reads those steps).  Returns the step-major
     [steps·n, h] stack of hidden states (row t·n + i is run i after step t)
-    and each run's (h, c) after its own last step."""
+    and each run's (h, c) after its own last step.
+
+    The sweep is one op with two tape nodes, paired as ``lstm_cell`` pairs
+    h and c: the h stack, whose one parent is the c stack.  The forward
+    steps the cell over arrays and keeps each step's gate values.  The h
+    stack's backward leaves its gradient for the c stack's, which runs the
+    per-step closed-form products from the last step to the first and adds
+    into every gradient in the order a tape of per-step cells does."""
+    if seq.data.ndim != 2 or seq.data.shape[1] != cell.input_dim:
+        raise ShapeError(f"lstm_runs input shape {seq.data.shape}, expected [N, {cell.input_dim}]")
     counts, starts = _runs(lengths, seq.data.shape[0])
-    h = c = zeros((counts.size, cell.hidden_dim))
-    hs, cs = [], []
-    for t in range(int(counts.max())):
-        h, c = lstm_cell(take_rows(seq, starts + np.minimum(t, counts - 1)), h, c, cell)
-        hs.append(h)
-        cs.append(c)
-    last = (counts - 1) * counts.size + np.arange(counts.size)
-    stack = concat(hs, axis=0)
-    return stack, (take_rows(stack, last), take_rows(concat(cs, axis=0), last))
+    n, hidden, steps = counts.size, cell.hidden_dim, int(counts.max())
+    params = cell.parameters()
+    keep = _records([seq, *params])
+    hs, cs = np.empty((steps * n, hidden)), np.empty((steps * n, hidden))
+    h = c = np.zeros((n, hidden))
+    saved = []  # per step: z = [h_prev, x], c_prev and the gate values
+    for t in range(steps):
+        z = np.concatenate([h, seq.data[starts + np.minimum(t, counts - 1)]], axis=1)
+        h, c_next, gates = _cell_forward(z, c, cell)
+        if keep:
+            saved.append((z, c, gates))
+        c = c_next
+        hs[t * n : (t + 1) * n] = h
+        cs[t * n : (t + 1) * n] = c
+    # the seq row each step reads, last step first: the order of the tape's gathers
+    reads = (starts + np.minimum(np.arange(steps)[::-1, None], counts - 1)).reshape(-1)
+    d_hs = [None]  # the h stack's gradient, left by its backward
+
+    def c_bw(d_cs):
+        d_x = np.empty((steps * n, cell.input_dim))
+        dh_next = dc_next = None
+        for t in range(steps - 1, -1, -1):
+            z, c_prev, gates = saved[t]
+            block = slice(t * n, (t + 1) * n)
+            dh = _plus(None if d_hs[0] is None else d_hs[0][block], dh_next)
+            d_o = dc = None
+            if dh is not None:
+                d_o, dc = _h_backward(dh, gates)
+            dc = _plus(_plus(None if d_cs is None else d_cs[block], dc), dc_next)
+            d_z, dc_next = _c_backward(dc, d_o, z, c_prev, gates, cell)
+            dh_next = d_z[:, :hidden]
+            d_x[(steps - 1 - t) * n : (steps - t) * n] = d_z[:, hidden:]
+        if seq.requires_grad:
+            grad = np.zeros_like(seq.data)
+            np.add.at(grad, reads, d_x)
+            _accum(seq, grad)
+
+    c_stack = Tensor(cs, parents=(seq, *params), bw=c_bw)
+
+    def h_bw(d):
+        d_hs[0] = d
+
+    stack = Tensor(hs, parents=(c_stack,), bw=h_bw)
+    last = (counts - 1) * n + np.arange(n)
+    return stack, (take_rows(stack, last), take_rows(c_stack, last))
 
 
 def window_relu_stack(
@@ -490,6 +588,43 @@ def window_relu_stack(
     return x
 
 
+def _attend(
+    memory: np.ndarray, query: np.ndarray, w: np.ndarray, mask: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attention over arrays: the projected queries ``query @ w.T`` and the
+    [N, M] softmax weights of their scores against ``memory``, plus the
+    additive ``mask`` when given, stabilized by each row's maximum."""
+    projected = query @ w.T
+    scores = projected @ memory.T
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return projected, e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _attend_backward(
+    d_alpha: np.ndarray,
+    alpha: np.ndarray,
+    projected: np.ndarray,
+    memory: np.ndarray,
+    query: np.ndarray,
+    w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients of memory, query and W from the weights' gradient."""
+    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=-1, keepdims=True))
+    d_projected = d_scores @ memory
+    return d_scores.T @ projected, d_projected @ w, d_projected.T @ query
+
+
+def _check_attention(memory: np.ndarray, query: np.ndarray, w: np.ndarray) -> None:
+    if memory.ndim != 2 or memory.shape[0] == 0:
+        raise ValueError("attention requires a [M, h] memory with at least one state")
+    if query.ndim != 2 or w.shape != (memory.shape[1], query.shape[1]):
+        raise ShapeError(
+            f"attention needs [N, d] queries and a [h, d] W, got {query.shape} and {w.shape}"
+        )
+
+
 def attention(
     memory: Tensor, query: Tensor, w: Tensor, mask: Tensor | None = None
 ) -> tuple[Tensor, Tensor]:
@@ -500,28 +635,95 @@ def attention(
     one finite score), and the convex-combination context rows.  The
     weights are one tape node, the mask taking no gradient, and the context
     a second."""
-    if memory.data.ndim != 2 or memory.data.shape[0] == 0:
-        raise ValueError("attention requires a [M, h] memory with at least one state")
-    if query.data.ndim != 2 or w.data.shape != (memory.data.shape[1], query.data.shape[1]):
-        raise ShapeError(
-            f"attention needs [N, d] queries and a [h, d] W, got {query.data.shape} and {w.data.shape}"
-        )
-    projected = query.data @ w.data.T
-    scores = projected @ memory.data.T
-    if mask is not None:
-        scores = scores + mask.data
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    alpha_data = e / np.sum(e, axis=-1, keepdims=True)
+    _check_attention(memory.data, query.data, w.data)
+    projected, alpha_data = _attend(memory.data, query.data, w.data, None if mask is None else mask.data)
 
     def bw(g):
-        d_scores = alpha_data * (g - np.sum(g * alpha_data, axis=-1, keepdims=True))
-        d_projected = d_scores @ memory.data
-        _accum(memory, d_scores.T @ projected)
-        _accum(query, d_projected @ w.data)
-        _accum(w, d_projected.T @ query.data)
+        d_memory, d_query, d_w = _attend_backward(
+            g, alpha_data, projected, memory.data, query.data, w.data
+        )
+        _accum(memory, d_memory)
+        _accum(query, d_query)
+        _accum(w, d_w)
 
     alphas = Tensor(alpha_data, parents=(query, w, memory), bw=bw)
     return alphas, matmul(alphas, memory)
+
+
+def attention_lstm_sweep(
+    table: Tensor,
+    rows: np.ndarray,
+    memory: Tensor,
+    mask: np.ndarray | None,
+    state: tuple[Tensor, Tensor],
+    w: Tensor,
+    cell: LstmParams,
+) -> Tensor:
+    """A teacher-forced attention decoder over N rows, as one op.  Step s
+    attends over ``memory`` with the hidden state (``attention`` with the
+    additive [N, M] ``mask``), then feeds [table[rows[s]]; context] through
+    ``cell``, starting from ``state``.  Returns the step-major [steps·N,
+    h + d_m] stack of [h; context] rows: row s·N + i is row i at step s.
+
+    The forward keeps each step's attention and gate values.  The backward
+    runs each step's closed-form products from the last step to the first,
+    and adds into every gradient in the order a tape of per-step
+    ``take_rows``, ``attention``, ``concat`` and ``lstm_cell`` nodes does."""
+    h0, c0 = state
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ShapeError(f"attention_lstm_sweep needs [steps, N] table rows, got {rows.shape}")
+    steps, n = rows.shape
+    hidden, width = cell.hidden_dim, table.data.shape[1]
+    _check_attention(memory.data, h0.data, w.data)
+    if width + memory.data.shape[1] != cell.input_dim:
+        raise ShapeError("query and context widths do not add up to the cell's input")
+    if h0.data.shape != (n, hidden) or c0.data.shape != (n, hidden):
+        raise ShapeError("attention_lstm_sweep state shapes do not match the cell size")
+    mem = memory.data
+    parents = (table, memory, w, h0, c0, *cell.parameters())
+    keep = _records(parents)
+    out = np.empty((steps * n, hidden + mem.shape[1]))
+    h, c = h0.data, c0.data
+    saved = []  # per step: h_prev, c_prev, the attention's values, z and the gate values
+    for s in range(steps):
+        projected, alpha = _attend(mem, h, w.data, mask)
+        context = alpha @ mem
+        z = np.concatenate([h, table.data[rows[s]], context], axis=1)
+        h_next, c_next, gates = _cell_forward(z, c, cell)
+        if keep:
+            saved.append((h, c, projected, alpha, z, gates))
+        h, c = h_next, c_next
+        out[s * n : (s + 1) * n, :hidden] = h
+        out[s * n : (s + 1) * n, hidden:] = context
+
+    def bw(g):
+        dh_cell = dh_att = dc_next = None  # step s+1's gradients of h_s (via cell, attention) and c_s
+        for s in range(steps - 1, -1, -1):
+            h_prev, c_prev, projected, alpha, z, gates = saved[s]
+            g_s = g[s * n : (s + 1) * n]
+            dh = g_s[:, :hidden]
+            if dh_cell is not None:
+                dh = dh + dh_cell + dh_att
+            d_o, dc = _h_backward(dh, gates)
+            if dc_next is not None:
+                dc = dc_next + dc
+            d_z, dc_next = _c_backward(dc, d_o, z, c_prev, gates, cell)
+            dh_cell = d_z[:, :hidden]
+            d_context = g_s[:, hidden:] + d_z[:, hidden + width :]
+            grad = np.zeros_like(table.data)
+            np.add.at(grad, rows[s], d_z[:, hidden : hidden + width])
+            _accum(table, grad)
+            _accum(memory, alpha.T @ d_context)
+            d_memory, dh_att, d_w = _attend_backward(
+                d_context @ mem.T, alpha, projected, mem, h_prev, w.data
+            )
+            _accum(memory, d_memory)
+            _accum(w, d_w)
+        _accum(c0, dc_next)
+        _accum(h0, dh_cell)
+        _accum(h0, dh_att)
+
+    return Tensor(out, parents=parents, bw=bw)
 
 
 ADAM_BETA1 = 0.9

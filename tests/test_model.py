@@ -1064,6 +1064,94 @@ class TestLstmRunsReference:
         assert np.array_equal(h.data, ref_h.data) and np.array_equal(c.data, ref_c.data)
 
 
+def decode_step_sweep(model):
+    """A reference for ``neural.attention_lstm_sweep`` in ``sequence_loss``:
+    the per-step loop of one ``decoder_query`` gather and one
+    ``decode_step`` per decoder step."""
+
+    def sweep(table, rows, memory, mask, state, w, cell):
+        assert w is model.att_w and cell is model.dec_lstm
+        key_mask = neural.constant(mask)
+        features = []
+        for step_rows in rows:
+            query = neural.take_rows(table, step_rows)
+            out, state = model.decode_step(query, state, memory, key_mask)
+            features.append(out)
+        return neural.concat(features, axis=0)
+
+    return sweep
+
+
+def count_tensors(monkeypatch):
+    """A list that collects every Tensor built while the patch holds."""
+    made = []
+    init = neural.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(neural.Tensor, "__init__", counting_init)
+    return made
+
+
+class TestDecoderSweepReference:
+    @staticmethod
+    def _loss_and_grads(monkeypatch, dropout, reference):
+        model, pairs = tiny_model(seed=8, dropout=dropout)
+        batch = [(model.desc_vocab.encode(d), model.code_vocab.encode(c)) for d, c in pairs]
+        assert len({len(c) for _, c in batch}) > 1  # codes of unequal length
+        node_emb = model.embed_nodes()
+        with monkeypatch.context() as patch:
+            if reference:
+                patch.setattr(neural, "attention_lstm_sweep", decode_step_sweep(model))
+            made = count_tensors(patch)
+            loss = model.sequence_loss(batch, node_emb, train=True, rng=np.random.default_rng(9))
+            params = model.parameters()
+            neural.zero_grads(params)
+            loss.backward()
+        return len(made), float(loss.data), [(p.name, p.grad) for p in params]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_sequence_loss_bit_equal_with_fewer_tensors(self, monkeypatch, dropout):
+        made, loss, grads = self._loss_and_grads(monkeypatch, dropout, reference=False)
+        ref_made, ref_loss, ref_grads = self._loss_and_grads(monkeypatch, dropout, reference=True)
+        assert made < ref_made
+        assert loss == ref_loss
+        for (name, g), (_, r) in zip(grads, ref_grads):
+            assert g is not None and g.tobytes() == r.tobytes(), name
+
+
+class TestTrainingTapeSize:
+    @pytest.mark.parametrize("side", ["code", "description"])
+    def test_tensors_do_not_depend_on_sequence_lengths(self, monkeypatch, side):
+        # one sequence_loss plus backward, with the longest code (or
+        # description) 3 tokens long and 12 tokens long
+        model, _ = tiny_model(seed=10)
+        node_emb = model.embed_nodes()
+        desc_ids = [model.desc_vocab.id(t) for t in ("make", "c", "d", "combine", "just")]
+        code_ids = [model.code_vocab.id(t) for t in ("v0", "=", "m2", "(", ")", ";", "m4")]
+
+        def cycle(ids, n):
+            return [ids[k % len(ids)] for k in range(n)]
+
+        counts = []
+        for longest in (3, 12):
+            lengths = {"description": (2, 2), "code": (2, 2)}
+            lengths[side] = (longest, 2)
+            batch = [
+                (cycle(desc_ids, d), cycle(code_ids, c))
+                for d, c in zip(lengths["description"], lengths["code"])
+            ]
+            with monkeypatch.context() as patch:
+                made = count_tensors(patch)
+                loss = model.sequence_loss(batch, node_emb, train=True, rng=np.random.default_rng(1))
+                neural.zero_grads(model.parameters())
+                loss.backward()
+            counts.append(len(made))
+        assert counts[0] == counts[1], counts
+
+
 class TestCheckpoint:
     def test_save_load_save_identical_bytes(self):
         model, _ = tiny_model(seed=17)

@@ -7,7 +7,9 @@ evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -552,6 +554,109 @@ class TestAttention:
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
             attention(neural.constant(np.zeros((0, 3))), neural.zeros((1, 3)), neural.constant(np.eye(3)))
+
+
+class TestAttentionLstmSweep:
+    """The decoder sweep against per-step ``take_rows``, ``attention``,
+    ``concat`` and ``lstm_cell`` ops, and against finite differences."""
+
+    STEP_ROWS = np.array([[0, 2, 2], [5, 1, 2], [3, 3, 0], [4, 4, 4]])  # [steps, N], repeats in a step
+
+    @staticmethod
+    def _operands(rng):
+        table = tensor_param("table", rng, (6, 3))
+        memory = tensor_param("memory", rng, (5, 4))
+        w = tensor_param("att.w", rng, (4, 4))
+        cell = LstmParams.create("dec.lstm", 3 + 4, 4, rng)
+        for b in (cell.b_i, cell.b_f, cell.b_o, cell.b_c):
+            b.data = rng.standard_normal(b.data.shape)
+        h0, c0 = tensor_param("enc.h", rng, (3, 4)), tensor_param("enc.c", rng, (3, 4))
+        # each row sees its own memory states, as one description's
+        mask = np.where(np.arange(5) < np.array([[2], [4], [5]]), 0.0, -np.inf)
+        return table, memory, w, cell, (h0, c0), mask
+
+    @classmethod
+    def _per_step(cls, table, memory, w, cell, state, mask):
+        h, c = state
+        features = []
+        for rows in cls.STEP_ROWS:
+            _, context = attention(memory, h, w, neural.constant(mask))
+            h, c = lstm_cell(neural.concat([neural.take_rows(table, rows), context]), h, c, cell)
+            features.append(neural.concat([h, context]))
+        return neural.concat(features, axis=0)
+
+    def test_bit_equal_to_per_step_ops(self):
+        rng = RNG(60)
+        table, memory, w, cell, state, mask = self._operands(rng)
+        leaves = [table, memory, w, *state, *cell.parameters()]
+        probe = neural.constant(rng.standard_normal((12, 8)))
+        results = []
+        for sweep in (neural.attention_lstm_sweep, None):
+            neural.zero_grads(leaves)
+            if sweep is None:
+                out = self._per_step(table, memory, w, cell, state, mask)
+            else:
+                out = sweep(table, self.STEP_ROWS, memory, mask, state, w, cell)
+            neural.vsum(neural.mul(out, probe)).backward()
+            results.append((out.data, [t.grad for t in leaves]))
+        (out, grads), (ref_out, ref_grads) = results
+        assert out.shape == (12, 8)
+        assert np.array_equal(out, ref_out)
+        for t, g, r in zip(leaves, grads, ref_grads):
+            assert g.tobytes() == r.tobytes(), t.name
+
+    def test_gradients_vs_finite_differences(self):
+        rng = RNG(61)
+        table, memory, w, cell, state, mask = self._operands(rng)
+        probe = neural.constant(rng.standard_normal((12, 8)))
+
+        def loss():
+            out = neural.attention_lstm_sweep(table, self.STEP_ROWS, memory, mask, state, w, cell)
+            return neural.vsum(neural.mul(out, probe))
+
+        err = gradient_check(loss, [table, memory, w, *state, *cell.parameters()])
+        assert err < 1e-4
+
+    def test_shape_mismatch(self):
+        rng = RNG(62)
+        table, memory, w, cell, (h0, c0), mask = self._operands(rng)
+        with pytest.raises(ShapeError):  # a [N] row list, not [steps, N]
+            neural.attention_lstm_sweep(table, self.STEP_ROWS[0], memory, mask, (h0, c0), w, cell)
+        with pytest.raises(ShapeError):  # state rows do not match the table rows
+            neural.attention_lstm_sweep(table, self.STEP_ROWS[:, :2], memory, mask, (h0, c0), w, cell)
+        with pytest.raises(ShapeError):  # query and context do not fill the cell's input
+            wide = LstmParams.create("wide", 3 + 5, 4, rng)
+            neural.attention_lstm_sweep(table, self.STEP_ROWS, memory, mask, (h0, c0), w, wide)
+
+
+def test_sweeps_keep_no_step_arrays_without_grad(monkeypatch):
+    """Under ``no_grad`` neither sweep keeps a step's gate values once it
+    returns; with the tape on, the backward holds every step's."""
+    kept = []
+    forward = neural._cell_forward
+
+    def recording(z, c_prev, p):
+        h, c, gates = forward(z, c_prev, p)
+        kept.append(weakref.ref(gates[0]))
+        return h, c, gates
+
+    monkeypatch.setattr(neural, "_cell_forward", recording)
+    rng = RNG(63)
+    table, memory, w, cell, state, mask = TestAttentionLstmSweep._operands(rng)
+    runs_cell = LstmParams.create("runs", 3, 4, rng)
+    seq = tensor_param("seq", rng, (7, 3))
+    for grad in (True, False):
+        kept.clear()
+        with contextlib.nullcontext() if grad else neural.no_grad():
+            outs = [
+                neural.lstm_runs(seq, [4, 1, 2], runs_cell),
+                neural.attention_lstm_sweep(
+                    table, TestAttentionLstmSweep.STEP_ROWS, memory, mask, state, w, cell
+                ),
+            ]
+        assert len(kept) == 4 + 4
+        assert sum(ref() is not None for ref in kept) == (len(kept) if grad else 0)
+        del outs
 
 
 def xent(logits, target):
