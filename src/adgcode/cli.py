@@ -2,8 +2,9 @@
 ablation sweeps, and synthetic corpus generation.
 
 Exit codes: 0 success, 2 usage/configuration (a file that cannot be opened
-included), 3 data/format (an input that is not UTF-8 included), 4 training
-divergence.  All commands are deterministic given --seed and never mutate
+included, and an embedder ``concat_cap`` below the size of a neighbour group
+the embedding meets), 3 data/format (an input that is not UTF-8 included),
+4 training divergence.  All commands are deterministic given --seed and never mutate
 their input files.
 
 Only the commands that score import ``metrics``: ``evaluate``, ``ablate``,
@@ -20,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .embedder import EmbedderConfig, check_field_types
+from .embedder import ConcatCapError, EmbedderConfig, check_field_types
 from .graph import GraphError, build_adg, dump_graph, load_graph
 from .model import (
     CheckpointFormatError,
@@ -443,7 +444,7 @@ def run(argv: Sequence[str], out=None) -> int:
         if args.command == "ablate":
             return cmd_ablate(cfg, args.axes, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, ConcatCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SignatureError, DataFormatError, GraphError, CheckpointFormatError) as exc:

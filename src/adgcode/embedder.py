@@ -33,6 +33,10 @@ VIRTUALIZATIONS = ("mean", "concat")
 ACTIVATIONS = ("tanh", "relu")
 
 
+class ConcatCapError(ValueError):
+    """A neighbour group holds more members than ``concat_cap`` rows."""
+
+
 @functools.cache
 def _field_types(cls: type) -> dict[str, object]:
     return typing.get_type_hints(cls)
@@ -178,7 +182,9 @@ def _virtualize(z: Tensor, rows: np.ndarray, sizes: np.ndarray, config: Embedder
         return neural.segment_reduce(neural.take_rows(z, rows), sizes, "mean")
     cap = config.concat_cap
     if sizes.max() > cap:
-        raise ValueError(f"group of {sizes.max()} exceeds the concat cap {cap}")
+        raise ConcatCapError(
+            f"embedder concat_cap {cap} is smaller than a neighbour group of {sizes.max()} nodes"
+        )
     padded = neural.concat([z, neural.zeros((1, z.data.shape[1]))], axis=0)  # last row: zeros
     slots = np.full((sizes.size, cap), z.data.shape[0], dtype=np.intp)
     slots[np.arange(cap) < sizes[:, None]] = rows  # group after group, each in order

@@ -9,7 +9,8 @@ encoder, embedder, and decoder under a single mean cross-entropy loss, each
 batch run as one padded pass over [B, ·] rows, in which the encoder and the
 decoder recurrences are one sweep op each (``neural.lstm_runs``,
 ``neural.attention_lstm_sweep``).  Decoding steps the decoder one
-``decode_step`` at a time: the same arithmetic, without a tape.
+``decode_step`` at a time over arrays: the sweep's own step,
+``neural.attention_lstm_step``, without a tape.
 """
 
 from __future__ import annotations
@@ -324,30 +325,27 @@ class Seq2SeqModel:
             )
         return rows
 
-    def decoder_query(self, prev_token_ids: Sequence[int], node_embeddings: QueryTable) -> Tensor:
-        """The [N, d] queries of ``query_rows`` as one gather."""
-        return neural.take_rows(node_embeddings.table, self.query_rows(prev_token_ids, node_embeddings))
-
     # -- decoder -----------------------------------------------------------
 
     def decode_step(
         self,
-        query: Tensor,
-        state: tuple[Tensor, Tensor],
-        memory: Tensor,
-        mask: Optional[Tensor] = None,
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """The recurrent part of one decoder step, for decoding: attend over
-        the encoder memory with the current state, then feed [query; context]
-        through the decoder LSTM.  The query and state are N independent
-        rows of shape [N, d]; ``mask`` is the additive attention mask.
-        Returns the [N, 2h] readout input [state; context] and the new state.
-        Training runs the same arithmetic for all its steps as one op,
-        ``neural.attention_lstm_sweep``."""
-        h_prev, c_prev = state
-        _, context = neural.attention(memory, h_prev, self.att_w, mask)
-        h, c = neural.lstm_cell(neural.concat([query, context]), h_prev, c_prev, self.dec_lstm)
-        return neural.concat([h, context]), (h, c)
+        query: np.ndarray,
+        state: tuple[np.ndarray, np.ndarray],
+        memory: np.ndarray,
+        mask: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The recurrent part of one decoder step, for decoding, over arrays:
+        attend over the encoder memory with the current state, then feed
+        [query; context] through the decoder LSTM.  The query and state are
+        N independent rows of shape [N, d]; ``mask`` is the additive
+        attention mask.  Returns the [N, 2h] readout input [state; context]
+        and the new state.  It is ``neural.attention_lstm_step``, the step
+        that training's ``neural.attention_lstm_sweep`` runs for all its
+        steps."""
+        h, c, context, _ = neural.attention_lstm_step(
+            query, *state, memory, mask, self.att_w.data, self.dec_lstm
+        )
+        return np.concatenate([h, context], axis=1), (h, c)
 
     def readout(self, features: Tensor, hidden_mask: Optional[Tensor] = None) -> Tensor:
         """The [N, V] logits of [N, 2h] decoder outputs [state; context]: a
@@ -450,19 +448,20 @@ def _next_log_probs(
     model: Seq2SeqModel,
     prevs: Sequence[int],
     met: np.ndarray,
-    state: tuple[Tensor, Tensor],
-    memory: Tensor,
+    state: tuple[np.ndarray, np.ndarray],
+    memory: np.ndarray,
     node_embeddings: QueryTable,
     reach_filter: bool,
-    key_mask: Optional[Tensor] = None,
-) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
+    key_mask: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One decoder step for N rows at once: row i continues after token
     ``prevs[i]`` from row i of ``state``, attending over the memory rows
     that the [N, M] additive ``key_mask`` keeps (all of them without one).
     Returns the masked [N, V] log-probabilities and the new [N, h] state."""
-    query = model.decoder_query(prevs, node_embeddings)
+    query = node_embeddings.table.data[model.query_rows(prevs, node_embeddings)]
     features, state = model.decode_step(query, state, memory, key_mask)
-    return _masked_log_probs(model, model.readout(features).data, met, reach_filter), state
+    logits = model.readout(neural.constant(features)).data
+    return _masked_log_probs(model, logits, met, reach_filter), state
 
 
 def generate_greedy(
@@ -539,6 +538,8 @@ def beam_search_many(
     max_len = model.config.max_len if max_len is None else max_len
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     if not descs:
         return []
     if node_embeddings is None:
@@ -553,7 +554,8 @@ def beam_search_many(
             )
         ]
     encoded = [model.desc_vocab.encode(d) for d in descs]
-    memory, state = model.encode(encoded)
+    memory, (h, c) = model.encode(encoded)
+    memory, h, c = memory.data, h.data, c.data
     key_rows = _own_memory_mask([len(d) for d in encoded])
     live = [[BeamHypothesis(tokens=(), logp=0.0)] for _ in descs]
     best: list[Optional[BeamHypothesis]] = [None] * len(descs)  # running min of (-score, tokens)
@@ -563,8 +565,7 @@ def beam_search_many(
         prevs = [hyp.tokens[-1] if hyp.tokens else BOS_ID for d in active for hyp in live[d]]
         owners = np.repeat(active, [len(live[d]) for d in active])
         lp, (h, c) = _next_log_probs(
-            model, prevs, met, state, memory, node_embeddings, reach_filter,
-            neural.constant(key_rows[owners]),
+            model, prevs, met, (h, c), memory, node_embeddings, reach_filter, key_rows[owners]
         )
         ranked = np.argsort(-lp, axis=1, kind="stable")[:, :width]
         ranked_lp, ranked = np.take_along_axis(lp, ranked, axis=1).tolist(), ranked.tolist()
@@ -601,7 +602,7 @@ def beam_search_many(
             break
         last = [hyp.tokens[-1] for d in searching for hyp in live[d]]
         met = met[rows] | model.token_provides[last]
-        state, active = (neural.take_rows(h, rows), neural.take_rows(c, rows)), searching
+        h, c, active = h[rows], c[rows], searching
     return [
         [model.code_vocab.token(t) for t in hyp.tokens if t != EOS_ID]
         for hyp in best

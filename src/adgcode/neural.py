@@ -1,18 +1,20 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers
-this model family needs: a fused LSTM cell (one op, tape nodes h and c),
-windowed ReLU feature layers, masked multiplicative attention, stabilized
-softmax/weighted cross-entropy, inverted-dropout masks, Glorot
-initialization, Adam with an inverse-square-root warmup schedule.
+this model family needs: windowed ReLU feature layers, LSTM runs, a masked
+multiplicative attention decoder, stabilized softmax/weighted cross-entropy,
+inverted-dropout masks, Glorot initialization, Adam with an
+inverse-square-root warmup schedule.
 
 Training's two recurrences are sweep ops, each one op on the tape whatever
 its length: ``lstm_runs`` steps sequences of unequal length together as
 often as the longest and reads each at its own steps (tape nodes: the h and
 c stacks), and ``attention_lstm_sweep`` runs a teacher-forced attention
-decoder (one tape node).  The gate arithmetic lives once, over arrays
-(``_cell_forward``, ``_h_backward``, ``_c_backward``), for the cell and both
-sweeps; a sweep's backward runs the per-step closed-form products from the
-last step to the first and adds into each gradient in the order a tape of
-per-step ops would, so its results equal that tape's bit for bit.
+decoder (one tape node).  The decoder step lives once, over arrays
+(``attention_lstm_step``): the sweep runs it per step, and beam search runs
+it one step at a time.  The gate arithmetic also lives once (``_cell_forward``,
+``_h_backward``, ``_c_backward``), for both sweeps; a sweep's backward runs
+the per-step closed-form products from the last step to the first and adds
+into each gradient in the order a tape of per-step ops would, so its
+results equal that tape's bit for bit.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
 topological sweep.  Inside ``no_grad()`` ops record no tape: decoding runs
@@ -167,19 +169,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         _accum(a, g * b.data)
         _accum(b, g * a.data)
-
-    return Tensor(out_data, parents=(a, b), bw=bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul needs [n, k] @ [k, m], got {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
 
     return Tensor(out_data, parents=(a, b), bw=bw)
 
@@ -459,40 +448,6 @@ def _c_backward(
     return d_z, dc * f
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM step for N independent [N, d] rows over z = [h_prev, x]
-    (``_cell_forward``); returns (h, c).
-
-    The step is one fused op with two tape nodes.  ``h``'s backward leaves
-    the output gate's gradient for ``c``'s, which runs after it and turns
-    the four gate gradients, taken in closed form from the saved gate
-    values, into the gradients of z and of the parameters; if nothing
-    reaches ``h``, the output gate's gradient is zero."""
-    hidden = params.hidden_dim
-    if x.data.ndim != 2 or x.data.shape[1] != params.input_dim:
-        raise ShapeError(f"lstm_cell input shape {x.data.shape}, expected [N, {params.input_dim}]")
-    state = (x.data.shape[0], hidden)
-    if h_prev.data.shape != state or c_prev.data.shape != state:
-        raise ShapeError("lstm_cell state shapes do not match the cell size")
-    z = np.concatenate([h_prev.data, x.data], axis=1)
-    h_data, c_data, gates = _cell_forward(z, c_prev.data, params)
-    d_o = [None]  # the output gate's pre-activation gradient, left by h's backward
-
-    def c_bw(dc):
-        d_z, dc_prev = _c_backward(dc, d_o[0], z, c_prev.data, gates, params)
-        _accum(c_prev, dc_prev)
-        _accum(h_prev, d_z[:, :hidden])
-        _accum(x, d_z[:, hidden:])
-
-    c = Tensor(c_data, parents=(x, h_prev, c_prev, *params.parameters()), bw=c_bw)
-
-    def h_bw(dh):
-        d_o[0], dc = _h_backward(dh, gates)
-        _accum(c, dc)
-
-    return Tensor(h_data, parents=(c,), bw=h_bw), c
-
-
 def lstm_runs(
     seq: Tensor, lengths: Sequence[int], cell: LstmParams
 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
@@ -503,12 +458,12 @@ def lstm_runs(
     [steps·n, h] stack of hidden states (row t·n + i is run i after step t)
     and each run's (h, c) after its own last step.
 
-    The sweep is one op with two tape nodes, paired as ``lstm_cell`` pairs
-    h and c: the h stack, whose one parent is the c stack.  The forward
-    steps the cell over arrays and keeps each step's gate values.  The h
-    stack's backward leaves its gradient for the c stack's, which runs the
-    per-step closed-form products from the last step to the first and adds
-    into every gradient in the order a tape of per-step cells does."""
+    The sweep is one op with two tape nodes: the h stack, whose one parent
+    is the c stack.  The forward steps the cell over arrays and keeps each
+    step's gate values.  The h stack's backward leaves its gradient for the
+    c stack's, which runs the per-step closed-form products from the last
+    step to the first and adds into every gradient in the order a tape of
+    per-step cells does."""
     if seq.data.ndim != 2 or seq.data.shape[1] != cell.input_dim:
         raise ShapeError(f"lstm_runs input shape {seq.data.shape}, expected [N, {cell.input_dim}]")
     counts, starts = _runs(lengths, seq.data.shape[0])
@@ -625,29 +580,27 @@ def _check_attention(memory: np.ndarray, query: np.ndarray, w: np.ndarray) -> No
         )
 
 
-def attention(
-    memory: Tensor, query: Tensor, w: Tensor, mask: Tensor | None = None
-) -> tuple[Tensor, Tensor]:
-    """Multiplicative attention over the [M, h] ``memory`` for each row s of
-    the [N, h] ``query``: scores h_m . (W s), plus the additive [N, M]
-    ``mask`` (0 to keep, -inf to hide a state) when given, stabilized
-    softmax weights over M (a score of -inf gets weight 0; each row needs
-    one finite score), and the convex-combination context rows.  The
-    weights are one tape node, the mask taking no gradient, and the context
-    a second."""
-    _check_attention(memory.data, query.data, w.data)
-    projected, alpha_data = _attend(memory.data, query.data, w.data, None if mask is None else mask.data)
-
-    def bw(g):
-        d_memory, d_query, d_w = _attend_backward(
-            g, alpha_data, projected, memory.data, query.data, w.data
-        )
-        _accum(memory, d_memory)
-        _accum(query, d_query)
-        _accum(w, d_w)
-
-    alphas = Tensor(alpha_data, parents=(query, w, memory), bw=bw)
-    return alphas, matmul(alphas, memory)
+def attention_lstm_step(
+    x: np.ndarray,
+    h: np.ndarray,
+    c: np.ndarray,
+    memory: np.ndarray,
+    mask: np.ndarray | None,
+    w: np.ndarray,
+    cell: LstmParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """One step of the attention decoder over arrays, for N rows: attend
+    over the [M, h] ``memory`` with the hidden state ``h`` (scores h_m . (W
+    h), plus the additive [N, M] ``mask`` when given: 0 keeps a state, -inf
+    hides it, and each row needs one finite score), then feed z = [h; x;
+    context] through ``cell`` from ``c``.
+    Returns the new h and c, the context rows, and what a backward reads:
+    the projected queries, the attention weights, z and the gate values."""
+    projected, alpha = _attend(memory, h, w, mask)
+    context = alpha @ memory
+    z = np.concatenate([h, x, context], axis=1)
+    h_next, c_next, gates = _cell_forward(z, c, cell)
+    return h_next, c_next, context, (projected, alpha, z, gates)
 
 
 def attention_lstm_sweep(
@@ -659,16 +612,16 @@ def attention_lstm_sweep(
     w: Tensor,
     cell: LstmParams,
 ) -> Tensor:
-    """A teacher-forced attention decoder over N rows, as one op.  Step s
-    attends over ``memory`` with the hidden state (``attention`` with the
-    additive [N, M] ``mask``), then feeds [table[rows[s]]; context] through
-    ``cell``, starting from ``state``.  Returns the step-major [steps·N,
-    h + d_m] stack of [h; context] rows: row s·N + i is row i at step s.
+    """A teacher-forced attention decoder over N rows, as one op.  Step s is
+    ``attention_lstm_step`` with the query rows table[rows[s]], starting
+    from ``state``.  Returns the step-major [steps·N, h + d_m] stack of
+    [h; context] rows: row s·N + i is row i at step s.
 
     The forward keeps each step's attention and gate values.  The backward
     runs each step's closed-form products from the last step to the first,
-    and adds into every gradient in the order a tape of per-step
-    ``take_rows``, ``attention``, ``concat`` and ``lstm_cell`` nodes does."""
+    and adds into every gradient in the order a tape of per-step ops (a
+    gather of the query rows, the attention weights and context, the joined
+    cell input, the cell; the tests' ``per_step_decoder``) does."""
     h0, c0 = state
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ShapeError(f"attention_lstm_sweep needs [steps, N] table rows, got {rows.shape}")
@@ -686,12 +639,11 @@ def attention_lstm_sweep(
     h, c = h0.data, c0.data
     saved = []  # per step: h_prev, c_prev, the attention's values, z and the gate values
     for s in range(steps):
-        projected, alpha = _attend(mem, h, w.data, mask)
-        context = alpha @ mem
-        z = np.concatenate([h, table.data[rows[s]], context], axis=1)
-        h_next, c_next, gates = _cell_forward(z, c, cell)
+        h_next, c_next, context, reads = attention_lstm_step(
+            table.data[rows[s]], h, c, mem, mask, w.data, cell
+        )
         if keep:
-            saved.append((h, c, projected, alpha, z, gates))
+            saved.append((h, c, *reads))
         h, c = h_next, c_next
         out[s * n : (s + 1) * n, :hidden] = h
         out[s * n : (s + 1) * n, hidden:] = context

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -206,6 +207,19 @@ class TestTrain:
         baseline = (workspace / "model.ckpt").read_bytes()
         assert run_cli(["train", "--config", cfg, "--seed", "9"])[0] == EXIT_OK
         assert (workspace / "model.ckpt").read_bytes() != baseline
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_concat_cap_below_a_group_is_usage_error(self, workspace, capsys, command):
+        embedder = {"hops": 2, "aggregator": "lstm", "virtualization": "concat", "concat_cap": 1}
+        cfg = write_config(workspace, embedder=embedder)
+        assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
+        args = [command, "--config", cfg] + (["--axis", "hops=1,2"] if command == "ablate" else [])
+        code, out = run_cli(args)
+        assert code == EXIT_USAGE and out == ""
+        line = single_error_line(capsys.readouterr().err)
+        size = re.search(r"concat_cap 1 is smaller than a neighbour group of (\d+) nodes", line)
+        assert size and int(size.group(1)) > 1, line
+        assert not (workspace / "model.ckpt").exists()
 
     def test_divergence_exit_code(self, workspace, monkeypatch):
         cfg = write_config(workspace)

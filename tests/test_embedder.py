@@ -25,6 +25,7 @@ from adgcode.graph import (
 from adgcode.neural import Parameter, constant, gradient_check, segment_reduce
 
 from conftest import random_adg
+from per_step import lstm_cell
 
 
 def _sigmoid(x):
@@ -214,7 +215,7 @@ class TestOrderedSet:
         assert planned_sequences(adg, [0], config) == {0: [(0,)]}
         params = make_params(adg, config)
         cell = params.hop_lstms[0]
-        h, _ = neural.lstm_cell(
+        h, _ = lstm_cell(
             constant(params.base.data[:1]), neural.zeros((1, 3)), neural.zeros((1, 3)), cell
         )
         expect = np.tanh(params.hop_weights[0].data @ h.data[0])

@@ -37,6 +37,7 @@ from adgcode.signatures import parse_signatures
 from adgcode.synthetic import SyntheticSpec, generate
 
 from conftest import corrupt_parameter, met_rows, random_adg
+from per_step import attention, lstm_cell, masked_lstm_runs, per_step_decoder
 
 
 def tiny_model(seed=0, **overrides):
@@ -111,7 +112,7 @@ class TestEncode:
         x = neural.take_rows(model.desc_lut, [token_id])
         feats = neural.window_relu_stack(x, [1], model.stack_weights, model.config.relu_window)
         zero = neural.zeros((1, 12))
-        h2, c2 = neural.lstm_cell(feats, zero, zero, model.enc_lstm)
+        h2, c2 = lstm_cell(feats, zero, zero, model.enc_lstm)
         assert memory.data.shape == (1, 12)
         assert np.allclose(memory.data, h2.data, atol=1e-12)
         assert np.allclose(c.data, c2.data, atol=1e-12)
@@ -132,7 +133,7 @@ class TestEncode:
         c = neural.zeros((1, 12))
         expect = []
         for t in range(5):
-            h, c = neural.lstm_cell(neural.take_rows(feats, [t]), h, c, model.enc_lstm)
+            h, c = lstm_cell(neural.take_rows(feats, [t]), h, c, model.enc_lstm)
             expect.append(h)
         # the memory rows are the per-step hidden states, bit for bit
         assert memory.data.shape == (5, 12)
@@ -171,31 +172,37 @@ class TestEncode:
         assert np.all(np.isfinite(memory.data))
 
 
+def decoder_query(model, prev_token_ids, node_emb):
+    """The decoder's [N, d] query rows after the tokens ``prev_token_ids``,
+    gathered from the query table as decoding gathers them."""
+    return node_emb.table.data[model.query_rows(prev_token_ids, node_emb)]
+
+
 class TestDecoderQuery:
     def test_api_token_uses_node_embedding(self):
         model, _ = tiny_model()
         node_emb = model.embed_nodes()
         m4_token = model.code_vocab.id("m4")
         m4_node = model.adg.id_of("m4")
-        q = model.decoder_query([m4_token], node_emb)
+        q = decoder_query(model, [m4_token], node_emb)
         expect = embed_all(model.adg, model.embedder_params, model.embedder_config)[m4_node]
-        assert q.data.shape == (1, 8)
-        assert np.allclose(q.data[0], expect, rtol=0.0, atol=1e-12)
+        assert q.shape == (1, 8)
+        assert np.allclose(q[0], expect, rtol=0.0, atol=1e-12)
 
     def test_plain_token_uses_lookup_row(self):
         model, _ = tiny_model()
         node_emb = model.embed_nodes()
         paren = model.code_vocab.id("(")
-        q = model.decoder_query([paren], node_emb)
-        assert np.array_equal(q.data[0], model.code_lut.data[paren])
+        q = decoder_query(model, [paren], node_emb)
+        assert np.array_equal(q[0], model.code_lut.data[paren])
 
     def test_unlinking_switches_branch(self):
         model, _ = tiny_model()
         m4_token = model.code_vocab.id("m4")
-        with_link = model.decoder_query([m4_token], model.embed_nodes()).data[0].copy()
+        with_link = decoder_query(model, [m4_token], model.embed_nodes())[0]
         removed = model.api_node_of_token_id.pop(m4_token)
         try:
-            without_link = model.decoder_query([m4_token], model.embed_nodes()).data[0].copy()
+            without_link = decoder_query(model, [m4_token], model.embed_nodes())[0]
         finally:
             model.api_node_of_token_id[m4_token] = removed
         assert np.array_equal(without_link, model.code_lut.data[m4_token])
@@ -204,66 +211,109 @@ class TestDecoderQuery:
     def test_unembedded_api_token_raises_key_error(self):
         model, _ = tiny_model()
         only_m2 = model.embed_nodes([model.adg.id_of("m2")])
-        model.decoder_query([model.code_vocab.id("m2")], only_m2)
+        decoder_query(model, [model.code_vocab.id("m2")], only_m2)
         with pytest.raises(KeyError, match="not embedded"):
-            model.decoder_query([model.code_vocab.id("("), model.code_vocab.id("m4")], only_m2)
+            decoder_query(model, [model.code_vocab.id("("), model.code_vocab.id("m4")], only_m2)
+
+
+def encode_arrays(model, descs):
+    """The encoder memory and final (h, c) as arrays, as decoding holds them."""
+    memory, (h, c) = model.encode(descs)
+    return memory.data, (h.data, c.data)
 
 
 def step_logits(model, query, state, memory):
-    """One decoder step's logits and new state: ``decode_step``, then the
-    readout."""
+    """One decoder step's logits and new state, over arrays: ``decode_step``,
+    then the readout."""
     features, state = model.decode_step(query, state, memory)
-    return model.readout(features), state
+    return model.readout(neural.constant(features)).data, state
 
 
 class TestDecodeStep:
     def test_logit_width_is_vocab_size(self):
         model, _ = tiny_model()
-        states, s0 = model.encode([[4, 5]])
+        states, s0 = encode_arrays(model, [[4, 5]])
         node_emb = model.embed_nodes()
-        logits, _ = step_logits(model, model.decoder_query([BOS_ID], node_emb), s0, states)
-        assert logits.data.shape == (1, len(model.code_vocab))
+        logits, _ = step_logits(model, decoder_query(model, [BOS_ID], node_emb), s0, states)
+        assert logits.shape == (1, len(model.code_vocab))
 
     def test_deterministic(self):
         model, _ = tiny_model()
-        states, s0 = model.encode([[4, 5]])
-        q = neural.constant(np.zeros((1, 8)))
+        states, s0 = encode_arrays(model, [[4, 5]])
+        q = np.zeros((1, 8))
         a, _ = step_logits(model, q, s0, states)
         b, _ = step_logits(model, q, s0, states)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_matches_composition_oracle(self):
         model, _ = tiny_model()
-        states, (h0, c0) = model.encode([[4, 5, 6]])
+        states, (h0, c0) = encode_arrays(model, [[4, 5, 6]])
         rng = np.random.default_rng(1)
-        q = neural.constant(rng.standard_normal((1, 8)))
+        q = rng.standard_normal((1, 8))
         logits, (h1, c1) = step_logits(model, q, (h0, c0), states)
 
-        _, ctx = neural.attention(states, h0, model.att_w)
-        h2, c2 = neural.lstm_cell(neural.concat([q, ctx]), h0, c0, model.dec_lstm)
+        h0, c0 = neural.constant(h0), neural.constant(c0)
+        _, ctx = attention(neural.constant(states), h0, model.att_w)
+        h2, c2 = lstm_cell(neural.concat([neural.constant(q), ctx]), h0, c0, model.dec_lstm)
         features = np.concatenate([h2.data[0], ctx.data[0]])
         hid = np.maximum(model.out_w1.data @ features + model.out_b1.data, 0.0)
         expect = model.out_w2.data @ hid + model.out_b2.data
-        assert np.allclose(logits.data[0], expect, atol=1e-12)
-        assert np.allclose(h1.data, h2.data, atol=1e-12)
+        assert np.allclose(logits[0], expect, atol=1e-12)
+        assert np.allclose(h1, h2.data, atol=1e-12)
 
     def test_batched_rows_match_one_row_steps(self):
         model, _ = tiny_model()
-        memory, _ = model.encode([[4, 5, 6]])
+        memory, _ = encode_arrays(model, [[4, 5, 6]])
         rng = np.random.default_rng(2)
         q, h0, c0 = (rng.standard_normal((4, d)) for d in (8, 12, 12))
-        logits, (h1, c1) = step_logits(
-            model, neural.constant(q), (neural.constant(h0), neural.constant(c0)), memory
-        )
-        assert logits.data.shape == (4, len(model.code_vocab))
+        logits, (h1, c1) = step_logits(model, q, (h0, c0), memory)
+        assert logits.shape == (4, len(model.code_vocab))
         for i in range(4):
             row = np.s_[i : i + 1]
-            one, (h, c) = step_logits(
-                model, neural.constant(q[row]), (neural.constant(h0[row]), neural.constant(c0[row])), memory
-            )
-            assert np.allclose(logits.data[i], one.data[0], rtol=0.0, atol=1e-12)
-            assert np.allclose(h1.data[i], h.data[0], rtol=0.0, atol=1e-12)
-            assert np.allclose(c1.data[i], c.data[0], rtol=0.0, atol=1e-12)
+            one, (h, c) = step_logits(model, q[row], (h0[row], c0[row]), memory)
+            assert np.allclose(logits[i], one[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(h1[i], h[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(c1[i], c[0], rtol=0.0, atol=1e-12)
+
+    def test_is_one_step_of_the_training_sweep(self, monkeypatch):
+        # Ragged descriptions, each row masked to its own memory, and query
+        # rows that include node embeddings: each decode_step equals the same
+        # step of attention_lstm_sweep under no_grad, its features and its
+        # (h, c) bit for bit, and builds no Tensor.
+        model, pairs = tiny_model(seed=6)
+        descs = [model.desc_vocab.encode(d) for d, _ in pairs]
+        assert len({len(d) for d in descs}) > 1  # descriptions of unequal length
+        node_emb = model.embed_nodes()
+        prevs = [[BOS_ID] * len(pairs), [model.code_vocab.id(c[2]) for _, c in pairs]]
+        assert all(t in model.api_node_of_token_id for t in prevs[1])
+        rows = np.stack([model.query_rows(p, node_emb) for p in prevs])
+        mask = model_mod._own_memory_mask([len(d) for d in descs])
+        cells = []  # each step's c, recorded from the sweep's cell
+        forward = neural._cell_forward
+
+        def recording(z, c_prev, p):
+            h, c, gates = forward(z, c_prev, p)
+            cells.append(c)
+            return h, c, gates
+
+        with neural.no_grad():
+            memory, (h, c) = model.encode(descs)
+            with monkeypatch.context() as patch:
+                patch.setattr(neural, "_cell_forward", recording)
+                sweep = neural.attention_lstm_sweep(
+                    node_emb.table, rows, memory, mask, (h, c), model.att_w, model.dec_lstm
+                ).data
+        assert len(cells) == len(prevs)
+        n, hidden = len(pairs), model.config.hidden_dim
+        state = h.data, c.data
+        made = count_tensors(monkeypatch)
+        for s, step_rows in enumerate(rows):
+            features, state = model.decode_step(node_emb.table.data[step_rows], state, memory.data, mask)
+            block = sweep[s * n : (s + 1) * n]
+            assert features.tobytes() == block.tobytes(), s
+            assert state[0].tobytes() == block[:, :hidden].tobytes(), s
+            assert state[1].tobytes() == cells[s].tobytes(), s
+        assert made == []
 
 
 class TestLossSanity:
@@ -349,11 +399,11 @@ def argmax_rollout(model, desc, max_len, reach_filter=False):
     """Oracle: greedy decoding as its own loop, each step the argmax of
     one decoder step's masked log-probabilities, ties to the smallest id."""
     node_emb = model.embed_nodes()
-    memory, state = model.encode([model.desc_vocab.encode(desc)])
+    memory, state = encode_arrays(model, [model.desc_vocab.encode(desc)])
     prev, available, out = BOS_ID, set(), []
     for _ in range(max_len):
-        logits, state = step_logits(model, model.decoder_query([prev], node_emb), state, memory)
-        lp = mask_by_names(model, neural.log_softmax(logits.data)[0], available, reach_filter)
+        logits, state = step_logits(model, decoder_query(model, [prev], node_emb), state, memory)
+        lp = mask_by_names(model, neural.log_softmax(logits)[0], available, reach_filter)
         prev = int(np.argmax(lp))  # the first maximum, so the smallest id on ties
         if prev == EOS_ID:
             break
@@ -462,20 +512,22 @@ class TestGeneration:
         model, _ = tiny_model()
         with pytest.raises(ValueError):
             beam_search(model, ("make", "c"), width=0)
+        with pytest.raises(ValueError, match="max_len"):
+            beam_search(model, ("make", "c"), max_len=0)
 
     def _exhaustive_best(self, model, desc, max_len):
         """Enumerate every token sequence (stopping at EOS or max_len) over EOS
         and the non-reserved tokens, and return the one with the best
         length-normalized score."""
         desc_ids = model.desc_vocab.encode(desc)
-        states, s0 = model.encode([desc_ids])
+        states, s0 = encode_arrays(model, [desc_ids])
         node_emb = model.embed_nodes()
         results = []
 
         def log_probs(prev, state):
-            q = model.decoder_query([prev], node_emb)
+            q = decoder_query(model, [prev], node_emb)
             logits, new_state = step_logits(model, q, state, states)
-            x = logits.data[0]
+            x = logits[0]
             m = np.max(x)
             return x - m - math.log(np.sum(np.exp(x - m))), new_state
 
@@ -512,16 +564,16 @@ class TestGeneration:
     def test_beam_never_below_greedy_normalized_score(self):
         def normalized_score(model, desc, tokens):
             desc_ids = model.desc_vocab.encode(desc)
-            states, state = model.encode([desc_ids])
+            states, state = encode_arrays(model, [desc_ids])
             node_emb = model.embed_nodes()
             ids = [model.code_vocab.id(t) for t in tokens] + [EOS_ID]
             prev = BOS_ID
             total = 0.0
             for tid in ids:
                 logits, state = step_logits(
-                    model, model.decoder_query([prev], node_emb), state, states
+                    model, decoder_query(model, [prev], node_emb), state, states
                 )
-                x = logits.data[0]
+                x = logits[0]
                 m = np.max(x)
                 total += float(x[tid] - m - math.log(np.sum(np.exp(x - m))))
                 prev = tid
@@ -542,7 +594,7 @@ def full_length_beam(model, desc, width, max_len, node_embeddings, reach_filter=
     (-score, tokens) over all completed hypotheses.  Each live hypothesis
     keeps the set of type names its methods output, and the reach filter
     masks by :func:`mask_by_names`."""
-    memory, state = model.encode([model.desc_vocab.encode(desc)])
+    memory, state = encode_arrays(model, [model.desc_vocab.encode(desc)])
     live, names = [model_mod.BeamHypothesis((), 0.0)], [set()]
     completed = []
     for _ in range(max_len):
@@ -573,7 +625,7 @@ def full_length_beam(model, desc, width, max_len, node_embeddings, reach_filter=
         live = [model_mod.BeamHypothesis(tokens, -neg_logp) for neg_logp, tokens, _ in kept]
         names = [names[row] | emitted_outputs(model, tokens[-1]) for _, tokens, row in kept]
         rows = [row for _, _, row in kept]
-        state = (neural.take_rows(h, rows), neural.take_rows(c, rows))
+        state = (h[rows], c[rows])
     best = min(completed or live, key=lambda hyp: (-hyp.score(), hyp.tokens))
     return [model.code_vocab.token(t) for t in best.tokens if t != EOS_ID]
 
@@ -658,7 +710,7 @@ class TestBeamStopping:
                 else:
                     for token, value in after[prev].items():
                         lp[row, token] = value
-            rows = neural.zeros((len(prevs), 1))
+            rows = np.zeros((len(prevs), 1))
             return lp, (rows, rows)
 
         monkeypatch.setattr(model_mod, "_next_log_probs", scripted)
@@ -869,7 +921,7 @@ class TestBatchedBeam:
             sizes.append(len(prevs))
             lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
             for row, prev in enumerate(prevs):
-                length = int(np.sum(key_mask.data[row] == 0.0))
+                length = int(np.sum(key_mask[row] == 0.0))
                 if length == 1:
                     lp[row, [a, EOS_ID]] = [0.0, -1.0] if prev == BOS_ID else [-np.inf, 0.0]
                     lp[row, b] = -np.inf if prev == BOS_ID else -1.0
@@ -877,7 +929,7 @@ class TestBatchedBeam:
                     lp[row, [a, b, EOS_ID]] = [-0.1, -0.2, -50.0]
                 else:
                     lp[row, EOS_ID] = 0.0
-            rows = neural.zeros((len(prevs), 1))
+            rows = np.zeros((len(prevs), 1))
             return lp, (rows, rows)
 
         monkeypatch.setattr(model_mod, "_next_log_probs", scripted)
@@ -1003,26 +1055,6 @@ class TestTraining:
             assert r.lrate == pytest.approx(neural.lrate(r.step, 12, 50))
 
 
-def masked_lstm_runs(seq, lengths, cell):
-    """A reference for ``neural.lstm_runs``: a run that has ended holds its
-    state through 0/1 masks on every step, so every row of the step-major
-    stack is its run's latest state."""
-    counts = np.asarray(lengths)
-    starts = np.cumsum(counts) - counts
-    h = c = neural.zeros((len(counts), cell.hidden_dim))
-    hs = []
-    for t in range(int(counts.max())):
-        live = counts > t
-        x = neural.take_rows(seq, np.where(live, starts + t, starts))
-        h_new, c_new = neural.lstm_cell(x, h, c, cell)
-        step = neural.constant(live[:, None].astype(np.float64))
-        hold = neural.constant((~live)[:, None].astype(np.float64))
-        h = neural.add(neural.mul(h_new, step), neural.mul(h, hold))
-        c = neural.add(neural.mul(c_new, step), neural.mul(c, hold))
-        hs.append(h)
-    return neural.concat(hs, axis=0), (h, c)
-
-
 class TestLstmRunsReference:
     def _batch_forward(self, monkeypatch, runs):
         monkeypatch.setattr(neural, "lstm_runs", runs)
@@ -1064,24 +1096,6 @@ class TestLstmRunsReference:
         assert np.array_equal(h.data, ref_h.data) and np.array_equal(c.data, ref_c.data)
 
 
-def decode_step_sweep(model):
-    """A reference for ``neural.attention_lstm_sweep`` in ``sequence_loss``:
-    the per-step loop of one ``decoder_query`` gather and one
-    ``decode_step`` per decoder step."""
-
-    def sweep(table, rows, memory, mask, state, w, cell):
-        assert w is model.att_w and cell is model.dec_lstm
-        key_mask = neural.constant(mask)
-        features = []
-        for step_rows in rows:
-            query = neural.take_rows(table, step_rows)
-            out, state = model.decode_step(query, state, memory, key_mask)
-            features.append(out)
-        return neural.concat(features, axis=0)
-
-    return sweep
-
-
 def count_tensors(monkeypatch):
     """A list that collects every Tensor built while the patch holds."""
     made = []
@@ -1104,7 +1118,7 @@ class TestDecoderSweepReference:
         node_emb = model.embed_nodes()
         with monkeypatch.context() as patch:
             if reference:
-                patch.setattr(neural, "attention_lstm_sweep", decode_step_sweep(model))
+                patch.setattr(neural, "attention_lstm_sweep", per_step_decoder)
             made = count_tensors(patch)
             loss = model.sequence_loss(batch, node_emb, train=True, rng=np.random.default_rng(9))
             params = model.parameters()

@@ -22,14 +22,14 @@ from adgcode.neural import (
     LstmParams,
     Parameter,
     ShapeError,
-    attention,
     dropout_mask,
     glorot_init,
     gradient_check,
     lrate,
-    lstm_cell,
     window_relu_stack,
 )
+
+from per_step import attention, lstm_cell, matmul, per_step_decoder
 
 RNG = np.random.default_rng
 
@@ -83,13 +83,13 @@ class TestTensorOps:
         w3 = neural.constant(rng.standard_normal((1, 3)))
 
         err = gradient_check(
-            lambda: neural.vsum(neural.mul(neural.matmul(w, x), weights)), [w, x]
+            lambda: neural.vsum(neural.mul(matmul(w, x), weights)), [w, x]
         )
         assert err < 1e-4
         v = tensor_param("v", rng, (3, 4))
         probe = neural.constant(rng.standard_normal((3, 6)))
         err = gradient_check(
-            lambda: neural.vsum(neural.mul(neural.matmul(v, w), probe)), [v, w]
+            lambda: neural.vsum(neural.mul(matmul(v, w), probe)), [v, w]
         )
         assert err < 1e-4
         err = gradient_check(
@@ -161,12 +161,12 @@ class TestTensorOps:
         a = neural.constant(np.ones((2, 3)))
         b = neural.constant(np.ones(4))
         with pytest.raises(ShapeError):
-            neural.matmul(a, b)
+            matmul(a, b)
         # layers take [N, d] rows only
         with pytest.raises(ShapeError):
             neural.linear(neural.constant(np.ones(3)), a)
         with pytest.raises(ShapeError):
-            neural.attention(a, neural.constant(np.ones(3)), neural.constant(np.ones((3, 3))))
+            attention(a, neural.constant(np.ones(3)), neural.constant(np.ones((3, 3))))
 
     def test_gradient_accumulates_over_shared_use(self):
         a = Parameter("a", np.array([2.0]))
@@ -178,7 +178,8 @@ class TestTensorOps:
 class TestNoGrad:
     @staticmethod
     def _layer_outputs(rng):
-        """Every layer decoding uses, applied to trainable operands."""
+        """Tape layers, the per-step cell and attention among them, applied
+        to trainable operands."""
         x = tensor_param("x", rng, (2, 3))
         w = tensor_param("w", rng, (4, 3))
         b = tensor_param("b", rng, (4,))
@@ -557,8 +558,8 @@ class TestAttention:
 
 
 class TestAttentionLstmSweep:
-    """The decoder sweep against per-step ``take_rows``, ``attention``,
-    ``concat`` and ``lstm_cell`` ops, and against finite differences."""
+    """The decoder sweep against the per-step reference ``per_step_decoder``
+    and against finite differences."""
 
     STEP_ROWS = np.array([[0, 2, 2], [5, 1, 2], [3, 3, 0], [4, 4, 4]])  # [steps, N], repeats in a step
 
@@ -575,28 +576,15 @@ class TestAttentionLstmSweep:
         mask = np.where(np.arange(5) < np.array([[2], [4], [5]]), 0.0, -np.inf)
         return table, memory, w, cell, (h0, c0), mask
 
-    @classmethod
-    def _per_step(cls, table, memory, w, cell, state, mask):
-        h, c = state
-        features = []
-        for rows in cls.STEP_ROWS:
-            _, context = attention(memory, h, w, neural.constant(mask))
-            h, c = lstm_cell(neural.concat([neural.take_rows(table, rows), context]), h, c, cell)
-            features.append(neural.concat([h, context]))
-        return neural.concat(features, axis=0)
-
     def test_bit_equal_to_per_step_ops(self):
         rng = RNG(60)
         table, memory, w, cell, state, mask = self._operands(rng)
         leaves = [table, memory, w, *state, *cell.parameters()]
         probe = neural.constant(rng.standard_normal((12, 8)))
         results = []
-        for sweep in (neural.attention_lstm_sweep, None):
+        for sweep in (neural.attention_lstm_sweep, per_step_decoder):
             neural.zero_grads(leaves)
-            if sweep is None:
-                out = self._per_step(table, memory, w, cell, state, mask)
-            else:
-                out = sweep(table, self.STEP_ROWS, memory, mask, state, w, cell)
+            out = sweep(table, self.STEP_ROWS, memory, mask, state, w, cell)
             neural.vsum(neural.mul(out, probe)).backward()
             results.append((out.data, [t.grad for t in leaves]))
         (out, grads), (ref_out, ref_grads) = results
