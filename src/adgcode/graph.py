@@ -10,8 +10,9 @@ The edges are held as index arrays, not as one object per edge.
 
 A constructed :class:`Adg` is immutable and safe for concurrent readers;
 reachability queries keep their counters in caller-local state.  The edge
-objects and the inverted index are built on first use; two readers racing
-there build equal values.
+objects are built on first use; two readers racing there build equal values.
+The inverted index is the type-by-consumer matrix that construction already
+computes for its edge cap.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ class TypeHierarchy:
         self._parent = parent
         self._names = tuple(sorted(parent))
         self._ancestors = ancestors
-        self._ancestor_sets = {n: set(c) for n, c in ancestors.items()}
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -108,13 +108,13 @@ class TypeHierarchy:
     def matches(self, provided: str, required: str) -> bool:
         self.require(provided)
         self.require(required)
-        return provided == required or required in self._ancestor_sets[provided]
+        return provided == required or required in self._ancestors[provided]
 
     def matches_lenient(self, provided: str, required: str) -> bool:
         """Like :meth:`matches` but undeclared ``provided`` names never match."""
         if provided not in self._parent:
             return False
-        return provided == required or required in self._ancestor_sets[provided]
+        return provided == required or required in self._ancestors[provided]
 
     def types(self) -> tuple[ParamType, ...]:
         """Declared types in lexicographic name order."""
@@ -148,8 +148,8 @@ class Adg:
 
     Use :func:`build_adg` to construct one.  Node ids are dense 0..n-1 and
     double as indices into the nodes table.  The graph is held as arrays:
-    a type-satisfies-type matrix and node-by-required-type and
-    node-by-provided-type matrices, with type indices in sorted-name order,
+    a type-by-consumer matrix (the inverted index), node-by-required-type
+    and node-by-provided-type matrices, with type indices in sorted-name order,
     and the edges as three aligned index arrays (head, tag type index, tail)
     in canonical order.  Every other view is derived from these on first use.
     """
@@ -158,7 +158,7 @@ class Adg:
         self,
         nodes: tuple[ApiMethodNode, ...],
         hierarchy: TypeHierarchy,
-        satisfies: np.ndarray,
+        accepts: np.ndarray,
         required: np.ndarray,
         provides: np.ndarray,
         edge_ids: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -166,15 +166,14 @@ class Adg:
         self._nodes = nodes
         self._hierarchy = hierarchy
         self._type_names = hierarchy.names
-        self._satisfies = satisfies
         self._required = required
-        for array in (provides, *edge_ids):
+        for array in (accepts, provides, *edge_ids):
             array.flags.writeable = False
+        self._accepts = accepts
         self._provides = provides
         self._edge_ids = edge_ids
         self._id_by_name = {m.name: m.id for m in nodes}
         self._edges: Optional[tuple[TaggedEdge, ...]] = None
-        self._iit: Optional[dict[str, tuple[int, ...]]] = None
 
     @property
     def nodes(self) -> tuple[ApiMethodNode, ...]:
@@ -226,18 +225,12 @@ class Adg:
 
     def iit_lookup(self, type_name: str) -> set[int]:
         """Nodes that accept a provided value of ``type_name`` as an input,
-        as a new set.
-
-        Keyed access after the first call; unknown keys yield the empty set.
+        as a new set: the type's row of the inverted index.  Unknown keys
+        yield the empty set.
         """
-        if self._iit is None:
-            accepts = _any_product(self._satisfies, self._required.T)
-            self._iit = {
-                name: tuple(np.flatnonzero(row).tolist())
-                for name, row in zip(self._type_names, accepts)
-                if row.any()
-            }
-        return set(self._iit.get(type_name, ()))
+        if type_name not in self._type_names:
+            return set()
+        return set(np.flatnonzero(self._accepts[self._type_names.index(type_name)]).tolist())
 
     def is_reachable(self, node_id: int, available: Iterable[str]) -> bool:
         """Counting-based reachability: every distinct required input type of
@@ -337,7 +330,7 @@ def build_adg(
     )
 
     # accepts[t, c]: consumer c takes a provided value of type t, the inverted
-    # index that iit_lookup reads.
+    # index that the graph keeps for iit_lookup.
     accepts = _any_product(satisfies, required.T)
     projected = int(produced.sum(axis=0) @ accepts.sum(axis=1))
     if projected > max_edges:
@@ -361,7 +354,7 @@ def build_adg(
     return Adg(
         nodes=nodes,
         hierarchy=hierarchy,
-        satisfies=satisfies,
+        accepts=accepts,
         required=required,
         provides=provides,
         edge_ids=(heads[keep], np.repeat(tag, sizes)[keep], tails[keep]),

@@ -4,7 +4,10 @@ Descriptions are embedded through a lookup table, refined by windowed ReLU
 feature layers, and run through an LSTM encoder.  The decoder attends over
 encoder states each step; its query is the previous code token's embedding,
 except that tokens naming graph methods use the method's node embedding
-instead (query switching).  Training is teacher-forced joint optimization of
+instead (query switching).  The links from code tokens to graph nodes are
+held once, as the array ``Seq2SeqModel.node_of_token``: query switching,
+training's choice of nodes to embed and the reach filter read it where they
+use it.  Training is teacher-forced joint optimization of
 encoder, embedder, and decoder under a single mean cross-entropy loss, each
 batch run as one padded pass over [B, ·] rows, in which the encoder and the
 decoder recurrences are one sweep op each (``neural.lstm_runs``,
@@ -239,16 +242,9 @@ class Seq2SeqModel:
         self.out_b2 = Parameter("out.b2", np.zeros(len(code_vocab)))
         self.embedder_params = EmbedderParams.create(adg, embedder_config, rng)
 
-        self.api_node_of_token_id = {
-            code_vocab.id(tok): node_id
-            for tok, node_id in link_api_tokens(code_vocab.tokens, adg).items()
-        }
-        # The same links as two aligned arrays, for the reach filter's mask.
-        self.api_token_ids = np.fromiter(self.api_node_of_token_id, dtype=np.intp)
-        self.api_node_ids = np.fromiter(self.api_node_of_token_id.values(), dtype=np.intp)
-        # Row t: the required types that emitting code token t meets.
-        self.token_provides = np.zeros((len(code_vocab), adg.provides.shape[1]), dtype=bool)
-        self.token_provides[self.api_token_ids] = adg.provides[self.api_node_ids]
+        # code token t's graph node, or -1 if t names no method
+        links = link_api_tokens(code_vocab.tokens, adg)
+        self.node_of_token = np.array([links.get(t, -1) for t in code_vocab.tokens], dtype=np.intp)
 
     def parameters(self) -> list[Parameter]:
         """All trainable parameters in canonical (sorted-name) order."""
@@ -301,16 +297,15 @@ class Seq2SeqModel:
         """Differentiable embeddings of the ``needed`` nodes (default: all
         linked nodes), placed after the ``code_lut`` rows as the decoder's
         query table."""
-        if needed is None:
-            needed = self.api_node_of_token_id.values()
-        needed = sorted(set(needed))
-        slot = {m: len(self.code_vocab) + i for i, m in enumerate(needed)}
-        row_of = np.arange(len(self.code_vocab))
-        for token_id, node_id in self.api_node_of_token_id.items():
-            row_of[token_id] = slot.get(node_id, -1)
+        linked = self.node_of_token
+        needed = np.unique(linked[linked >= 0] if needed is None else np.asarray(needed, dtype=np.intp))
         nodes = emb_mod.embed_tensors(
             self.adg, self.embedder_params, self.embedder_config, needed
         )
+        slot = np.full(self.adg.num_nodes, -1)  # node id -> query-table row
+        slot[needed] = len(self.code_vocab) + np.arange(len(needed))
+        row_of = np.arange(len(self.code_vocab))
+        row_of[linked >= 0] = slot[linked[linked >= 0]]
         return QueryTable(neural.concat([self.code_lut, nodes], axis=0), row_of)
 
     def query_rows(self, prev_token_ids: Sequence[int], node_embeddings: QueryTable) -> np.ndarray:
@@ -321,7 +316,7 @@ class Seq2SeqModel:
         if np.any(rows < 0):
             token_id = int(np.asarray(prev_token_ids)[rows < 0][0])
             raise KeyError(
-                f"node {self.api_node_of_token_id[token_id]} referenced by the query was not embedded"
+                f"node {self.node_of_token[token_id]} referenced by the query was not embedded"
             )
         return rows
 
@@ -439,8 +434,9 @@ def _masked_log_probs(
     lp = neural.log_softmax(logits)
     lp[:, list(_NEVER_EMITTED_IDS)] = -np.inf
     if reach_filter:
-        rows, cols = np.nonzero(~model.adg.reachability_rows(model.api_node_ids, met))
-        lp[rows, model.api_token_ids[cols]] = -np.inf
+        api_tokens = np.flatnonzero(model.node_of_token >= 0)
+        rows, cols = np.nonzero(~model.adg.reachability_rows(model.node_of_token[api_tokens], met))
+        lp[rows, api_tokens[cols]] = -np.inf
     return lp
 
 
@@ -560,7 +556,7 @@ def beam_search_many(
     live = [[BeamHypothesis(tokens=(), logp=0.0)] for _ in descs]
     best: list[Optional[BeamHypothesis]] = [None] * len(descs)  # running min of (-score, tokens)
     active = list(range(len(descs)))  # descriptions still searching, in row order
-    met = np.zeros((len(descs), model.token_provides.shape[1]), dtype=bool)
+    met = np.zeros((len(descs), model.adg.provides.shape[1]), dtype=bool)
     for _ in range(max_len):
         prevs = [hyp.tokens[-1] if hyp.tokens else BOS_ID for d in active for hyp in live[d]]
         owners = np.repeat(active, [len(live[d]) for d in active])
@@ -600,23 +596,15 @@ def beam_search_many(
             rows.extend(parent for _, _, parent in kept)
         if not searching:
             break
-        last = [hyp.tokens[-1] for d in searching for hyp in live[d]]
-        met = met[rows] | model.token_provides[last]
+        # each kept row meets what its parent met plus its last method's outputs
+        last = model.node_of_token[[hyp.tokens[-1] for d in searching for hyp in live[d]]]
+        met = met[rows]
+        met[last >= 0] |= model.adg.provides[last[last >= 0]]
         h, c, active = h[rows], c[rows], searching
     return [
         [model.code_vocab.token(t) for t in hyp.tokens if t != EOS_ID]
         for hyp in best
     ]
-
-
-def _referenced_nodes(model: Seq2SeqModel, batch: Sequence[tuple[list[int], list[int]]]) -> list[int]:
-    nodes = {
-        model.api_node_of_token_id[t]
-        for _, code in batch
-        for t in code
-        if t in model.api_node_of_token_id
-    }
-    return sorted(nodes)
 
 
 def validation_bleu(
@@ -669,7 +657,8 @@ def train(
         for start in range(0, len(encoded), config.batch_size):
             batch = [encoded[i] for i in order[start : start + config.batch_size]]
             step += 1
-            node_embeddings = model.embed_nodes(_referenced_nodes(model, batch))
+            nodes = model.node_of_token[np.concatenate([np.asarray(c, dtype=np.intp) for _, c in batch])]
+            node_embeddings = model.embed_nodes(nodes[nodes >= 0])
             loss = model.sequence_loss(batch, node_embeddings, train=True, rng=dropout_rng)
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):

@@ -152,16 +152,6 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return Tensor(out_data, parents=(a, b), bw=bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; scalars broadcast against vectors."""
     out_data = a.data * b.data
@@ -263,16 +253,6 @@ def segment_reduce(x: Tensor, sizes: Sequence[int], kind: str) -> Tensor:
     else:
         raise ValueError(f"unknown segment reduction {kind!r}")
     return Tensor(out_data, parents=(x,), bw=bw)
-
-
-def vsum(a: Tensor) -> Tensor:
-    """Sum of all entries as a scalar."""
-    out_data = np.sum(a.data)
-
-    def bw(g):
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return Tensor(np.asarray(out_data), parents=(a,), bw=bw)
 
 
 def tanh(a: Tensor) -> Tensor:

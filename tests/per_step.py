@@ -6,7 +6,10 @@ The program runs its recurrences over arrays: training as sweep ops
 same arithmetic built one tape op per step: the fused LSTM cell
 (``lstm_cell``), multiplicative attention (``attention``, with ``matmul``
 for its context), and two loops over them, ``masked_lstm_runs`` and
-``per_step_decoder``.  Imported by the tests the way ``conftest`` is.
+``per_step_decoder``.  It also holds the two tape ops that only the tests
+build: ``add``, which ``masked_lstm_runs`` holds ended runs with, and
+``vsum``, the scalar of the finite-difference losses.  Imported by the tests
+the way ``conftest`` is.
 """
 
 from __future__ import annotations
@@ -26,6 +29,26 @@ from adgcode.neural import (
     _check_attention,
     _h_backward,
 )
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data + b.data
+
+    def bw(g):
+        _accum(a, g)
+        _accum(b, g)
+
+    return Tensor(out_data, parents=(a, b), bw=bw)
+
+
+def vsum(a: Tensor) -> Tensor:
+    """Sum of all entries as a scalar."""
+    out_data = np.sum(a.data)
+
+    def bw(g):
+        _accum(a, np.broadcast_to(g, a.data.shape))
+
+    return Tensor(np.asarray(out_data), parents=(a,), bw=bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -114,8 +137,8 @@ def masked_lstm_runs(seq, lengths, cell):
         h_new, c_new = lstm_cell(x, h, c, cell)
         step = neural.constant(live[:, None].astype(np.float64))
         hold = neural.constant((~live)[:, None].astype(np.float64))
-        h = neural.add(neural.mul(h_new, step), neural.mul(h, hold))
-        c = neural.add(neural.mul(c_new, step), neural.mul(c, hold))
+        h = add(neural.mul(h_new, step), neural.mul(h, hold))
+        c = add(neural.mul(c_new, step), neural.mul(c, hold))
         hs.append(h)
     return neural.concat(hs, axis=0), (h, c)
 

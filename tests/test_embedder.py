@@ -25,7 +25,7 @@ from adgcode.graph import (
 from adgcode.neural import Parameter, constant, gradient_check, segment_reduce
 
 from conftest import random_adg
-from per_step import lstm_cell
+from per_step import lstm_cell, vsum
 
 
 def _sigmoid(x):
@@ -280,14 +280,14 @@ class TestAggregate:
             v.grad = None
             out = segment_reduce(v, [1, 1], kind)
             assert np.array_equal(out.data, v.data)
-            neural.vsum(neural.mul(out, constant([[1.0, 2.0], [3.0, 4.0]]))).backward()
+            vsum(neural.mul(out, constant([[1.0, 2.0], [3.0, 4.0]]))).backward()
             assert np.array_equal(v.grad, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_max_pooling(self):
         x = Parameter("x", np.array([[1.0, -2.0], [0.0, 5.0], [1.0, 5.0], [7.0, 7.0]]))
         out = segment_reduce(x, [3, 1], "max")
         assert np.array_equal(out.data, [[1.0, 5.0], [7.0, 7.0]])
-        neural.vsum(out).backward()
+        vsum(out).backward()
         # ties (1.0 in rows 0 and 2, 5.0 in rows 1 and 2) go to the earliest row
         assert np.array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -489,7 +489,7 @@ class TestEmbedderGradients:
         probes = constant(rng.standard_normal((adg.num_nodes, 5)))
 
         def loss():
-            return neural.vsum(neural.mul(embed_tensors(adg, params, config), probes))
+            return vsum(neural.mul(embed_tensors(adg, params, config), probes))
 
         err = gradient_check(loss, params.parameters())
         assert err < 1e-4, f"{aggregator}: worst relative error {err}"

@@ -4,6 +4,7 @@ and checkpoint serialization."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +65,13 @@ def tiny_model(seed=0, **overrides):
     emb_config = EmbedderConfig(dim=config.code_dim, hops=2, aggregator="lstm")
     model = Seq2SeqModel(desc_vocab, code_vocab, adg, config, emb_config, seed=seed)
     return model, pairs
+
+
+def api_links(model):
+    """The {code token id: node id} pairs read off ``node_of_token``: every
+    token that names a graph method, with its node."""
+    linked = np.flatnonzero(model.node_of_token >= 0)
+    return dict(zip(linked.tolist(), model.node_of_token[linked].tolist()))
 
 
 class TestVocabulary:
@@ -197,16 +205,44 @@ class TestDecoderQuery:
         assert np.array_equal(q[0], model.code_lut.data[paren])
 
     def test_unlinking_switches_branch(self):
+        # Unlinking m4 in node_of_token switches its query to the lookup row,
+        # and the reach filter follows: m4 (C, D) -> E is no longer masked
+        # while C and D are unmet, and emitting it no longer meets E.
         model, _ = tiny_model()
         m4_token = model.code_vocab.id("m4")
+        unmet = np.zeros((1, model.adg.provides.shape[1]), dtype=bool)
+        logits = np.zeros((1, len(model.code_vocab)))
+
+        def met_after_m4():
+            """The met row that beam search hands the step after emitting m4."""
+            seen = []
+
+            def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter, key_mask=None):
+                seen.append(met.copy())
+                lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
+                lp[:, m4_token if len(seen) == 1 else EOS_ID] = 0.0
+                return lp, state
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model_mod, "_next_log_probs", scripted)
+                assert beam_search(model, ("make", "c"), width=1, reach_filter=True) == ["m4"]
+            return seen[1][0]
+
         with_link = decoder_query(model, [m4_token], model.embed_nodes())[0]
-        removed = model.api_node_of_token_id.pop(m4_token)
+        linked_lp = model_mod._masked_log_probs(model, logits, unmet, True)
+        linked_met = met_after_m4()
+        model.node_of_token[m4_token] = -1
         try:
             without_link = decoder_query(model, [m4_token], model.embed_nodes())[0]
+            unlinked_lp = model_mod._masked_log_probs(model, logits, unmet, True)
+            unlinked_met = met_after_m4()
         finally:
-            model.api_node_of_token_id[m4_token] = removed
+            model.node_of_token[m4_token] = model.adg.id_of("m4")
         assert np.array_equal(without_link, model.code_lut.data[m4_token])
         assert not np.array_equal(with_link, without_link)
+        assert linked_lp[0, m4_token] == -np.inf and np.isfinite(unlinked_lp[0, m4_token])
+        assert np.array_equal(linked_met, model.adg.provides[model.adg.id_of("m4")])
+        assert linked_met.any() and not unlinked_met.any()
 
     def test_unembedded_api_token_raises_key_error(self):
         model, _ = tiny_model()
@@ -285,7 +321,7 @@ class TestDecodeStep:
         assert len({len(d) for d in descs}) > 1  # descriptions of unequal length
         node_emb = model.embed_nodes()
         prevs = [[BOS_ID] * len(pairs), [model.code_vocab.id(c[2]) for _, c in pairs]]
-        assert all(t in model.api_node_of_token_id for t in prevs[1])
+        assert all(t in api_links(model) for t in prevs[1])
         rows = np.stack([model.query_rows(p, node_emb) for p in prevs])
         mask = model_mod._own_memory_mask([len(d) for d in descs])
         cells = []  # each step's c, recorded from the sweep's cell
@@ -383,7 +419,7 @@ def mask_by_names(model, lp, available, reach_filter):
     reachable from the type names in ``available``."""
     lp[[PAD_ID, BOS_ID, UNK_ID]] = -np.inf
     if reach_filter:
-        for token_id, node_id in model.api_node_of_token_id.items():
+        for token_id, node_id in api_links(model).items():
             if not model.adg.is_reachable(node_id, available):
                 lp[token_id] = -np.inf
     return lp
@@ -391,7 +427,7 @@ def mask_by_names(model, lp, available, reach_filter):
 
 def emitted_outputs(model, token_id):
     """The output type names of the method that ``token_id`` names, if any."""
-    node_id = model.api_node_of_token_id.get(token_id)
+    node_id = api_links(model).get(token_id)
     return set(model.adg.node(node_id).outputs) if node_id is not None else set()
 
 
@@ -754,7 +790,7 @@ class TestReachFilter:
     def test_batched_mask_matches_per_token_loop(self):
         model = self._synthetic_model()
         adg, code_vocab = model.adg, model.code_vocab
-        assert len(model.api_node_of_token_id) >= 5
+        assert len(api_links(model)) >= 5
         rng = np.random.default_rng(6)
         names = sorted(adg.hierarchy.names) + ["NotAType"]
         availables = [
@@ -766,7 +802,7 @@ class TestReachFilter:
         for row, available in zip(lp, availables):
             expect = {PAD_ID, BOS_ID, UNK_ID} | {
                 token_id
-                for token_id, node_id in model.api_node_of_token_id.items()
+                for token_id, node_id in api_links(model).items()
                 if not adg.is_reachable(node_id, available)
             }
             assert set(np.flatnonzero(row == -np.inf)) == expect
@@ -796,7 +832,7 @@ class TestReachFilter:
         for row, plain_row, available in zip(lp, plain, availables):
             masked = {PAD_ID, BOS_ID, UNK_ID} | {
                 token_id
-                for token_id, node_id in model.api_node_of_token_id.items()
+                for token_id, node_id in api_links(model).items()
                 if not adg.is_reachable(node_id, available)
             }
             assert set(np.flatnonzero(row == -np.inf)) == masked
@@ -1213,7 +1249,41 @@ class TestCheckpoint:
         assert restored.code_vocab.tokens == model.code_vocab.tokens
         assert restored.desc_vocab.tokens == model.desc_vocab.tokens
         assert restored.adg.edges == model.adg.edges
-        assert restored.api_node_of_token_id == model.api_node_of_token_id
+        assert api_links(restored) == api_links(model)
+
+
+@functools.cache
+def tiny_checkpoint() -> bytes:
+    return save_checkpoint(tiny_model()[0])
+
+
+class TestCheckpointMutations:
+    """Damaged checkpoint bytes load or raise ``CheckpointFormatError``,
+    never another exception.  A mutant that loads is not decoded: a finite
+    corruption of a weight can still overflow in the log-softmax."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        how=st.sampled_from(["truncate", "flip-bit", "delete-byte"]),
+        # half the positions in the header, the hyperparameter block and the
+        # first parameter rows, which the weights would otherwise outnumber
+        at=st.integers(0, 1023) | st.integers(0, 2**20),
+        bit=st.integers(0, 7),
+    )
+    def test_mutant_loads_or_raises_format_error(self, how, at, bit):
+        blob = tiny_checkpoint()
+        if how == "truncate":
+            mutant = blob[: at % len(blob)]
+        else:
+            k = at % len(blob)
+            middle = bytes([blob[k] ^ (1 << bit)]) if how == "flip-bit" else b""
+            mutant = blob[:k] + middle + blob[k + 1 :]
+        try:
+            restored = load_checkpoint(mutant)
+        except CheckpointFormatError:
+            return
+        assert how != "truncate"  # a strict prefix is cut short in some field
+        assert isinstance(restored, Seq2SeqModel)
 
 
 class TestMicroModelGradients:

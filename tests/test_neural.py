@@ -29,7 +29,7 @@ from adgcode.neural import (
     window_relu_stack,
 )
 
-from per_step import attention, lstm_cell, matmul, per_step_decoder
+from per_step import add, attention, lstm_cell, matmul, per_step_decoder, vsum
 
 RNG = np.random.default_rng
 
@@ -52,20 +52,20 @@ class TestTensorOps:
             return neural.concat([a, b, a], axis=0)
 
         cases = {
-            "add": lambda: neural.vsum(neural.mul(neural.add(a, b), weights)),
-            "mul": lambda: neural.vsum(neural.mul(neural.mul(a, b), weights)),
-            "scalar_broadcast": lambda: neural.vsum(neural.mul(s, a)),
-            "tanh": lambda: neural.vsum(neural.mul(neural.tanh(a), weights)),
-            "relu": lambda: neural.vsum(neural.mul(neural.relu(a), weights)),
-            "concat": lambda: neural.vsum(neural.concat([a, b])),
-            "segment_mean": lambda: neural.vsum(
+            "add": lambda: vsum(neural.mul(add(a, b), weights)),
+            "mul": lambda: vsum(neural.mul(neural.mul(a, b), weights)),
+            "scalar_broadcast": lambda: vsum(neural.mul(s, a)),
+            "tanh": lambda: vsum(neural.mul(neural.tanh(a), weights)),
+            "relu": lambda: vsum(neural.mul(neural.relu(a), weights)),
+            "concat": lambda: vsum(neural.concat([a, b])),
+            "segment_mean": lambda: vsum(
                 neural.mul(neural.segment_reduce(aba(), [1, 2], "mean"), weights)
             ),
-            "segment_max": lambda: neural.vsum(
+            "segment_max": lambda: vsum(
                 neural.mul(neural.segment_reduce(aba(), [2, 1], "max"), weights)
             ),
             # rows 0 and 2 are the same parameter, so they tie wherever b < a
-            "segment_max_tie": lambda: neural.vsum(
+            "segment_max_tie": lambda: vsum(
                 neural.mul(neural.segment_reduce(aba(), [3], "max"), weights)
             ),
             "xent": lambda: neural.softmax_xent(a, [2]),
@@ -83,18 +83,18 @@ class TestTensorOps:
         w3 = neural.constant(rng.standard_normal((1, 3)))
 
         err = gradient_check(
-            lambda: neural.vsum(neural.mul(matmul(w, x), weights)), [w, x]
+            lambda: vsum(neural.mul(matmul(w, x), weights)), [w, x]
         )
         assert err < 1e-4
         v = tensor_param("v", rng, (3, 4))
         probe = neural.constant(rng.standard_normal((3, 6)))
         err = gradient_check(
-            lambda: neural.vsum(neural.mul(matmul(v, w), probe)), [v, w]
+            lambda: vsum(neural.mul(matmul(v, w), probe)), [v, w]
         )
         assert err < 1e-4
         err = gradient_check(
-            lambda: neural.vsum(
-                neural.mul(neural.add(neural.take_rows(table, [1]), neural.take_rows(table, [3])), w3)
+            lambda: vsum(
+                neural.mul(add(neural.take_rows(table, [1]), neural.take_rows(table, [3])), w3)
             ),
             [table],
         )
@@ -105,19 +105,19 @@ class TestTensorOps:
         # rows of several tensors joined one under another
         vs = [tensor_param(f"v{i}", rng, (i + 1, 4)) for i in range(3)]
         probe = neural.constant(rng.standard_normal((6, 4)))
-        err = gradient_check(lambda: neural.vsum(neural.mul(neural.concat(vs, axis=0), probe)), vs)
+        err = gradient_check(lambda: vsum(neural.mul(neural.concat(vs, axis=0), probe)), vs)
         assert err < 1e-4
         # repeated and dropped rows: gradients scatter-add, unused rows get zero
         table = tensor_param("table", rng, (4, 3))
         rows = [2, 0, 2, 2]
         probe = neural.constant(rng.standard_normal((4, 3)))
         err = gradient_check(
-            lambda: neural.vsum(neural.mul(neural.take_rows(table, rows), probe)), [table]
+            lambda: vsum(neural.mul(neural.take_rows(table, rows), probe)), [table]
         )
         assert err < 1e-4
         assert np.array_equal(neural.take_rows(table, rows).data, table.data[rows])
         neural.zero_grads([table])
-        neural.vsum(neural.take_rows(table, rows)).backward()
+        vsum(neural.take_rows(table, rows)).backward()
         assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 3.0, 0.0])
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -129,7 +129,7 @@ class TestTensorOps:
         probe = neural.constant(rng.standard_normal((rows, 4)))
         for bias in (b, None):
             err = gradient_check(
-                lambda: neural.vsum(neural.mul(neural.linear(x, w, bias), probe)), [x, w, b]
+                lambda: vsum(neural.mul(neural.linear(x, w, bias), probe)), [x, w, b]
             )
             assert err < 1e-4
         expect = x.data @ w.data.T + b.data
@@ -144,7 +144,7 @@ class TestTensorOps:
         a = tensor_param("a", rng, (3, 2))
         b = tensor_param("b", rng, (3, 4))
         probe = neural.constant(rng.standard_normal((3, 6)))
-        err = gradient_check(lambda: neural.vsum(neural.mul(neural.concat([a, b]), probe)), [a, b])
+        err = gradient_check(lambda: vsum(neural.mul(neural.concat([a, b]), probe)), [a, b])
         assert err < 1e-4
         assert np.array_equal(neural.concat([a, b]).data, np.hstack([a.data, b.data]))
         with pytest.raises(ShapeError):
@@ -170,7 +170,7 @@ class TestTensorOps:
 
     def test_gradient_accumulates_over_shared_use(self):
         a = Parameter("a", np.array([2.0]))
-        loss = neural.vsum(neural.mul(a, a))  # d/da a^2 = 2a
+        loss = vsum(neural.mul(a, a))  # d/da a^2 = 2a
         loss.backward()
         assert np.allclose(a.grad, [4.0])
 
@@ -215,7 +215,7 @@ class TestNoGrad:
             a = Parameter("a", np.array([3.0]))
             assert a.requires_grad
             assert not neural.mul(a, a).requires_grad
-        loss = neural.vsum(neural.mul(a, a))
+        loss = vsum(neural.mul(a, a))
         loss.backward()
         assert np.array_equal(a.grad, [6.0])
 
@@ -240,7 +240,7 @@ class TestNoGrad:
 
         with pytest.raises(ShapeError):
             failing()
-        loss = neural.vsum(neural.mul(a, a))
+        loss = vsum(neural.mul(a, a))
         loss.backward()
         assert np.array_equal(a.grad, [2.0, 2.0])
 
@@ -280,7 +280,7 @@ class TestLstmCell:
 
         def loss():
             h, c = lstm_cell(x, h0, c0, p)
-            return neural.vsum(neural.mul(neural.add(h, c), probe))
+            return vsum(neural.mul(add(h, c), probe))
 
         err = gradient_check(loss, p.parameters() + [x, h0, c0])
         assert err < 1e-4
@@ -300,7 +300,7 @@ class TestLstmCell:
             h, c = lstm_cell(x, h0, c0, p)
             terms = {"h": [neural.mul(h, probe_h)], "c": [neural.mul(c, probe_c)]}
             parts = terms["h"] + terms["c"] if target == "both" else terms[target]
-            return neural.vsum(parts[0] if len(parts) == 1 else neural.add(*parts))
+            return vsum(parts[0] if len(parts) == 1 else add(*parts))
 
         err = gradient_check(loss, p.parameters() + [x, h0, c0])
         assert err < 1e-4
@@ -322,10 +322,10 @@ class TestLstmCell:
         def loss():
             hs, (h, c) = neural.lstm_runs(seq, lengths, p)
             outs = [
-                neural.vsum(neural.mul(t, probe))
+                vsum(neural.mul(t, probe))
                 for t, probe in zip((neural.take_rows(hs, live), h, c), probes)
             ]
-            return neural.add(neural.add(outs[0], outs[1]), outs[2])
+            return add(add(outs[0], outs[1]), outs[2])
 
         hs, (h, c) = neural.lstm_runs(seq, lengths, p)
         assert np.array_equal(h.data, hs.data[(lengths - 1) * 3 + np.arange(3)])
@@ -412,7 +412,7 @@ class TestWindowReluStack:
 
         def loss():
             out = window_relu_stack(x, [3, 2], [w], 1)
-            return neural.vsum(neural.mul(out, probe))
+            return vsum(neural.mul(out, probe))
 
         err = gradient_check(loss, [w, x])
         assert err < 1e-4
@@ -484,7 +484,7 @@ class TestAttention:
 
         def loss():
             _, ctx = attention(neural.concat(states, axis=0), s, w)
-            return neural.vsum(neural.mul(ctx, probe))
+            return vsum(neural.mul(ctx, probe))
 
         err = gradient_check(loss, states + [s, w])
         assert err < 1e-4
@@ -499,8 +499,8 @@ class TestAttention:
 
         def loss():
             alphas, ctx = attention(memory, queries, w)
-            return neural.add(
-                neural.vsum(neural.mul(ctx, probe)), neural.vsum(neural.mul(alphas, alpha_probe))
+            return add(
+                vsum(neural.mul(ctx, probe)), vsum(neural.mul(alphas, alpha_probe))
             )
 
         err = gradient_check(loss, [memory, queries, w])
@@ -527,7 +527,7 @@ class TestAttention:
 
         def loss():
             _, ctx = attention(memory, queries, w, neural.constant(mask))
-            return neural.vsum(neural.mul(ctx, probe))
+            return vsum(neural.mul(ctx, probe))
 
         assert gradient_check(loss, [memory, queries, w]) < 1e-4
         alphas, ctx = attention(memory, queries, w, neural.constant(mask))
@@ -585,7 +585,7 @@ class TestAttentionLstmSweep:
         for sweep in (neural.attention_lstm_sweep, per_step_decoder):
             neural.zero_grads(leaves)
             out = sweep(table, self.STEP_ROWS, memory, mask, state, w, cell)
-            neural.vsum(neural.mul(out, probe)).backward()
+            vsum(neural.mul(out, probe)).backward()
             results.append((out.data, [t.grad for t in leaves]))
         (out, grads), (ref_out, ref_grads) = results
         assert out.shape == (12, 8)
@@ -600,7 +600,7 @@ class TestAttentionLstmSweep:
 
         def loss():
             out = neural.attention_lstm_sweep(table, self.STEP_ROWS, memory, mask, state, w, cell)
-            return neural.vsum(neural.mul(out, probe))
+            return vsum(neural.mul(out, probe))
 
         err = gradient_check(loss, [table, memory, w, *state, *cell.parameters()])
         assert err < 1e-4

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adgcode.graph import build_adg
+from adgcode.graph import GraphError, build_adg
 from adgcode.signatures import (
     DataFormatError,
     SignatureError,
@@ -99,6 +99,45 @@ class TestRoundTrip:
         corpus = parse_signatures("\n".join(lines) + "\n")
         assert corpus.hierarchy().types() == hierarchy.types()
         assert corpus.nodes() == tuple(methods)
+
+
+MUTATED_CORPUS = """\
+# every form of the grammar; without the last "s", Sink and Source form a cycle
+type Object
+type Stream : Object
+type io.Reader : Stream
+method open#1 (String) -> io.Reader
+method read (io.Reader, Int) -> String, Int
+method close (Stream) ->
+method now () -> Int
+type String : Object
+type Sink : Source
+type Source : Sinks
+"""
+
+
+class TestSignatureMutations:
+    """Any character-level edit of a corpus parses, and then the graph builds
+    or raises ``GraphError``, or it raises ``SignatureError``."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        how=st.sampled_from(["delete", "insert", "replace"]),
+        at=st.integers(0, 2**16),
+        char=st.sampled_from(list("():,->#. \t\nAZaz_09")) | st.characters(),
+    )
+    def test_edit_parses_or_raises_typed_errors(self, how, at, char):
+        k = at % len(MUTATED_CORPUS)
+        text = MUTATED_CORPUS[:k] + ("" if how == "delete" else char) + MUTATED_CORPUS[k + (how != "insert") :]
+        try:
+            corpus = parse_signatures(text)
+        except SignatureError:
+            return
+        try:
+            adg = build_adg(corpus.nodes(), corpus.hierarchy())
+        except GraphError:
+            return
+        assert adg.num_nodes == len(corpus.methods)
 
 
 class TestNodes:
