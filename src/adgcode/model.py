@@ -298,12 +298,15 @@ class Seq2SeqModel:
         linked nodes), placed after the ``code_lut`` rows as the decoder's
         query table."""
         linked = self.node_of_token
-        needed = np.unique(linked[linked >= 0] if needed is None else np.asarray(needed, dtype=np.intp))
+        needed = np.asarray(linked[linked >= 0] if needed is None else needed, dtype=np.intp)
         nodes = emb_mod.embed_tensors(
             self.adg, self.embedder_params, self.embedder_config, needed
         )
+        # rows of the distinct ids, ascending; not np.unique, which imports
+        # numpy.ma (about 1 MB and 10 ms on every command that decodes)
+        embedded = np.flatnonzero(np.bincount(needed, minlength=self.adg.num_nodes))
         slot = np.full(self.adg.num_nodes, -1)  # node id -> query-table row
-        slot[needed] = len(self.code_vocab) + np.arange(len(needed))
+        slot[embedded] = len(self.code_vocab) + np.arange(len(embedded))
         row_of = np.arange(len(self.code_vocab))
         row_of[linked >= 0] = slot[linked[linked >= 0]]
         return QueryTable(neural.concat([self.code_lut, nodes], axis=0), row_of)
