@@ -7,8 +7,13 @@ the embedding meets), 3 data/format (an input that is not UTF-8 included),
 4 training divergence.  All commands are deterministic given --seed and never mutate
 their input files.
 
+Each command builds one frozen :class:`PipelineConfig` from the config file,
+then applies its flags through ``dataclasses.replace``.  The settings classes
+(``adgcode.config``) check themselves when built, so a bad value from either
+place raises there, once, and exits 2 with one ``error:`` line.
+
 Only the commands that score import ``metrics``: ``evaluate``, ``ablate``,
-and ``train`` when it validates (through ``model.validation_bleu``).
+and ``train`` when it has validation pairs (through ``model.validation_bleu``).
 ``gen-synthetic`` alone imports ``synthetic``.
 """
 
@@ -21,13 +26,11 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .embedder import ConcatCapError, EmbedderConfig, check_field_types
+from .config import ConcatCapError, EmbedderConfig, ModelConfig, TrainConfig, check_field_types
 from .graph import GraphError, build_adg, dump_graph, load_graph
 from .model import (
     CheckpointFormatError,
-    ModelConfig,
     Seq2SeqModel,
-    TrainConfig,
     TrainingDivergedError,
     Vocabulary,
     beam_search,
@@ -84,7 +87,7 @@ class ConfigError(ValueError):
     """Missing or inconsistent pipeline configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     signatures: Optional[str] = None
     graph: Optional[str] = None
@@ -99,17 +102,10 @@ class PipelineConfig:
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
 
-    def validate(self) -> None:
-        """Check the model, embedder and training settings together."""
-        try:
-            check_field_types(self)
-            if self.seed < 0:
-                raise ValueError(f"seed must be >= 0, got {self.seed}")
-            self.model.validate()
-            self.embedder.validate()
-            self.train_cfg.validate()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid configuration: {exc}") from exc
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -118,9 +114,8 @@ class PipelineConfig:
 
 
 def _load_config(path: Optional[str]) -> PipelineConfig:
-    cfg = PipelineConfig()
     if path is None:
-        return cfg
+        return PipelineConfig()
     try:
         raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -133,45 +128,57 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
     for block in CONFIG_BLOCKS:
         if not isinstance(raw.get(block, {}), dict):
             raise ConfigError(f"config file {path}: {block!r} must be a JSON object")
+    paths = raw.get("paths", {})
+    for key, value in paths.items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"config file {path}: paths.{key} must be a string, got {value!r}")
+    emb = raw.get("embedder", {})
+    unknown = sorted(set(emb) - set(EMBEDDER_KEYS))
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown embedder keys {unknown}")
     try:
-        paths = raw.get("paths", {})
-        for key, value in paths.items():
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"config file {path}: paths.{key} must be a string, got {value!r}")
-        cfg.signatures = paths.get("signatures", cfg.signatures)
-        cfg.graph = paths.get("graph", cfg.graph)
-        cfg.train_data = paths.get("train", cfg.train_data)
-        cfg.valid_data = paths.get("valid", cfg.valid_data)
-        cfg.test_data = paths.get("test", cfg.test_data)
-        cfg.checkpoint = paths.get("checkpoint", cfg.checkpoint)
-        if "model" in raw:
-            cfg.model = ModelConfig(**raw["model"])
-        emb = raw.get("embedder", {})
-        unknown = sorted(set(emb) - set(EMBEDDER_KEYS))
-        if unknown:
-            raise ConfigError(f"config file {path}: unknown embedder keys {unknown}")
-        cfg.embedder = EmbedderConfig(
-            dim=cfg.model.code_dim, **{EMBEDDER_KEYS[k]: v for k, v in emb.items()}
+        model = ModelConfig(**raw.get("model", {}))
+        return PipelineConfig(
+            signatures=paths.get("signatures"),
+            graph=paths.get("graph"),
+            train_data=paths.get("train"),
+            valid_data=paths.get("valid"),
+            test_data=paths.get("test"),
+            checkpoint=paths.get("checkpoint"),
+            model=model,
+            embedder=EmbedderConfig(
+                dim=model.code_dim, **{EMBEDDER_KEYS[k]: v for k, v in emb.items()}
+            ),
+            train_cfg=TrainConfig(**raw.get("train", {})),
+            seed=raw.get("seed", 0),
         )
-        if "train" in raw:
-            cfg.train_cfg = TrainConfig(**raw["train"])
-        cfg.seed = raw.get("seed", cfg.seed)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
-    return cfg
 
 
 def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
+    """``cfg`` with the command line's settings in place of the file's."""
+    top, model, train_cfg = {}, {}, {}
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.train_cfg = replace(cfg.train_cfg, seed=args.seed)
+        top["seed"] = train_cfg["seed"] = args.seed
     if getattr(args, "beam", None) is not None:
-        cfg.model = replace(cfg.model, beam_width=args.beam)
+        model["beam_width"] = args.beam
     if getattr(args, "max_len", None) is not None:
-        cfg.model = replace(cfg.model, max_len=args.max_len)
+        model["max_len"] = args.max_len
     if getattr(args, "reach_filter", False):
-        cfg.train_cfg = replace(cfg.train_cfg, reach_filter=True)
-    return cfg
+        train_cfg["reach_filter"] = True
+    for name in ("signatures", "graph"):  # build-graph's path flags
+        if getattr(args, name, None):
+            top[name] = getattr(args, name)
+    try:
+        return replace(
+            cfg,
+            model=replace(cfg.model, **model),
+            train_cfg=replace(cfg.train_cfg, **train_cfg),
+            **top,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def _graph_stats(adg) -> list[tuple[str, str]]:
@@ -341,17 +348,16 @@ def cmd_gen_synthetic(args: argparse.Namespace, out) -> int:
     # would pay for compiling it
     from .synthetic import SyntheticGenerationError, SyntheticSpec, generate, split_pairs
 
-    spec = SyntheticSpec(
-        n_types=args.types,
-        n_methods=args.methods,
-        max_chain_len=args.max_chain,
-        corpus_size=args.size,
-        seed=args.seed if args.seed is not None else 0,
-        min_chain_len=args.min_chain,
-        order_sensitive=args.order_sensitive,
-    )
     try:
-        corpus = generate(spec)
+        corpus = generate(SyntheticSpec(
+            n_types=args.types,
+            n_methods=args.methods,
+            max_chain_len=args.max_chain,
+            corpus_size=args.size,
+            seed=args.seed if args.seed is not None else 0,
+            min_chain_len=args.min_chain,
+            order_sensitive=args.order_sensitive,
+        ))
     except SyntheticGenerationError as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
@@ -426,12 +432,7 @@ def run(argv: Sequence[str], out=None) -> int:
         if args.command == "gen-synthetic":
             return cmd_gen_synthetic(args, out)
         cfg = _apply_overrides(_load_config(args.config), args)
-        cfg.validate()
         if args.command == "build-graph":
-            if args.signatures:
-                cfg.signatures = args.signatures
-            if args.graph:
-                cfg.graph = args.graph
             return cmd_build_graph(cfg, out)
         if args.command == "train":
             return cmd_train(cfg, out)

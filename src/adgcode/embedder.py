@@ -11,86 +11,21 @@ over every node it needs: one sort of the graph's edge rows to plan its
 groups, one gather and segment reduction per virtualization, one segment
 reduction or one batched LSTM pass per aggregation (``neural.lstm_runs``,
 which steps every sequence as often as the longest and takes each node's
-state after its own last element), one affine map.
+state after its own last element), one affine map.  The settings,
+``EmbedderConfig``, live in ``config`` and check themselves when built.
 """
 
 from __future__ import annotations
 
-import functools
-import numbers
-import typing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import neural
+from .config import ConcatCapError, EmbedderConfig
 from .graph import Adg, GraphError
 from .neural import LstmParams, Parameter, Tensor
-
-AGGREGATORS = ("mean", "pooling", "lstm")
-VIRTUALIZATIONS = ("mean", "concat")
-ACTIVATIONS = ("tanh", "relu")
-
-
-class ConcatCapError(ValueError):
-    """A neighbour group holds more members than ``concat_cap`` rows."""
-
-
-@functools.cache
-def _field_types(cls: type) -> dict[str, object]:
-    return typing.get_type_hints(cls)
-
-
-def check_field_types(config) -> None:
-    """Raise TypeError for a field annotated ``bool`` that holds a non-bool,
-    an ``int`` (or ``Optional[int]``) field that holds a bool or a non-integer,
-    or a ``float`` field that holds a bool or a non-number."""
-    for name, kind in _field_types(type(config)).items():
-        value = getattr(config, name)
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise TypeError(f"{name} must be true or false, got {value!r}")
-        elif kind is int or (kind == Optional[int] and value is not None):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        elif kind is float:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-
-
-@dataclass(frozen=True)
-class EmbedderConfig:
-    dim: int
-    hops: int = 2
-    aggregator: str = "lstm"
-    virtualization: str = "mean"
-    use_edge_direction: bool = True
-    use_edge_labels: bool = True
-    concat_cap: Optional[int] = None
-    activation: str = "tanh"
-
-    def validate(self) -> None:
-        check_field_types(self)
-        if self.dim < 1:
-            raise ValueError(f"embedding dimension must be >= 1, got {self.dim}")
-        if self.hops < 1:
-            raise ValueError(f"hop count must be >= 1, got {self.hops}")
-        if self.aggregator not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        if self.virtualization not in VIRTUALIZATIONS:
-            raise ValueError(f"unknown virtualization {self.virtualization!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.virtualization == "concat" and (self.concat_cap is None or self.concat_cap < 1):
-            raise ValueError("concat virtualization requires a positive concat_cap")
-
-    @property
-    def element_dim(self) -> int:
-        """Dimension of ordered-sequence elements after virtualization."""
-        if self.virtualization == "concat":
-            return self.concat_cap * self.dim
-        return self.dim
 
 
 @dataclass
@@ -109,7 +44,6 @@ class EmbedderParams:
         config: EmbedderConfig,
         rng: Optional[np.random.Generator],
     ) -> "EmbedderParams":
-        config.validate()
         d = config.dim
         base = Parameter("emb.base", neural.glorot_init((max(adg.num_nodes, 1), d), rng)[: adg.num_nodes])
         agg_in = config.element_dim
@@ -204,7 +138,6 @@ def embed_tensors(
     hop is a few array ops over every node it needs, reading only the
     previous hop's rows, so updates are synchronous.
     """
-    config.validate()
     if params.base.data.shape != (adg.num_nodes, config.dim):
         raise neural.ShapeError(
             f"base features {params.base.data.shape} do not match "
@@ -240,10 +173,3 @@ def embed_tensors(
         z = act(neural.linear(agg, params.hop_weights[k]))
     return z
 
-
-def embed_all(
-    adg: Adg, params: EmbedderParams, config: EmbedderConfig
-) -> dict[int, np.ndarray]:
-    """Hop-K embedding vectors of every node as plain arrays."""
-    z = embed_tensors(adg, params, config)
-    return {m: z.data[m].copy() for m in range(adg.num_nodes)}

@@ -8,11 +8,10 @@ matrix products find which tags each provider matches, and each match expands
 into that tag's consumers, so no provider is compared with every other node.
 The edges are held as index arrays, not as one object per edge.
 
-A constructed :class:`Adg` is immutable and safe for concurrent readers;
-reachability queries keep their counters in caller-local state.  The edge
-objects are built on first use; two readers racing there build equal values.
-The inverted index is the type-by-consumer matrix that construction already
-computes for its edge cap.
+A constructed :class:`Adg` is immutable, holds no lazily built state and is
+safe for concurrent readers; reachability queries keep their counters in
+caller-local state.  The inverted index is the type-by-consumer matrix that
+construction already computes for its edge cap.
 """
 
 from __future__ import annotations
@@ -131,18 +130,6 @@ class ApiMethodNode:
     outputs: tuple[str, ...]
 
 
-@dataclass(frozen=True, order=True)
-class TaggedEdge:
-    """Directed edge head -> tail whose tag names the matched input type of tail.
-
-    Field order (head, tag, tail) is the canonical sort order.
-    """
-
-    head: int
-    tag: str
-    tail: int
-
-
 class Adg:
     """Immutable API dependency graph with derived lookup structures.
 
@@ -151,7 +138,7 @@ class Adg:
     a type-by-consumer matrix (the inverted index), node-by-required-type
     and node-by-provided-type matrices, with type indices in sorted-name order,
     and the edges as three aligned index arrays (head, tag type index, tail)
-    in canonical order.  Every other view is derived from these on first use.
+    in canonical order.  Every other view is computed from these when asked for.
     """
 
     def __init__(
@@ -173,22 +160,10 @@ class Adg:
         self._provides = provides
         self._edge_ids = edge_ids
         self._id_by_name = {m.name: m.id for m in nodes}
-        self._edges: Optional[tuple[TaggedEdge, ...]] = None
 
     @property
     def nodes(self) -> tuple[ApiMethodNode, ...]:
         return self._nodes
-
-    @property
-    def edges(self) -> tuple[TaggedEdge, ...]:
-        """The edges in canonical (head, tag, tail) order, built on first read."""
-        if self._edges is None:
-            names = self._type_names
-            self._edges = tuple(
-                TaggedEdge(h, names[t], c)
-                for h, t, c in zip(*(ids.tolist() for ids in self._edge_ids))
-            )
-        return self._edges
 
     @property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,7 +13,9 @@ batch run as one padded pass over [B, ·] rows, in which the encoder and the
 decoder recurrences are one sweep op each (``neural.lstm_runs``,
 ``neural.attention_lstm_sweep``).  Decoding steps the decoder one
 ``decode_step`` at a time over arrays: the sweep's own step,
-``neural.attention_lstm_step``, without a tape.
+``neural.attention_lstm_step``, without a tape.  The settings,
+``ModelConfig`` and ``TrainConfig``, live in ``config`` and check themselves
+when built, so neither the model nor ``train`` checks them again.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 
 from . import embedder as emb_mod
 from . import neural
-from .embedder import EmbedderConfig, EmbedderParams, check_field_types
+from .config import EmbedderConfig, ModelConfig, TrainConfig
+from .embedder import EmbedderParams
 from .graph import Adg, dump_graph, load_graph
 from .neural import LstmParams, Parameter, Tensor
 from .signatures import RESERVED_TOKENS, link_api_tokens
@@ -104,65 +107,12 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     @property
     def tokens(self) -> tuple[str, ...]:
         return tuple(self._tokens)
 
     def entries(self) -> list[tuple[str, int]]:
         return [(t, self.counts[t]) for t in self._tokens[len(RESERVED_TOKENS) :]]
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    word_dim: int = 100
-    code_dim: int = 64
-    hidden_dim: int = 256
-    mlp_hidden: int = 256
-    relu_layers: int = 1
-    relu_window: int = 1
-    dropout: float = 0.1
-    beam_width: int = 5
-    max_len: int = 200
-
-    def validate(self) -> None:
-        check_field_types(self)
-        for name in ("word_dim", "code_dim", "hidden_dim", "mlp_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.relu_layers < 0 or self.relu_window < 0:
-            raise ValueError("relu_layers and relu_window must be >= 0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.beam_width < 1 or self.max_len < 1:
-            raise ValueError("beam_width and max_len must be >= 1")
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 8
-    max_epochs: int = 1000
-    max_steps: Optional[int] = None
-    eval_interval: int = 100
-    patience: int = 10
-    warmup_steps: int = 4000
-    seed: int = 0
-    reach_filter: bool = False
-
-    def validate(self) -> None:
-        check_field_types(self)
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be >= 1")
-        if self.eval_interval < 1 or self.patience < 1:
-            raise ValueError("eval_interval and patience must be >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1 when set")
-        if self.warmup_steps < 1:
-            raise ValueError("warmup_steps must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -211,8 +161,6 @@ class Seq2SeqModel:
         """``seed`` seeds the Glorot draws of every weight.  With ``seed``
         None nothing is drawn and every parameter starts at zero, for a
         caller that then sets each one (``load_checkpoint``)."""
-        config.validate()
-        embedder_config.validate()
         if embedder_config.dim != config.code_dim:
             raise ValueError(
                 "node embedding dimension must equal the code token dimension "
@@ -637,7 +585,6 @@ def train(
     taken under the warmup schedule.  Early stopping watches validation BLEU
     every ``eval_interval`` steps with the configured patience.
     """
-    config.validate()
     if not train_pairs:
         raise ValueError("training corpus is empty")
     encoded = [

@@ -704,35 +704,3 @@ def zero_grads(params: Iterable[Parameter]) -> None:
     for p in params:
         p.grad = None
 
-
-def gradient_check(
-    loss_fn: Callable[[], Tensor],
-    params: Sequence[Parameter],
-    step: float = 1e-5,
-    floor: float = 1e-3,
-) -> float:
-    """Worst relative disagreement between backprop and central differences.
-
-    ``loss_fn`` must rebuild the forward computation from the current
-    parameter values on every call.  The error for one entry is
-    |analytic - numeric| / max(|analytic|, |numeric|, floor); the floor turns
-    the comparison absolute once both magnitudes are tiny.
-    """
-    zero_grads(params)
-    loss_fn().backward()
-    analytic = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for p in params}
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        got = analytic[p.name].reshape(-1)
-        for idx in range(flat.shape[0]):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up = float(loss_fn().data)
-            flat[idx] = orig - step
-            down = float(loss_fn().data)
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * step)
-            err = abs(got[idx] - numeric) / max(abs(got[idx]), abs(numeric), floor)
-            worst = max(worst, err)
-    return worst

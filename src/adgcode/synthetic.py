@@ -31,6 +31,9 @@ class SyntheticGenerationError(ValueError):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """A corpus request, checked when built: a non-positive count, chain
+    bound or a negative seed raises :class:`SyntheticGenerationError`."""
+
     n_types: int
     n_methods: int
     max_chain_len: int
@@ -39,7 +42,7 @@ class SyntheticSpec:
     min_chain_len: int = 1
     order_sensitive: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_types < 1 or self.n_methods < 1 or self.corpus_size < 1:
             raise SyntheticGenerationError(
                 "type count, method count, and corpus size must be positive"
@@ -152,7 +155,6 @@ def _describe(
 def generate(spec: SyntheticSpec) -> SyntheticCorpus:
     """Deterministically generate a signature corpus plus description/code
     pairs per the specification."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     types = _gen_types(spec, rng)
     type_names = [name for name, _ in types]

@@ -42,6 +42,14 @@ def random_adg(rng: np.random.Generator, n_types: int, n_methods: int):
     return build_adg(methods, hierarchy), methods, hierarchy
 
 
+def edge_triples(adg) -> list[tuple[int, str, int]]:
+    """The graph's edges as (head, tag name, tail) triples in canonical
+    order, read from ``Adg.edge_arrays``."""
+    names = adg.hierarchy.names
+    heads, tags, tails = (ids.tolist() for ids in adg.edge_arrays)
+    return [(h, names[t], c) for h, t, c in zip(heads, tags, tails)]
+
+
 def met_rows(adg, name_sets) -> np.ndarray:
     """The reach filter's met-type rows for sets of available type names: row
     r marks each declared type that some name in ``name_sets[r]`` satisfies;

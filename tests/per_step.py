@@ -8,17 +8,25 @@ same arithmetic built one tape op per step: the fused LSTM cell
 for its context), and two loops over them, ``masked_lstm_runs`` and
 ``per_step_decoder``.  It also holds the two tape ops that only the tests
 build: ``add``, which ``masked_lstm_runs`` holds ended runs with, and
-``vsum``, the scalar of the finite-difference losses.  Imported by the tests
-the way ``conftest`` is.
+``vsum``, the scalar of the finite-difference losses; and the two helpers
+that only the tests call: ``gradient_check``, the finite-difference check
+of backprop, and ``embed_all``, every node's embedding as a plain array.
+Imported by the tests the way ``conftest`` is.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from adgcode import neural
+from adgcode.config import EmbedderConfig
+from adgcode.embedder import EmbedderParams, embed_tensors
+from adgcode.graph import Adg
 from adgcode.neural import (
     LstmParams,
+    Parameter,
     ShapeError,
     Tensor,
     _accum,
@@ -157,3 +165,44 @@ def per_step_decoder(table, rows, memory, mask, state, w, cell):
         h, c = lstm_cell(neural.concat([neural.take_rows(table, step_rows), context]), h, c, cell)
         features.append(neural.concat([h, context]))
     return neural.concat(features, axis=0)
+
+
+def gradient_check(
+    loss_fn: Callable[[], Tensor],
+    params: Sequence[Parameter],
+    step: float = 1e-5,
+    floor: float = 1e-3,
+) -> float:
+    """Worst relative disagreement between backprop and central differences.
+
+    ``loss_fn`` must rebuild the forward computation from the current
+    parameter values on every call.  The error for one entry is
+    |analytic - numeric| / max(|analytic|, |numeric|, floor); the floor turns
+    the comparison absolute once both magnitudes are tiny.
+    """
+    neural.zero_grads(params)
+    loss_fn().backward()
+    analytic = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for p in params}
+    worst = 0.0
+    for p in params:
+        flat = p.data.reshape(-1)
+        got = analytic[p.name].reshape(-1)
+        for idx in range(flat.shape[0]):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            up = float(loss_fn().data)
+            flat[idx] = orig - step
+            down = float(loss_fn().data)
+            flat[idx] = orig
+            numeric = (up - down) / (2.0 * step)
+            err = abs(got[idx] - numeric) / max(abs(got[idx]), abs(numeric), floor)
+            worst = max(worst, err)
+    return worst
+
+
+def embed_all(
+    adg: Adg, params: EmbedderParams, config: EmbedderConfig
+) -> dict[int, np.ndarray]:
+    """Hop-K embedding vectors of every node as plain arrays."""
+    z = embed_tensors(adg, params, config)
+    return {m: z.data[m].copy() for m in range(adg.num_nodes)}

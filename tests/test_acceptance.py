@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from adgcode import cli, metrics, neural
-from adgcode.embedder import EmbedderConfig, EmbedderParams, embed_all
+from adgcode.embedder import EmbedderConfig, EmbedderParams
 from adgcode.graph import build_adg
 from adgcode.model import (
     ModelConfig,
@@ -32,7 +32,8 @@ from adgcode.model import (
 from adgcode.signatures import parse_signatures
 from adgcode.synthetic import SyntheticSpec, generate
 
-from conftest import random_adg, random_hierarchy, random_methods
+from conftest import edge_triples, random_adg, random_hierarchy, random_methods
+from per_step import embed_all, gradient_check
 from test_embedder import naive_embed
 from test_graph import brute_force_edges, brute_force_iit, reachable_by_inclusion
 from test_metrics import (
@@ -77,10 +78,10 @@ def test_01_toy_graph_edges():
         "method m2 () -> C\nmethod m3 () -> D\nmethod m4 (C, D) -> E\n"
     )
     adg = build_adg(corpus.nodes(), corpus.hierarchy())
-    got = {(adg.node(e.head).name, e.tag, adg.node(e.tail).name) for e in adg.edges}
+    got = {(adg.node(head).name, tag, adg.node(tail).name) for head, tag, tail in edge_triples(adg)}
     assert {("m2", "C", "m4"), ("m3", "D", "m4")} <= got
     implied = brute_force_edges(corpus.nodes(), corpus.hierarchy())
-    assert {(e.head, e.tag, e.tail) for e in adg.edges} == implied
+    assert set(edge_triples(adg)) == implied
     assert got == {("m2", "C", "m4"), ("m3", "D", "m4")}  # nothing else implied here
 
 
@@ -114,7 +115,7 @@ def test_03_graph_oracle_equivalence():
         hierarchy = random_hierarchy(rng, int(rng.integers(3, 9)))
         methods = random_methods(rng, int(n), hierarchy)
         adg = build_adg(methods, hierarchy)
-        assert {(e.head, e.tag, e.tail) for e in adg.edges} == brute_force_edges(
+        assert set(edge_triples(adg)) == brute_force_edges(
             methods, hierarchy
         ), f"edge mismatch on corpus {i}"
         for t in sorted(hierarchy.names):
@@ -174,7 +175,7 @@ def test_05_gradient_validation():
     def loss():
         return model.sequence_loss([(desc_ids, code_ids)], model.embed_nodes())
 
-    worst = neural.gradient_check(loss, model.parameters())
+    worst = gradient_check(loss, model.parameters())
     assert worst < 1e-4, f"worst relative gradient error {worst}"
 
 

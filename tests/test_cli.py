@@ -16,6 +16,7 @@ import pytest
 
 from adgcode import cli
 from adgcode.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE
+from adgcode.config import BEAM_WIDTH_BOUND, MAX_LEN_BOUND
 from adgcode.graph import load_graph
 from adgcode.model import (
     CHECKPOINT_HEADER,
@@ -25,7 +26,7 @@ from adgcode.model import (
     load_checkpoint,
 )
 
-from conftest import corrupt_parameter
+from conftest import corrupt_parameter, edge_triples
 
 
 def run_cli(args):
@@ -103,10 +104,14 @@ class TestGenSynthetic:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_other_commands_do_not_import_the_generator(self):
-        # nor the metrics, which only the scoring commands import
+        # nor the metrics, which only the scoring commands import; and the
+        # settings alone load neither numpy nor any other adgcode module
         root = Path(__file__).resolve().parents[1]
         probe = (
-            "import sys, adgcode.cli; "
+            "import sys, adgcode.config; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy' "
+            "or m.startswith('adgcode.') and m != 'adgcode.config']); "
+            "import adgcode.cli; "
             "print([m for m in ('adgcode.synthetic', 'adgcode.metrics') if m in sys.modules])"
         )
         proc = subprocess.run(
@@ -115,7 +120,7 @@ class TestGenSynthetic:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
 
 
 class TestBuildGraph:
@@ -133,7 +138,7 @@ class TestBuildGraph:
         assert code == EXIT_OK
         adg = load_graph(graph_path.read_text())
         assert adg.num_nodes == 4
-        edges = {(e.head, e.tag, e.tail) for e in adg.edges}
+        edges = set(edge_triples(adg))
         assert (1, "C", 3) in edges and (2, "D", 3) in edges
         assert "Nodes 4" in out
 
@@ -158,8 +163,9 @@ class TestBuildGraph:
         assert int(stats["Edges"]) == adg.num_edges
         expect_avg = adg.num_edges / adg.num_nodes
         assert float(stats["Avg.in"]) == pytest.approx(expect_avg, abs=0.005)
-        indegree = [sum(e.tail == m for e in adg.edges) for m in range(adg.num_nodes)]
-        outdegree = [sum(e.head == m for e in adg.edges) for m in range(adg.num_nodes)]
+        edges = edge_triples(adg)
+        indegree = [sum(tail == m for _, _, tail in edges) for m in range(adg.num_nodes)]
+        outdegree = [sum(head == m for head, _, _ in edges) for m in range(adg.num_nodes)]
         assert int(stats["Max.in"]) == max(indegree)
         assert int(stats["Max.out"]) == max(outdegree)
 
@@ -378,6 +384,21 @@ class TestEvaluateCommand:
         values = lines[1].split("\t")
         assert len(values) == 9
 
+    @pytest.mark.parametrize("name", ["beam_width", "max_len"])
+    def test_checkpoint_setting_above_a_bound_is_data_error(self, trained, workspace, capsys, name):
+        # load only: no decode runs at such a size
+        bound = {"beam_width": BEAM_WIDTH_BOUND, "max_len": MAX_LEN_BOUND}[name]
+        path = workspace / "model.ckpt"
+        path.write_bytes(with_checkpoint_meta(
+            path.read_bytes(), lambda meta: meta["model_config"].update({name: bound + 1})
+        ))
+        with pytest.raises(CheckpointFormatError, match=name):
+            load_checkpoint(path.read_bytes())
+        capsys.readouterr()
+        code, out = run_cli(["generate", "--config", trained, "hello there"])
+        assert code == EXIT_DATA and out == ""
+        assert name in single_error_line(capsys.readouterr().err)
+
     @pytest.mark.parametrize("graph", [7, ["ADG-GRAPH-v1"]], ids=["number", "list"])
     def test_checkpoint_graph_not_text_is_data_error(self, trained, workspace, capsys, graph):
         path = workspace / "model.ckpt"
@@ -462,10 +483,16 @@ class TestConfigValidation:
             (["train"], {"model": {"beam_width": 2.5}}, "beam_width"),
             (["train"], {"train": {"batch_size": True}}, "batch_size"),
             (["train"], {"train": {"initial_types": ["Reader"]}}, "initial_types"),
+            (["generate", "--beam", "257", "call m1"], {}, "beam_width"),
+            (["generate", "--max-len", "4097", "call m1"], {}, "max_len"),
+            (["train"], {"model": {"beam_width": 2**63}}, "beam_width"),
+            (["train"], {"model": {"max_len": 10**30}}, "max_len"),
         ],
         ids=[
             "beam-flag", "beam-width", "aggregator", "batch-size", "unknown-embedder-key",
             "direction-string", "beam-width-float", "batch-size-bool", "unknown-train-key",
+            "beam-flag-above-bound", "max-len-flag-above-bound", "beam-width-above-bound",
+            "max-len-above-bound",
         ],
     )
     def test_bad_value_is_usage_error(self, workspace, capsys, command, patch, setting):

@@ -15,17 +15,16 @@ from adgcode import neural
 from adgcode.embedder import (
     EmbedderConfig,
     EmbedderParams,
-    embed_all,
     embed_tensors,
     hop_groups,
 )
 from adgcode.graph import (
     Adg, ApiMethodNode, GraphError, ParamType, TypeHierarchy, UnknownNodeError, build_adg,
 )
-from adgcode.neural import Parameter, constant, gradient_check, segment_reduce
+from adgcode.neural import Parameter, constant, segment_reduce
 
-from conftest import random_adg
-from per_step import lstm_cell, vsum
+from conftest import edge_triples, random_adg
+from per_step import embed_all, gradient_check, lstm_cell, vsum
 
 
 def _sigmoid(x):
@@ -36,11 +35,11 @@ def naive_groups(adg, m, config):
     """Neighbor groups split around the node: (before it, after it)."""
     fwd: dict[str, set[int]] = {}
     bwd: dict[str, set[int]] = {}
-    for e in adg.edges:
-        if e.tail == m:
-            fwd.setdefault(e.tag, set()).add(e.head)
-        if e.head == m:
-            bwd.setdefault(e.tag, set()).add(e.tail)
+    for head, tag, tail in edge_triples(adg):
+        if tail == m:
+            fwd.setdefault(tag, set()).add(head)
+        if head == m:
+            bwd.setdefault(tag, set()).add(tail)
     if config.use_edge_direction:
         if config.use_edge_labels:
             before = [sorted(fwd[t]) for t in sorted(fwd)]
@@ -423,11 +422,11 @@ class TestEmbedAll:
 class TestLocalityAndInvariance:
     def _union_neighbors(self, adg, m):
         out = set()
-        for e in adg.edges:
-            if e.head == m:
-                out.add(e.tail)
-            if e.tail == m:
-                out.add(e.head)
+        for head, _, tail in edge_triples(adg):
+            if head == m:
+                out.add(tail)
+            if tail == m:
+                out.add(head)
         return out
 
     def test_base_feature_locality(self):
@@ -498,12 +497,12 @@ class TestEmbedderGradients:
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            EmbedderConfig(dim=0).validate()
+            EmbedderConfig(dim=0)
         with pytest.raises(ValueError):
-            EmbedderConfig(dim=2, hops=0).validate()
+            EmbedderConfig(dim=2, hops=0)
         with pytest.raises(ValueError):
-            EmbedderConfig(dim=2, aggregator="sum").validate()
+            EmbedderConfig(dim=2, aggregator="sum")
         with pytest.raises(ValueError):
-            EmbedderConfig(dim=2, virtualization="concat").validate()
+            EmbedderConfig(dim=2, virtualization="concat")
         with pytest.raises(ValueError):
-            EmbedderConfig(dim=2, activation="gelu").validate()
+            EmbedderConfig(dim=2, activation="gelu")

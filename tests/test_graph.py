@@ -32,7 +32,7 @@ from adgcode.graph import (
     load_graph,
 )
 
-from conftest import met_rows, random_adg, random_hierarchy, random_methods
+from conftest import edge_triples, met_rows, random_adg, random_hierarchy, random_methods
 
 
 def brute_force_edges(methods, hierarchy) -> set[tuple[int, str, int]]:
@@ -219,7 +219,7 @@ class TestBuildAdg:
             ApiMethodNode(2, "m4", ("C", "D"), ("E",)),
         ]
         adg = build_adg(methods, hierarchy)
-        assert set((e.head, e.tag, e.tail) for e in adg.edges) == {
+        assert set(edge_triples(adg)) == {
             (0, "C", 2),
             (1, "D", 2),
         }
@@ -233,7 +233,7 @@ class TestBuildAdg:
         hierarchy = random_hierarchy(rng, 6)
         methods = random_methods(rng, 20, hierarchy)
         adg = build_adg(methods, hierarchy)
-        got = set((e.head, e.tag, e.tail) for e in adg.edges)
+        got = set(edge_triples(adg))
         assert got == brute_force_edges(methods, hierarchy)
 
     def test_no_self_loops(self):
@@ -280,7 +280,7 @@ class TestBuildAdg:
         methods.append(ApiMethodNode(26, "loop", ("T0",), ("T0",)))
         projected = projected_matches(methods, hierarchy)
         adg = build_adg(methods, hierarchy, max_edges=projected)
-        assert {(e.head, e.tag, e.tail) for e in adg.edges} == brute_force_edges(methods, hierarchy)
+        assert set(edge_triples(adg)) == brute_force_edges(methods, hierarchy)
         with pytest.raises(ConstructionError, match="cap"):
             build_adg(methods, hierarchy, max_edges=projected - 1)
 
@@ -300,7 +300,7 @@ class TestBuildAdg:
             ApiMethodNode(2, "use", ("C",), ()),
         ]
         adg = build_adg(methods, hierarchy, max_edges=1)
-        assert [(e.head, e.tag, e.tail) for e in adg.edges] == [(1, "C", 2)]
+        assert edge_triples(adg) == [(1, "C", 2)]
         assert adg.reachability_rows([0], met_rows(adg, [set()]))[0].tolist() == [True]
         assert build_adg(methods[:1], hierarchy, max_edges=0).num_edges == 0
         with pytest.raises(ConstructionError, match="cap"):
@@ -313,7 +313,7 @@ class TestBuildAdg:
             ApiMethodNode(1, "use", ("C",), ()),
         ]
         adg = build_adg(methods, hierarchy)
-        assert [(e.head, e.tag, e.tail) for e in adg.edges] == [(0, "C", 1)]
+        assert edge_triples(adg) == [(0, "C", 1)]
 
     def test_determinism_and_canonical_order(self):
         rng = np.random.default_rng(7)
@@ -321,8 +321,8 @@ class TestBuildAdg:
         methods = random_methods(rng, 30, hierarchy)
         a = build_adg(methods, hierarchy)
         b = build_adg(list(reversed(methods)), hierarchy)
-        assert a.edges == b.edges
-        assert list(a.edges) == sorted(a.edges, key=lambda e: (e.head, e.tag, e.tail))
+        assert edge_triples(a) == edge_triples(b)
+        assert edge_triples(a) == sorted(edge_triples(a))
 
 
 class TestIitLookup:
@@ -460,11 +460,12 @@ class TestDegreeStats:
         for _ in range(10):
             adg, _, _ = random_adg(rng, 6, 25)
             indegree, outdegree = adg.degrees()
+            edges = edge_triples(adg)
             assert indegree.tolist() == [
-                sum(e.tail == m for e in adg.edges) for m in range(adg.num_nodes)
+                sum(tail == m for _, _, tail in edges) for m in range(adg.num_nodes)
             ]
             assert outdegree.tolist() == [
-                sum(e.head == m for e in adg.edges) for m in range(adg.num_nodes)
+                sum(head == m for head, _, _ in edges) for m in range(adg.num_nodes)
             ]
 
 
@@ -473,13 +474,13 @@ class TestEdgeInvariants:
         rng = np.random.default_rng(29)
         adg, methods, hierarchy = random_adg(rng, 6, 40)
         by_id = {m.id: m for m in methods}
-        for e in adg.edges:
-            assert e.head != e.tail
+        for head, tag, tail in edge_triples(adg):
+            assert head != tail
             # the tag is a required input type of the tail matched by some
             # output of the head
-            assert e.tag in set(by_id[e.tail].inputs)
+            assert tag in set(by_id[tail].inputs)
             assert any(
-                hierarchy.matches(out, e.tag) for out in set(by_id[e.head].outputs)
+                hierarchy.matches(out, tag) for out in set(by_id[head].outputs)
             )
 
     def test_completeness_up_to_200_nodes(self):
@@ -487,7 +488,7 @@ class TestEdgeInvariants:
         hierarchy = random_hierarchy(rng, 8)
         methods = random_methods(rng, 200, hierarchy)
         adg = build_adg(methods, hierarchy)
-        assert set((e.head, e.tag, e.tail) for e in adg.edges) == brute_force_edges(
+        assert set(edge_triples(adg)) == brute_force_edges(
             methods, hierarchy
         )
 
@@ -504,7 +505,7 @@ class TestSerialization:
         text = dump_graph(adg)
         loaded = load_graph(text)
         assert dump_graph(loaded) == text
-        assert loaded.edges == adg.edges
+        assert edge_triples(loaded) == edge_triples(adg)
 
     def test_empty_graph_round_trip(self):
         adg = build_adg([], TypeHierarchy([]))

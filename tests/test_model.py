@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgcode import neural
-from adgcode.embedder import EmbedderConfig, embed_all
+from adgcode.embedder import EmbedderConfig
 from adgcode.graph import build_adg
 from adgcode import model as model_mod
 from adgcode.model import (
@@ -37,8 +37,8 @@ from adgcode.model import (
 from adgcode.signatures import parse_signatures
 from adgcode.synthetic import SyntheticSpec, generate
 
-from conftest import corrupt_parameter, met_rows, random_adg
-from per_step import attention, lstm_cell, masked_lstm_runs, per_step_decoder
+from conftest import corrupt_parameter, edge_triples, met_rows, random_adg
+from per_step import attention, embed_all, gradient_check, lstm_cell, masked_lstm_runs, per_step_decoder
 
 
 def tiny_model(seed=0, **overrides):
@@ -1248,7 +1248,7 @@ class TestCheckpoint:
         restored = load_checkpoint(save_checkpoint(model))
         assert restored.code_vocab.tokens == model.code_vocab.tokens
         assert restored.desc_vocab.tokens == model.desc_vocab.tokens
-        assert restored.adg.edges == model.adg.edges
+        assert edge_triples(restored.adg) == edge_triples(model.adg)
         assert api_links(restored) == api_links(model)
 
 
@@ -1312,5 +1312,5 @@ class TestMicroModelGradients:
             node_emb = model.embed_nodes()
             return model.sequence_loss([(desc_ids, code_ids)], node_emb)
 
-        err = neural.gradient_check(loss, model.parameters())
+        err = gradient_check(loss, model.parameters())
         assert err < 1e-4, f"worst relative gradient error {err}"

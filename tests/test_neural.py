@@ -24,12 +24,11 @@ from adgcode.neural import (
     ShapeError,
     dropout_mask,
     glorot_init,
-    gradient_check,
     lrate,
     window_relu_stack,
 )
 
-from per_step import add, attention, lstm_cell, matmul, per_step_decoder, vsum
+from per_step import add, attention, gradient_check, lstm_cell, matmul, per_step_decoder, vsum
 
 RNG = np.random.default_rng
 
@@ -793,7 +792,7 @@ class TestDropout:
         # the bound lives in the config that supplies p
         for p in (1.0, -0.1):
             with pytest.raises(ValueError, match="dropout"):
-                ModelConfig(dropout=p).validate()
+                ModelConfig(dropout=p)
 
     def test_mean_preserved_on_large_sample(self):
         mask = dropout_mask(1_000_000, 0.1, RNG(16))
