@@ -12,9 +12,15 @@ then applies its flags through ``dataclasses.replace``.  The settings classes
 (``adgcode.config``) check themselves when built, so a bad value from either
 place raises there, once, and exits 2 with one ``error:`` line.
 
-Only the commands that score import ``metrics``: ``evaluate``, ``ablate``,
-and ``train`` when it has validation pairs (through ``model.validation_bleu``).
-``gen-synthetic`` alone imports ``synthetic``.
+Each command imports only what it runs.  At module level this module
+imports the standard library, ``config``, ``graph`` and ``signatures`` (and
+numpy through ``graph``); that is all ``build-graph`` loads.  ``train``,
+``generate``, ``evaluate`` and ``ablate`` also import ``model`` (and through
+it ``neural``, ``embedder`` and ``numpy.random``) on first use, and bind
+``MODEL_NAMES`` here.  Only the commands that score import ``metrics``:
+``evaluate``, ``ablate``, and ``train`` when it has validation pairs (through
+``model.validation_bleu``).  ``gen-synthetic`` imports ``synthetic`` and
+nothing of the model.
 """
 
 from __future__ import annotations
@@ -26,19 +32,16 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .config import ConcatCapError, EmbedderConfig, ModelConfig, TrainConfig, check_field_types
-from .graph import GraphError, build_adg, dump_graph, load_graph
-from .model import (
+from .config import (
     CheckpointFormatError,
-    Seq2SeqModel,
+    ConcatCapError,
+    EmbedderConfig,
+    ModelConfig,
+    TrainConfig,
     TrainingDivergedError,
-    Vocabulary,
-    beam_search,
-    beam_search_many,
-    load_checkpoint,
-    save_checkpoint,
-    train,
+    check_field_types,
 )
+from .graph import GraphError, build_adg, dump_graph, load_graph
 from .signatures import (
     DataFormatError,
     SignatureError,
@@ -51,6 +54,7 @@ from .signatures import (
 
 if TYPE_CHECKING:
     from .metrics import MetricReport
+    from .model import Seq2SeqModel
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,6 +85,32 @@ ABLATION_AXES = {
     "direction": {"on": True, "off": False},
     "labels": {"on": True, "off": False},
 }
+
+
+# The model layer's names that the commands call.  ``model`` loads numpy's
+# random module, ``neural`` and ``embedder``, which ``build-graph`` never
+# runs, so they are bound into this module on first use.
+MODEL_NAMES = (
+    "Seq2SeqModel", "Vocabulary", "beam_search", "beam_search_many",
+    "load_checkpoint", "save_checkpoint", "train",
+)
+
+
+def _bind_model_names() -> None:
+    """Bind ``MODEL_NAMES`` from ``model`` into this module.  A name already
+    set here (a tracing wrapper, a test's stand-in) is kept."""
+    from . import model
+
+    for name in MODEL_NAMES:
+        globals().setdefault(name, getattr(model, name))
+
+
+def __getattr__(name: str):
+    # module attribute reads from outside (``cli.train``) bind lazily too
+    if name in MODEL_NAMES:
+        _bind_model_names()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -231,6 +261,7 @@ def _read_corpus(path: str) -> list:
 
 
 def cmd_train(cfg: PipelineConfig, out) -> int:
+    _bind_model_names()
     cfg.require("graph", "train_data", "checkpoint")
     adg = load_graph(read_text(cfg.graph))
     train_pairs = _read_corpus(cfg.train_data)
@@ -258,6 +289,7 @@ def _load_model(cfg: PipelineConfig) -> Seq2SeqModel:
 
 
 def cmd_generate(cfg: PipelineConfig, description: str, out) -> int:
+    _bind_model_names()
     tokens = tokenize_description(description)
     if not tokens:
         raise ConfigError("description is empty after preprocessing")
@@ -288,6 +320,7 @@ def _evaluate_model(cfg: PipelineConfig, model: Seq2SeqModel, pairs) -> MetricRe
 
 
 def cmd_evaluate(cfg: PipelineConfig, out) -> int:
+    _bind_model_names()
     from . import metrics as metrics_mod
 
     cfg.require("test_data")
@@ -320,6 +353,7 @@ def _parse_axes(specs: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
+    _bind_model_names()
     from . import metrics as metrics_mod
 
     cfg.require("graph", "train_data", "test_data")

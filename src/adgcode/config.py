@@ -5,7 +5,9 @@ Each config is a frozen dataclass that checks its fields in
 directly or through ``dataclasses.replace``, raises TypeError for a value of
 the wrong type and ValueError for one out of range.  The module imports only
 the standard library, so a command can read and check its settings before it
-loads numpy or the model.
+loads numpy or the model.  It also holds the errors of the model layer that
+the CLI maps to exit codes (``ConcatCapError``, ``CheckpointFormatError``,
+``TrainingDivergedError``), so the CLI can name them without loading it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,30 @@ ACTIVATIONS = ("tanh", "relu")
 BEAM_WIDTH_BOUND = 256
 MAX_LEN_BOUND = 4096
 
+# Upper bounds of the model's sizes, far above any model this port trains.
+# Weights grow with their products (the decoder LSTM's with (code_dim +
+# hidden_dim) x hidden_dim, the feature layers' with (2 relu_window + 1) x
+# word_dim^2, a concat hop's with concat_cap x dim), so past these bounds one
+# setting asks numpy for more memory than a machine has.
+DIM_BOUND = 2048  # word_dim, code_dim, hidden_dim, mlp_hidden
+RELU_BOUND = 16  # relu_layers, relu_window
+CONCAT_CAP_BOUND = 256
+
 
 class ConcatCapError(ValueError):
     """A neighbour group holds more members than ``concat_cap`` rows."""
+
+
+class CheckpointFormatError(ValueError):
+    """Corrupted or incompatible checkpoint bytes."""
+
+
+class TrainingDivergedError(RuntimeError):
+    """Loss became non-finite during training."""
+
+    def __init__(self, step: int):
+        super().__init__(f"training diverged at step {step}: loss is not finite")
+        self.step = step
 
 
 @functools.cache
@@ -79,6 +102,8 @@ class EmbedderConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.virtualization == "concat" and (self.concat_cap is None or self.concat_cap < 1):
             raise ValueError("concat virtualization requires a positive concat_cap")
+        if self.concat_cap is not None and self.concat_cap > CONCAT_CAP_BOUND:
+            raise ValueError(f"concat_cap must be at most {CONCAT_CAP_BOUND}, got {self.concat_cap}")
 
     @property
     def element_dim(self) -> int:
@@ -102,11 +127,14 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        for name in ("word_dim", "code_dim", "hidden_dim", "mlp_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.relu_layers < 0 or self.relu_window < 0:
-            raise ValueError("relu_layers and relu_window must be >= 0")
+        for names, low, high in (
+            (("word_dim", "code_dim", "hidden_dim", "mlp_hidden"), 1, DIM_BOUND),
+            (("relu_layers", "relu_window"), 0, RELU_BOUND),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not low <= value <= high:
+                    raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 1 <= self.beam_width <= BEAM_WIDTH_BOUND:

@@ -165,7 +165,8 @@ def embed_tensors(
     for k, (members, sizes, lengths) in enumerate(plans):
         seq = _virtualize(z, np.searchsorted(levels[k], members), sizes, config)
         if config.aggregator == "lstm":
-            _, (agg, _) = neural.lstm_runs(seq, lengths, params.hop_lstms[k])
+            hs, _ = neural.lstm_runs(seq, lengths, params.hop_lstms[k])
+            agg = neural.last_steps(hs, lengths)
         elif config.aggregator == "mean":
             agg = neural.segment_reduce(seq, lengths, "mean")
         else:

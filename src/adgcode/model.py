@@ -31,7 +31,13 @@ import numpy as np
 
 from . import embedder as emb_mod
 from . import neural
-from .config import EmbedderConfig, ModelConfig, TrainConfig
+from .config import (
+    CheckpointFormatError,
+    EmbedderConfig,
+    ModelConfig,
+    TrainConfig,
+    TrainingDivergedError,
+)
 from .embedder import EmbedderParams
 from .graph import Adg, dump_graph, load_graph
 from .neural import LstmParams, Parameter, Tensor
@@ -51,18 +57,6 @@ CHECKPOINT_HEADER = b"ADGS2S-v1\n"
 # the batch keeps a large test set linear in its size.  On the benchmark's
 # model shapes, blocks of 8 to 16 decoded fastest.
 DECODE_BLOCK = 16
-
-
-class CheckpointFormatError(ValueError):
-    """Corrupted or incompatible checkpoint bytes."""
-
-
-class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
-
-    def __init__(self, step: int):
-        super().__init__(f"training diverged at step {step}: loss is not finite")
-        self.step = step
 
 
 class Vocabulary:
@@ -231,7 +225,8 @@ class Seq2SeqModel:
         feats = neural.window_relu_stack(x, lengths, self.stack_weights, self.config.relu_window)
         if feature_mask is not None:
             feats = neural.mul(feats, feature_mask)
-        hs, state = neural.lstm_runs(feats, lengths, self.enc_lstm)
+        hs, cs = neural.lstm_runs(feats, lengths, self.enc_lstm)
+        state = (neural.last_steps(hs, lengths), neural.last_steps(cs, lengths))
         # step t of description b is row t*B + b of the step-major stack
         order = [t * len(descs) + b for b, n in enumerate(lengths) for t in range(n)]
         memory = neural.take_rows(hs, order)

@@ -428,15 +428,14 @@ def _c_backward(
     return d_z, dc * f
 
 
-def lstm_runs(
-    seq: Tensor, lengths: Sequence[int], cell: LstmParams
-) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+def lstm_runs(seq: Tensor, lengths: Sequence[int], cell: LstmParams) -> tuple[Tensor, Tensor]:
     """Run ``cell`` from a zero state over each run of ``lengths[i]``
     consecutive rows of ``seq``, the n runs as the rows of one [n, h] state.
     Every row steps as often as the longest run (an ended run repeats its
     last row, and nothing reads those steps).  Returns the step-major
-    [steps·n, h] stack of hidden states (row t·n + i is run i after step t)
-    and each run's (h, c) after its own last step.
+    [steps·n, h] stacks of hidden and cell states (row t·n + i is run i
+    after step t); ``last_steps`` takes each run's state after its own last
+    step from either.
 
     The sweep is one op with two tape nodes: the h stack, whose one parent
     is the c stack.  The forward steps the cell over arrays and keeps each
@@ -489,9 +488,14 @@ def lstm_runs(
     def h_bw(d):
         d_hs[0] = d
 
-    stack = Tensor(hs, parents=(c_stack,), bw=h_bw)
-    last = (counts - 1) * n + np.arange(n)
-    return stack, (take_rows(stack, last), take_rows(c_stack, last))
+    return Tensor(hs, parents=(c_stack,), bw=h_bw), c_stack
+
+
+def last_steps(stack: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Row i of the result is run i's row after its own last step, from a
+    step-major stack of ``lstm_runs`` over runs of ``lengths``."""
+    counts = np.asarray(lengths, dtype=np.intp)
+    return take_rows(stack, (counts - 1) * counts.size + np.arange(counts.size))
 
 
 def window_relu_stack(

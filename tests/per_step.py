@@ -134,11 +134,11 @@ def attention(
 def masked_lstm_runs(seq, lengths, cell):
     """A reference for ``neural.lstm_runs``: a run that has ended holds its
     state through 0/1 masks on every step, so every row of the step-major
-    stack is its run's latest state."""
+    stacks is its run's latest state."""
     counts = np.asarray(lengths)
     starts = np.cumsum(counts) - counts
     h = c = neural.zeros((len(counts), cell.hidden_dim))
-    hs = []
+    hs, cs = [], []
     for t in range(int(counts.max())):
         live = counts > t
         x = neural.take_rows(seq, np.where(live, starts + t, starts))
@@ -148,7 +148,8 @@ def masked_lstm_runs(seq, lengths, cell):
         h = add(neural.mul(h_new, step), neural.mul(h, hold))
         c = add(neural.mul(c_new, step), neural.mul(c, hold))
         hs.append(h)
-    return neural.concat(hs, axis=0), (h, c)
+        cs.append(c)
+    return neural.concat(hs, axis=0), neural.concat(cs, axis=0)
 
 
 def per_step_decoder(table, rows, memory, mask, state, w, cell):

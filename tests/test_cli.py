@@ -16,7 +16,13 @@ import pytest
 
 from adgcode import cli
 from adgcode.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE
-from adgcode.config import BEAM_WIDTH_BOUND, MAX_LEN_BOUND
+from adgcode.config import (
+    BEAM_WIDTH_BOUND,
+    CONCAT_CAP_BOUND,
+    DIM_BOUND,
+    MAX_LEN_BOUND,
+    RELU_BOUND,
+)
 from adgcode.graph import load_graph
 from adgcode.model import (
     CHECKPOINT_HEADER,
@@ -316,15 +322,23 @@ class TestGenerateCommand:
 
 class TestLoadedModelImports:
     """A loaded model takes every parameter from the checkpoint, so decoding
-    never imports ``numpy.random``; only scoring imports ``metrics``."""
+    never imports ``numpy.random``; only scoring imports ``metrics``; and
+    ``build-graph`` imports nothing of the model."""
 
     @pytest.mark.parametrize(
         "command, absent",
         [
             (["generate", "call the first method"], ["numpy.random", "adgcode.metrics"]),
             (["evaluate"], ["numpy.random"]),
+            (
+                ["build-graph"],
+                [
+                    "adgcode.model", "adgcode.neural", "adgcode.embedder", "adgcode.metrics",
+                    "adgcode.synthetic", "numpy.random",
+                ],
+            ),
         ],
-        ids=["generate", "evaluate"],
+        ids=["generate", "evaluate", "build-graph"],
     )
     def test_command_leaves_modules_unimported(self, trained, command, absent):
         root = Path(__file__).resolve().parents[1]
@@ -348,15 +362,20 @@ class TestTracedRuns:
     deleted one breaks traced benchmark runs; this catches it first."""
 
     def test_launcher_traces_train_and_generate(self, workspace):
+        # cli binds the model's names on first use; the launcher must still
+        # find and replace them (train, beam_search and both checkpoint ends)
         root = Path(__file__).resolve().parents[1]
         cfg = write_config(workspace, train={
             "batch_size": 4, "max_epochs": 1000, "max_steps": 2,
             "eval_interval": 100, "patience": 5, "warmup_steps": 50, "seed": 0,
         })
-        assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         traces = {}
-        for args in (["train", "--config", cfg], ["generate", "--config", cfg, "read the file"]):
+        for args in (
+            ["build-graph", "--config", cfg],
+            ["train", "--config", cfg],
+            ["generate", "--config", cfg, "read the file"],
+        ):
             spans_path = workspace / f"{args[0]}.spans.json"
             proc = subprocess.run(
                 [sys.executable, str(root / "adgbench" / "launcher.py"), str(spans_path), "--", *args],
@@ -365,8 +384,11 @@ class TestTracedRuns:
             assert proc.returncode == EXIT_OK, proc.stderr
             traces[args[0]] = json.loads(spans_path.read_text())
         spans = {cmd: {s[0] for s in t["spans"]} for cmd, t in traces.items()}
-        assert {"model.train", "model.sequence_loss", "model.encode"} <= spans["train"]
-        assert {"model.beam_search", "model.encode"} <= spans["generate"]
+        assert {"graph.build_adg", "graph.dump_graph"} <= spans["build-graph"]
+        assert {
+            "model.train", "model.sequence_loss", "model.encode", "model.save_checkpoint"
+        } <= spans["train"]
+        assert {"model.load_checkpoint", "model.beam_search", "model.encode"} <= spans["generate"]
         assert "model.decode_step" in {a[0] for a in traces["generate"]["aggregates"]}
 
 
@@ -384,13 +406,24 @@ class TestEvaluateCommand:
         values = lines[1].split("\t")
         assert len(values) == 9
 
-    @pytest.mark.parametrize("name", ["beam_width", "max_len"])
-    def test_checkpoint_setting_above_a_bound_is_data_error(self, trained, workspace, capsys, name):
-        # load only: no decode runs at such a size
-        bound = {"beam_width": BEAM_WIDTH_BOUND, "max_len": MAX_LEN_BOUND}[name]
+    @pytest.mark.parametrize(
+        "block, name, bound",
+        [
+            ("model_config", "beam_width", BEAM_WIDTH_BOUND),
+            ("model_config", "max_len", MAX_LEN_BOUND),
+            ("model_config", "hidden_dim", DIM_BOUND),
+            ("model_config", "relu_window", RELU_BOUND),
+            ("embedder_config", "concat_cap", CONCAT_CAP_BOUND),
+        ],
+        ids=["beam_width", "max_len", "hidden_dim", "relu_window", "concat_cap"],
+    )
+    def test_checkpoint_setting_above_a_bound_is_data_error(
+        self, trained, workspace, capsys, block, name, bound
+    ):
+        # load only: no decode runs, and no array is allocated, at such a size
         path = workspace / "model.ckpt"
         path.write_bytes(with_checkpoint_meta(
-            path.read_bytes(), lambda meta: meta["model_config"].update({name: bound + 1})
+            path.read_bytes(), lambda meta: meta[block].update({name: bound + 1})
         ))
         with pytest.raises(CheckpointFormatError, match=name):
             load_checkpoint(path.read_bytes())
@@ -487,12 +520,17 @@ class TestConfigValidation:
             (["generate", "--max-len", "4097", "call m1"], {}, "max_len"),
             (["train"], {"model": {"beam_width": 2**63}}, "beam_width"),
             (["train"], {"model": {"max_len": 10**30}}, "max_len"),
+            (["train"], {"model": {"hidden_dim": 2**40}}, "hidden_dim"),
+            (["train"], {"model": {"relu_window": 2**40}}, "relu_window"),
+            (["train"], {"model": {"word_dim": 10**30}}, "word_dim"),
+            (["train"], {"embedder": {"virtualization": "concat", "concat_cap": 2**40}}, "concat_cap"),
         ],
         ids=[
             "beam-flag", "beam-width", "aggregator", "batch-size", "unknown-embedder-key",
             "direction-string", "beam-width-float", "batch-size-bool", "unknown-train-key",
             "beam-flag-above-bound", "max-len-flag-above-bound", "beam-width-above-bound",
-            "max-len-above-bound",
+            "max-len-above-bound", "hidden-dim-above-bound", "relu-window-above-bound",
+            "word-dim-above-bound", "concat-cap-above-bound",
         ],
     )
     def test_bad_value_is_usage_error(self, workspace, capsys, command, patch, setting):

@@ -12,7 +12,10 @@ import pytest
 from adgcode.cli import PipelineConfig
 from adgcode.config import (
     BEAM_WIDTH_BOUND,
+    CONCAT_CAP_BOUND,
+    DIM_BOUND,
     MAX_LEN_BOUND,
+    RELU_BOUND,
     EmbedderConfig,
     ModelConfig,
     TrainConfig,
@@ -28,9 +31,16 @@ SPEC = functools.partial(SyntheticSpec, 4, 8, 3, 12, seed=0)
     [
         (EMBEDDER, "hops", 0, ValueError),
         (EMBEDDER, "use_edge_labels", "off", TypeError),
+        (EMBEDDER, "concat_cap", CONCAT_CAP_BOUND + 1, ValueError),
         (ModelConfig, "dropout", 1.0, ValueError),
         (ModelConfig, "beam_width", BEAM_WIDTH_BOUND + 1, ValueError),
         (ModelConfig, "max_len", MAX_LEN_BOUND + 1, ValueError),
+        (ModelConfig, "word_dim", DIM_BOUND + 1, ValueError),
+        (ModelConfig, "code_dim", DIM_BOUND + 1, ValueError),
+        (ModelConfig, "hidden_dim", DIM_BOUND + 1, ValueError),
+        (ModelConfig, "mlp_hidden", DIM_BOUND + 1, ValueError),
+        (ModelConfig, "relu_layers", RELU_BOUND + 1, ValueError),
+        (ModelConfig, "relu_window", RELU_BOUND + 1, ValueError),
         (TrainConfig, "max_steps", 0, ValueError),
         (TrainConfig, "batch_size", True, TypeError),
         (PipelineConfig, "seed", -1, ValueError),
@@ -39,8 +49,10 @@ SPEC = functools.partial(SyntheticSpec, 4, 8, 3, 12, seed=0)
         (SPEC, "seed", -1, SyntheticGenerationError),
     ],
     ids=[
-        "embedder-hops", "embedder-labels", "model-dropout", "model-beam-width",
-        "model-max-len", "train-max-steps", "train-batch-size", "pipeline-seed",
+        "embedder-hops", "embedder-labels", "embedder-concat-cap", "model-dropout",
+        "model-beam-width", "model-max-len", "model-word-dim", "model-code-dim",
+        "model-hidden-dim", "model-mlp-hidden", "model-relu-layers", "model-relu-window",
+        "train-max-steps", "train-batch-size", "pipeline-seed",
         "pipeline-seed-type", "spec-chain", "spec-seed",
     ],
 )
@@ -58,3 +70,13 @@ def test_decoding_bounds_are_inclusive():
     # construction only: nothing decodes at these sizes
     config = ModelConfig(beam_width=BEAM_WIDTH_BOUND, max_len=MAX_LEN_BOUND)
     assert (config.beam_width, config.max_len) == (BEAM_WIDTH_BOUND, MAX_LEN_BOUND)
+
+
+def test_size_bounds_are_inclusive():
+    # construction only: no array is allocated at these sizes
+    sizes = dict.fromkeys(("word_dim", "code_dim", "hidden_dim", "mlp_hidden"), DIM_BOUND)
+    sizes.update(relu_layers=RELU_BOUND, relu_window=RELU_BOUND)
+    config = ModelConfig(**sizes)
+    assert all(getattr(config, name) == size for name, size in sizes.items())
+    embedder = EMBEDDER(virtualization="concat", concat_cap=CONCAT_CAP_BOUND)
+    assert embedder.concat_cap == CONCAT_CAP_BOUND

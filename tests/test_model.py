@@ -1124,12 +1124,14 @@ class TestLstmRunsReference:
         cell = neural.LstmParams.create("c", 3, 4, rng)
         seq = neural.constant(rng.standard_normal((9, 3)))
         lengths = np.array([4, 1, 4])
-        hs, (h, c) = neural.lstm_runs(seq, lengths, cell)
-        ref_hs, (ref_h, ref_c) = masked_lstm_runs(seq, lengths, cell)
+        hs, cs = neural.lstm_runs(seq, lengths, cell)
+        ref_hs, ref_cs = masked_lstm_runs(seq, lengths, cell)
         assert hs.data.shape == ref_hs.data.shape == (4 * 3, 4)
         live = np.arange(4)[:, None] < lengths  # [step, run]
         assert np.array_equal(hs.data[live.reshape(-1)], ref_hs.data[live.reshape(-1)])
-        assert np.array_equal(h.data, ref_h.data) and np.array_equal(c.data, ref_c.data)
+        for stack, ref in ((hs, ref_hs), (cs, ref_cs)):  # the final h, then the final c
+            last, ref_last = neural.last_steps(stack, lengths), neural.last_steps(ref, lengths)
+            assert np.array_equal(last.data, ref_last.data)
 
 
 def count_tensors(monkeypatch):

@@ -319,14 +319,16 @@ class TestLstmCell:
         probes = [neural.constant(rng.standard_normal(shape)) for shape in ((9, 4), (3, 4), (3, 4))]
 
         def loss():
-            hs, (h, c) = neural.lstm_runs(seq, lengths, p)
+            hs, cs = neural.lstm_runs(seq, lengths, p)
+            h, c = neural.last_steps(hs, lengths), neural.last_steps(cs, lengths)
             outs = [
                 vsum(neural.mul(t, probe))
                 for t, probe in zip((neural.take_rows(hs, live), h, c), probes)
             ]
             return add(add(outs[0], outs[1]), outs[2])
 
-        hs, (h, c) = neural.lstm_runs(seq, lengths, p)
+        hs, _ = neural.lstm_runs(seq, lengths, p)
+        h = neural.last_steps(hs, lengths)
         assert np.array_equal(h.data, hs.data[(lengths - 1) * 3 + np.arange(3)])
         err = gradient_check(loss, p.parameters() + [seq])
         assert err < 1e-4
