@@ -2,10 +2,11 @@
 ablation sweeps, and synthetic corpus generation.
 
 Exit codes: 0 success, 2 usage/configuration (a file that cannot be opened
-included, and an embedder ``concat_cap`` below the size of a neighbour group
-the embedding meets), 3 data/format (an input that is not UTF-8 included),
-4 training divergence.  All commands are deterministic given --seed and never mutate
-their input files.
+included, an embedder ``concat_cap`` below the size of a neighbour group
+the embedding meets, and settings whose arrays do not fit in memory),
+3 data/format (an input that is not UTF-8 included), 4 training divergence.
+All commands are deterministic given --seed and never mutate their input
+files.
 
 Each command builds one frozen :class:`PipelineConfig` from the config file,
 then applies its flags through ``dataclasses.replace``.  The settings classes
@@ -26,6 +27,7 @@ nothing of the model.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -488,10 +490,22 @@ def run(argv: Sequence[str], out=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as exc:
+        # sizes inside every per-field bound can together outgrow the machine
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # The interpreter's exit runs full collections over every object the
+    # command made; frozen, they are skipped.  atexit handlers and the flush
+    # of buffered output still run.  Safe here only, where the process ends:
+    # tests and the benchmark's launcher call run() in processes that live
+    # on, and a freeze there would keep their cyclic garbage for good.  Every
+    # file run() writes is closed by its ``with`` block before it returns.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

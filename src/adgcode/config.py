@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 AGGREGATORS = ("mean", "pooling", "lstm")
@@ -55,9 +54,17 @@ class TrainingDivergedError(RuntimeError):
         self.step = step
 
 
+# The annotations check_field_types knows, by their source text: under
+# ``from __future__ import annotations`` that is what a field's type is.
+# Matching the text evaluates nothing in the class's module, which under
+# ``runpy`` or ``python -m cProfile -m adgcode.cli`` is a ``__main__`` that
+# ``sys.modules`` does not hold (``typing.get_type_hints`` failed there).
+_FIELD_KINDS = {"bool": bool, "int": int, "Optional[int]": Optional[int], "float": float}
+
+
 @functools.cache
 def _field_types(cls: type) -> dict[str, object]:
-    return typing.get_type_hints(cls)
+    return {f.name: _FIELD_KINDS.get(f.type, f.type) for f in fields(cls)}
 
 
 def check_field_types(config) -> None:

@@ -3,6 +3,7 @@ codes, config precedence, and run-to-run determinism."""
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from adgcode import cli
+from adgcode import cli, neural
 from adgcode.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE
 from adgcode.config import (
     BEAM_WIDTH_BOUND,
@@ -244,6 +245,30 @@ class TestTrain:
         code, _ = run_cli(["train", "--config", cfg])
         assert code == EXIT_DIVERGED
 
+    @pytest.mark.parametrize(
+        "error",
+        [
+            MemoryError("Unable to allocate 1.03 GiB for an array with shape (2048, 67584)"),
+            MemoryError(),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_allocation_failure_is_usage_error(self, workspace, monkeypatch, capsys, error):
+        # settings inside every per-field bound can still ask for more
+        # memory than the machine has; the model's first weight hits it
+        cfg = write_config(workspace)
+        run_cli(["build-graph", "--config", cfg])
+
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(neural, "glorot_init", exhausted)
+        capsys.readouterr()
+        code, out = run_cli(["train", "--config", cfg])
+        assert code == EXIT_USAGE and out == ""
+        assert "out of memory" in single_error_line(capsys.readouterr().err)
+        assert not (workspace / "model.ckpt").exists()
+
 
 @pytest.fixture
 def trained(workspace):
@@ -390,6 +415,95 @@ class TestTracedRuns:
         } <= spans["train"]
         assert {"model.load_checkpoint", "model.beam_search", "model.encode"} <= spans["generate"]
         assert "model.decode_step" in {a[0] for a in traces["generate"]["aggregates"]}
+
+
+class TestEntryPoint:
+    """``python -m adgcode.cli`` runs ``main``: ``cli.run``, then a
+    ``gc.freeze()`` so that the interpreter's exit collections skip what the
+    command made, then ``sys.exit``.  Nothing a command prints or writes may
+    change with it, and exit handlers must still run."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def run_process(self, argv):
+        return subprocess.run(
+            [sys.executable, *argv],
+            env=dict(os.environ, PYTHONPATH=str(self.ROOT / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def run_main(self, args):
+        proc = self.run_process(["-m", "adgcode.cli", *args])
+        assert proc.stderr == "", proc.stderr
+        return proc.returncode, proc.stdout
+
+    def test_commands_match_run_in_process(self, workspace):
+        cfg = write_config(workspace, train={
+            "batch_size": 4, "max_epochs": 1000, "max_steps": 2,
+            "eval_interval": 100, "patience": 5, "warmup_steps": 50, "seed": 0,
+        })
+        description = (workspace / "test.tsv").read_text().splitlines()[0].split("\t")[0]
+        commands = [
+            (["build-graph", "--config", cfg], ["graph.adg"]),
+            (["train", "--config", cfg], ["model.ckpt", "model.ckpt.history"]),
+            (["generate", "--config", cfg, description], []),
+            (["evaluate", "--config", cfg], []),
+        ]
+        results = {}
+        for side, call in (("run", run_cli), ("main", self.run_main)):
+            results[side] = []
+            for args, written in commands:
+                code, out = call(args)
+                results[side].append((code, out, [(workspace / f).read_bytes() for f in written]))
+            for _, written in commands:
+                for f in written:
+                    (workspace / f).unlink()
+        assert [code for code, _, _ in results["run"]] == [EXIT_OK] * len(commands)
+        for (args, _), ours, theirs in zip(commands, results["run"], results["main"]):
+            assert ours == theirs, args[0]
+
+    def test_exit_handlers_run_after_the_freeze(self, workspace):
+        # os._exit would skip the hook; without the freeze the count reads 0
+        cfg = write_config(workspace)
+        probe = (
+            "import atexit, gc, sys\n"
+            "from adgcode import cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['adgcode', 'build-graph', '--config', {cfg!r}]\n"
+            "cli.main()\n"
+        )
+        proc = self.run_process(["-c", probe])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("Nodes ") and lines[-1] == "frozen True", proc.stdout
+
+    def test_usage_error_is_one_line(self, trained):
+        proc = self.run_process(["-m", "adgcode.cli", "generate", "--config", trained,
+                                 "--beam", "0", "read the file"])
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert "beam_width" in single_error_line(proc.stderr)
+
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            ["-m", "cProfile", "-m", "adgcode.cli"],
+            ["-c", "import runpy; runpy.run_module('adgcode.cli', run_name='__main__')"],
+        ],
+        ids=["cProfile", "runpy"],
+    )
+    def test_runs_under_another_main_module(self, workspace, runner):
+        # these runners leave sys.modules["__main__"] pointing elsewhere, where
+        # annotations of cli's classes cannot be evaluated
+        cfg = write_config(workspace)
+        code, expect = run_cli(["build-graph", "--config", cfg])
+        proc = self.run_process([*runner, "build-graph", "--config", cfg])
+        assert proc.returncode == code == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith(expect)
+
+    def test_run_in_process_freezes_nothing(self, trained):
+        before = gc.get_freeze_count()
+        assert run_cli(["generate", "--config", trained, "read the file"])[0] == EXIT_OK
+        assert gc.get_freeze_count() == before
 
 
 class TestEvaluateCommand:
