@@ -4,7 +4,9 @@ ablation sweeps, and synthetic corpus generation.
 Exit codes: 0 success, 2 usage/configuration (a file that cannot be opened
 included, an embedder ``concat_cap`` below the size of a neighbour group
 the embedding meets, and settings whose arrays do not fit in memory),
-3 data/format (an input that is not UTF-8 included), 4 training divergence.
+3 data/format (an input that is not UTF-8 included), 4 training divergence,
+141 when the reader of standard output goes away (a closed pipe), as for a
+tool that SIGPIPE ends; files the command wrote by then stay as written.
 All commands are deterministic given --seed and never mutate their input
 files.
 
@@ -62,6 +64,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 # JSON ``embedder`` keys and the EmbedderConfig fields they set; the
 # dimension is always the model's code_dim (query switching).
@@ -481,6 +484,8 @@ def run(argv: Sequence[str], out=None) -> int:
         if args.command == "ablate":
             return cmd_ablate(cfg, args.axes, out)
         raise ConfigError(f"unknown command {args.command!r}")
+    except BrokenPipeError:
+        raise  # the reader of the output went away: not a usage error (see main)
     except (ConfigError, ConcatCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -497,7 +502,15 @@ def run(argv: Sequence[str], out=None) -> int:
 
 
 def main() -> None:
-    code = run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a reader that went away shows here, not in the exit's flush
+    except BrokenPipeError:
+        # End quietly, with the code a shell reports for a C tool that SIGPIPE
+        # ended; stdout goes to devnull so that the interpreter's final flush
+        # cannot raise again (the Python docs' "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
     # The interpreter's exit runs full collections over every object the
     # command made; frozen, they are skipped.  atexit handlers and the flush
     # of buffered output still run.  Safe here only, where the process ends:

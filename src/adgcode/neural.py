@@ -17,8 +17,13 @@ into each gradient in the order a tape of per-step ops would, so its
 results equal that tape's bit for bit.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
-topological sweep.  Inside ``no_grad()`` ops record no tape: decoding runs
-there, since nothing backpropagates through it.  The layers take N
+topological sweep.  A tape backpropagates once: as each node's closure runs,
+backward frees it (with the arrays it saved), the node's parent links and,
+off the leaves, its gradient, so a step's activations die with its backward
+and not when the next step's loss replaces it.  A later backward that
+reaches a freed node raises ``RuntimeError``, where it would otherwise drop
+the gradient below that node.  Inside ``no_grad()`` ops record no tape:
+decoding runs there, since nothing backpropagates through it.  The layers take N
 independent rows of shape [N, d] only: training runs each batch as one
 padded pass over such rows (with the loss and the order of dropout draws of
 one pair at a time), beam search its live hypotheses, the embedder every
@@ -57,6 +62,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = saved
+
+
+def _freed(_g: np.ndarray) -> None:
+    """The backward closure of a tape node that a backward already ran."""
+    raise RuntimeError("backward through a tape that was already backpropagated and freed")
 
 
 class Tensor:
@@ -108,6 +118,7 @@ class Tensor:
         for node in reversed(order):
             if node.bw is not None:
                 node.bw(node.grad)
+                node.bw, node.parents, node.grad = _freed, (), None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"

@@ -500,7 +500,31 @@ class TestEntryPoint:
         assert proc.returncode == code == EXIT_OK, proc.stderr
         assert proc.stdout.startswith(expect)
 
-    def test_run_in_process_freezes_nothing(self, trained):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_ends_quietly(self, workspace, trained, unbuffered):
+        # a reader that went away ends the command as SIGPIPE ends a C tool:
+        # exit 141, no error line, and what it wrote stays as written
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:  # print fails inside run; buffered, the flush in main fails
+            env["PYTHONUNBUFFERED"] = "1"
+        graph = workspace / "graph.adg"
+        expect = graph.read_bytes()
+        graph.unlink()
+        for args in (["build-graph", "--config", trained],
+                     ["generate", "--config", trained, "read the file"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "adgcode.cli", *args], env=env, stdout=write_end,
+                    stderr=subprocess.PIPE, text=True, timeout=300,
+                )
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, ""), args[0]
+            assert graph.read_bytes() == expect
+
         before = gc.get_freeze_count()
         assert run_cli(["generate", "--config", trained, "read the file"])[0] == EXIT_OK
         assert gc.get_freeze_count() == before

@@ -1180,7 +1180,6 @@ class TestTrainingTapeSize:
         # one sequence_loss plus backward, with the longest code (or
         # description) 3 tokens long and 12 tokens long
         model, _ = tiny_model(seed=10)
-        node_emb = model.embed_nodes()
         desc_ids = [model.desc_vocab.id(t) for t in ("make", "c", "d", "combine", "just")]
         code_ids = [model.code_vocab.id(t) for t in ("v0", "=", "m2", "(", ")", ";", "m4")]
 
@@ -1195,6 +1194,7 @@ class TestTrainingTapeSize:
                 (cycle(desc_ids, d), cycle(code_ids, c))
                 for d, c in zip(lengths["description"], lengths["code"])
             ]
+            node_emb = model.embed_nodes()  # a backward frees the table's tape
             with monkeypatch.context() as patch:
                 made = count_tensors(patch)
                 loss = model.sequence_loss(batch, node_emb, train=True, rng=np.random.default_rng(1))

@@ -648,6 +648,55 @@ def test_sweeps_keep_no_step_arrays_without_grad(monkeypatch):
         del outs
 
 
+class TestFreedTape:
+    """``backward()`` frees the tape it has run: each node's closure (with
+    the arrays it saved), its parent links and, off the leaves, its
+    gradient."""
+
+    def test_backward_frees_step_arrays(self, monkeypatch):
+        kept = []
+        forward = neural._cell_forward
+
+        def recording(z, c_prev, p):
+            h, c, gates = forward(z, c_prev, p)
+            kept.append(weakref.ref(gates[0]))
+            return h, c, gates
+
+        monkeypatch.setattr(neural, "_cell_forward", recording)
+        rng = RNG(64)
+        table, memory, w, cell, state, mask = TestAttentionLstmSweep._operands(rng)
+        runs_cell = LstmParams.create("runs", 3, 4, rng)
+        seq = tensor_param("seq", rng, (7, 3))
+        hs, cs = neural.lstm_runs(seq, [4, 1, 2], runs_cell)
+        out = neural.attention_lstm_sweep(table, TestAttentionLstmSweep.STEP_ROWS, memory, mask, state, w, cell)
+        loss = add(add(vsum(hs), vsum(cs)), vsum(out))
+        assert len(kept) == 4 + 4 and all(ref() is not None for ref in kept)
+        loss.backward()
+        assert [ref() for ref in kept] == [None] * len(kept)
+        assert loss.grad is None and hs.grad is None and out.grad is None
+        assert hs.parents == () and loss.parents == ()
+        leaves = [seq, table, memory, w, *state, *runs_cell.parameters(), *cell.parameters()]
+        assert all(t.grad is not None for t in leaves)
+
+    def test_second_backward_raises(self):
+        rng = RNG(65)
+        x = tensor_param("x", rng, (2, 3))
+        loss = vsum(neural.tanh(x))
+        loss.backward()
+        grad = x.grad.copy()
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        assert np.array_equal(x.grad, grad)
+
+    def test_backward_through_freed_tensor_raises(self):
+        rng = RNG(66)
+        x = tensor_param("x", rng, (2, 3))
+        shared = neural.tanh(x)
+        vsum(shared).backward()
+        with pytest.raises(RuntimeError):
+            vsum(neural.relu(shared)).backward()
+
+
 def xent(logits, target):
     """Loss (from ``.data``) and logit gradient (from ``backward()``) of
     ``softmax_xent``."""
