@@ -668,7 +668,9 @@ class TestFreedTape:
         runs_cell = LstmParams.create("runs", 3, 4, rng)
         seq = tensor_param("seq", rng, (7, 3))
         hs, cs = neural.lstm_runs(seq, [4, 1, 2], runs_cell)
-        out = neural.attention_lstm_sweep(table, TestAttentionLstmSweep.STEP_ROWS, memory, mask, state, w, cell)
+        out = neural.attention_lstm_sweep(
+            table, TestAttentionLstmSweep.STEP_ROWS, memory, mask, state, w, cell
+        )
         loss = add(add(vsum(hs), vsum(cs)), vsum(out))
         assert len(kept) == 4 + 4 and all(ref() is not None for ref in kept)
         loss.backward()
