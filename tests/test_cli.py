@@ -525,6 +525,7 @@ class TestEntryPoint:
             assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, ""), args[0]
             assert graph.read_bytes() == expect
 
+    def test_run_in_process_freezes_nothing(self, trained):
         before = gc.get_freeze_count()
         assert run_cli(["generate", "--config", trained, "read the file"])[0] == EXIT_OK
         assert gc.get_freeze_count() == before
