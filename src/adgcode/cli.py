@@ -5,9 +5,9 @@ Exit codes: 0 success, 2 usage/configuration (a file that cannot be opened
 included, an embedder ``concat_cap`` below the size of a neighbour group
 the embedding meets, and settings whose arrays do not fit in memory),
 3 data/format (an input that is not UTF-8 included), 4 training divergence,
-141 when the reader of standard output goes away (a closed pipe), as for a
-tool that SIGPIPE ends; files the command wrote by then stay as written.
-All commands are deterministic given --seed and never mutate their input
+141 when the reader of standard output or standard error goes away (a
+closed pipe), as for a tool that SIGPIPE ends; files the command wrote by
+then stay as written.  All commands are deterministic given --seed and never mutate their input
 files.
 
 Each command builds one frozen :class:`PipelineConfig` from the config file,
@@ -16,10 +16,10 @@ then applies its flags through ``dataclasses.replace``.  The settings classes
 place raises there, once, and exits 2 with one ``error:`` line.
 
 Each command imports only what it runs.  At module level this module
-imports the standard library, ``config``, ``graph`` and ``signatures`` (and
-numpy through ``graph``); that is all ``build-graph`` loads.  ``train``,
+imports the standard library, ``config``, ``graph`` and ``signatures``, none
+of which imports numpy; that is all ``build-graph`` loads.  ``train``,
 ``generate``, ``evaluate`` and ``ablate`` also import ``model`` (and through
-it ``neural``, ``embedder`` and ``numpy.random``) on first use, and bind
+it numpy, ``neural``, ``embedder`` and ``numpy.random``) on first use, and bind
 ``MODEL_NAMES`` here.  Only the commands that score import ``metrics``:
 ``evaluate``, ``ablate``, and ``train`` when it has validation pairs (through
 ``model.validation_bleu``).  ``gen-synthetic`` imports ``synthetic`` and
@@ -220,8 +220,8 @@ def _graph_stats(adg) -> list[tuple[str, str]]:
     n = adg.num_nodes
     e = adg.num_edges
     indegree, outdegree = adg.degrees()
-    max_in = int(indegree.max(initial=0))
-    max_out = int(outdegree.max(initial=0))
+    max_in = max(indegree, default=0)
+    max_out = max(outdegree, default=0)
     avg = e / n if n else 0.0
     return [
         ("Nodes", str(n)),
@@ -504,12 +504,19 @@ def run(argv: Sequence[str], out=None) -> int:
 def main() -> None:
     try:
         code = run(sys.argv[1:])
-        sys.stdout.flush()  # a reader that went away shows here, not in the exit's flush
+        # a reader that went away shows here, not in the exit's flush
+        sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
         # End quietly, with the code a shell reports for a C tool that SIGPIPE
-        # ended; stdout goes to devnull so that the interpreter's final flush
-        # cannot raise again (the Python docs' "Note on SIGPIPE").
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # ended; a stream whose reader went away goes to devnull so that the
+        # interpreter's final flush cannot raise again (the Python docs' "Note
+        # on SIGPIPE").
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         code = EXIT_PIPE
     # The interpreter's exit runs full collections over every object the
     # command made; frozen, they are skipped.  atexit handlers and the flush

@@ -17,8 +17,7 @@ state after its own last element), one affine map.  The settings,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,14 +27,13 @@ from .graph import Adg, GraphError
 from .neural import LstmParams, Parameter, Tensor
 
 
-@dataclass
-class EmbedderParams:
+class EmbedderParams(NamedTuple):
     """Trainable state: per-node base features, per-hop weights, and per-hop
     LSTM gates when the aggregator is order-sensitive."""
 
     base: Parameter
-    hop_weights: list[Parameter]
-    hop_lstms: list[LstmParams] = field(default_factory=list)
+    hop_weights: tuple[Parameter, ...]
+    hop_lstms: tuple[LstmParams, ...] = ()
 
     @classmethod
     def create(
@@ -54,7 +52,7 @@ class EmbedderParams:
             weights.append(Parameter(f"emb.w{k}", neural.glorot_init((d, w_in), rng)))
             if config.aggregator == "lstm":
                 lstms.append(LstmParams.create(f"emb.lstm{k}", agg_in, d, rng))
-        return cls(base=base, hop_weights=weights, hop_lstms=lstms)
+        return cls(base=base, hop_weights=tuple(weights), hop_lstms=tuple(lstms))
 
     def parameters(self) -> list[Parameter]:
         out = [self.base] + list(self.hop_weights)

@@ -2,24 +2,28 @@
 
 Nodes are API methods with typed input/output parameter lists.  A directed
 edge ``(head, tag, tail)`` records that some output of ``head`` satisfies the
-input type of ``tail`` named by ``tag``.  Construction works on bool type
-matrices (type satisfies type, node requires type, node produces type): a few
-matrix products find which tags each provider matches, and each match expands
-into that tag's consumers, so no provider is compared with every other node.
-The edges are held as index arrays, not as one object per edge.
+input type of ``tail`` named by ``tag``.  Construction derives plain-Python
+tables (the types each type satisfies, each node's required and provided
+types, each type's consumers) and expands each provider's provided types
+into those types' consumers, so no provider is compared with every other
+node.  The edges are held as three int tuples, not as one object per edge.
 
-A constructed :class:`Adg` is immutable, holds no lazily built state and is
-safe for concurrent readers; reachability queries keep their counters in
-caller-local state.  The inverted index is the type-by-consumer matrix that
-construction already computes for its edge cap.
+This module imports no numpy.  The arrays the model and embedder read
+(:attr:`Adg.edge_arrays`, :attr:`Adg.provides` and the required-type matrix
+behind :meth:`Adg.reachability_rows`) are read-only views of the tables,
+each built once, with numpy imported, on first use; ``build-graph`` never
+reads them.  Apart from those views a constructed :class:`Adg` is immutable,
+and reachability queries keep their counters in caller-local state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+import functools
+from collections import Counter
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 GRAPH_HEADER = "ADG-GRAPH-v1"
 DEFAULT_EDGE_CAP = 50_000_000
@@ -45,8 +49,7 @@ class GraphFormatError(GraphError):
     """A serialized graph dump is malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
-class ParamType:
+class ParamType(NamedTuple):
     """A parameter type with an optional direct supertype."""
 
     name: str
@@ -120,8 +123,7 @@ class TypeHierarchy:
         return tuple(ParamType(n, self._parent[n]) for n in self._names)
 
 
-@dataclass(frozen=True)
-class ApiMethodNode:
+class ApiMethodNode(NamedTuple):
     """An API method: dense integer id, unique name, typed I/O multisets."""
 
     id: int
@@ -134,48 +136,59 @@ class Adg:
     """Immutable API dependency graph with derived lookup structures.
 
     Use :func:`build_adg` to construct one.  Node ids are dense 0..n-1 and
-    double as indices into the nodes table.  The graph is held as arrays:
-    a type-by-consumer matrix (the inverted index), node-by-required-type
-    and node-by-provided-type matrices, with type indices in sorted-name order,
-    and the edges as three aligned index arrays (head, tag type index, tail)
-    in canonical order.  Every other view is computed from these when asked for.
+    double as indices into the nodes table; type indices follow the sorted
+    type names.  The graph is held as the plain-Python tables construction
+    derives: for each type the types it satisfies (itself and its
+    ancestors) and the nodes that require it (ascending), for each node its
+    required and its provided type-index sets, and the edges as three int
+    tuples (head, tag type index, tail) in canonical order.  The arrays the
+    model reads are read-only views of these tables, each built once on
+    first use.
     """
 
     def __init__(
         self,
         nodes: tuple[ApiMethodNode, ...],
         hierarchy: TypeHierarchy,
-        accepts: np.ndarray,
-        required: np.ndarray,
-        provides: np.ndarray,
-        edge_ids: tuple[np.ndarray, np.ndarray, np.ndarray],
+        type_index: dict[str, int],
+        satisfies: tuple[frozenset[int], ...],
+        required: tuple[frozenset[int], ...],
+        provided: tuple[frozenset[int], ...],
+        consumers: tuple[tuple[int, ...], ...],
+        edges: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]],
     ):
         self._nodes = nodes
         self._hierarchy = hierarchy
-        self._type_names = hierarchy.names
+        self._type_index = type_index
+        self._satisfies = satisfies
         self._required = required
-        for array in (accepts, provides, *edge_ids):
-            array.flags.writeable = False
-        self._accepts = accepts
-        self._provides = provides
-        self._edge_ids = edge_ids
+        self._provided = provided
+        self._consumers = consumers
+        self._edges = edges
         self._id_by_name = {m.name: m.id for m in nodes}
 
     @property
     def nodes(self) -> tuple[ApiMethodNode, ...]:
         return self._nodes
 
-    @property
+    @functools.cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edges as three read-only aligned index arrays (head, tag type
         index, tail) in canonical order."""
-        return self._edge_ids
+        import numpy as np
 
-    @property
+        return tuple(_read_only(np.array(ids, dtype=np.intp)) for ids in self._edges)
+
+    @functools.cached_property
     def provides(self) -> np.ndarray:
         """Read-only bool [nodes, types] matrix: ``provides[m, t]`` is true iff
         some output of node m satisfies required type t."""
-        return self._provides
+        return _type_rows(self._provided, len(self._type_index))
+
+    @functools.cached_property
+    def _required_rows(self) -> np.ndarray:
+        """Read-only bool [nodes, types] matrix of each node's required types."""
+        return _type_rows(self._required, len(self._type_index))
 
     @property
     def hierarchy(self) -> TypeHierarchy:
@@ -187,7 +200,7 @@ class Adg:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edge_ids[0])
+        return len(self._edges[0])
 
     def node(self, node_id: int) -> ApiMethodNode:
         if not 0 <= node_id < len(self._nodes):
@@ -200,12 +213,12 @@ class Adg:
 
     def iit_lookup(self, type_name: str) -> set[int]:
         """Nodes that accept a provided value of ``type_name`` as an input,
-        as a new set: the type's row of the inverted index.  Unknown keys
+        as a new set: the consumers of every type it satisfies.  Unknown keys
         yield the empty set.
         """
-        if type_name not in self._type_names:
+        if type_name not in self._type_index:
             return set()
-        return set(np.flatnonzero(self._accepts[self._type_names.index(type_name)]).tolist())
+        return _accepting(self._consumers, self._satisfies[self._type_index[type_name]])
 
     def is_reachable(self, node_id: int, available: Iterable[str]) -> bool:
         """Counting-based reachability: every distinct required input type of
@@ -232,33 +245,45 @@ class Adg:
         types met so far (an OR of :attr:`provides` rows).  A node is
         reachable iff none of its required types is unmet.
         """
+        import numpy as np
+
         ids = np.asarray(node_ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= len(self._nodes)):
             bad = ids[(ids < 0) | (ids >= len(self._nodes))][0]
             raise UnknownNodeError(f"unknown node id {bad}")
-        return ~_any_product(~met, self._required[ids].T)
+        # Counts of unmet required types as a float32 matmul, which is exact
+        # here because no count exceeds the number of types.
+        unmet = (~met).astype(np.float32) @ self._required_rows[ids].T.astype(np.float32)
+        return unmet == 0
 
-    def degrees(self) -> tuple[np.ndarray, np.ndarray]:
+    def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """In-degree and out-degree of every node: its incoming and outgoing
         edge counts, indexed by node id."""
-        heads, _, tails = self._edge_ids
-        n = len(self._nodes)
-        return np.bincount(tails, minlength=n), np.bincount(heads, minlength=n)
+        heads, _, tails = self._edges
+        indegree, outdegree = Counter(tails), Counter(heads)
+        ids = range(len(self._nodes))
+        return tuple(indegree[m] for m in ids), tuple(outdegree[m] for m in ids)
 
 
-def _any_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product: ``out[i, j]`` is true iff some ``a[i, k]`` and
-    ``b[k, j]`` are both true.  Computed as a float32 matmul, which is exact
-    here because each sum counts at most ``k`` ones."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def _type_matrix(rows: Sequence[Sequence[str]], type_index: Mapping[str, int]) -> np.ndarray:
-    """A bool [len(rows), len(type_index)] matrix marking the types of each row."""
-    matrix = np.zeros((len(rows), len(type_index)), dtype=bool)
-    row_of = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-    matrix[row_of, [type_index[t] for r in rows for t in r]] = True
-    return matrix
+def _type_rows(rows: Sequence[frozenset[int]], width: int) -> np.ndarray:
+    """A read-only bool [len(rows), width] matrix marking the type indices of
+    each row."""
+    import numpy as np
+
+    matrix = np.zeros((len(rows), width), dtype=bool)
+    pairs = [(r, t) for r, types in enumerate(rows) for t in types]
+    matrix[[r for r, _ in pairs], [t for _, t in pairs]] = True
+    return _read_only(matrix)
+
+
+def _accepting(consumers: Sequence[tuple[int, ...]], satisfied: Iterable[int]) -> set[int]:
+    """The nodes that require some type in ``satisfied``."""
+    return set().union(*(consumers[t] for t in satisfied))
 
 
 def build_adg(
@@ -270,10 +295,10 @@ def build_adg(
     """Construct the dependency graph implied by pairwise parameter matching.
 
     One edge exists per (provider, matched required-type tag, consumer)
-    triple; self-loops are excluded.  The work is a few matrix products over
-    the type matrices plus one expansion of each provider's matched tags into
-    that tag's consumers, so it is proportional to the number of hits rather
-    than to all node pairs.
+    triple; self-loops are excluded.  Each provider's provided types (the
+    types its outputs satisfy) expand into each type's consumers, so the
+    work is proportional to the number of hits rather than to all node
+    pairs.
 
     Raises ConstructionError on duplicate names, non-dense ids, undeclared
     types, or when the projected number of candidate matches (over providers,
@@ -298,49 +323,56 @@ def build_adg(
                     f"method {m.name!r} references undeclared type {t!r}"
                 )
 
-    required = _type_matrix([m.inputs for m in nodes], type_index)
-    produced = _type_matrix([m.outputs for m in nodes], type_index)
-    satisfies = _type_matrix(
-        [(name, *hierarchy.ancestors(name)) for name in type_names], type_index
+    index_of = type_index.__getitem__
+    satisfies = tuple(
+        frozenset(map(index_of, (name, *hierarchy.ancestors(name)))) for name in type_names
     )
+    satisfied_by = dict(zip(type_names, satisfies)).__getitem__
+    required = tuple(frozenset(map(index_of, m.inputs)) for m in nodes)
+    provided = tuple(frozenset().union(*map(satisfied_by, m.outputs)) for m in nodes)
+    consumers_of: list[list[int]] = [[] for _ in type_names]
+    for m, types in enumerate(required):  # ascending ids, so each list is sorted
+        for t in types:
+            consumers_of[t].append(m)
+    consumers = tuple(map(tuple, consumers_of))
 
-    # accepts[t, c]: consumer c takes a provided value of type t, the inverted
-    # index that the graph keeps for iit_lookup.
-    accepts = _any_product(satisfies, required.T)
-    projected = int(produced.sum(axis=0) @ accepts.sum(axis=1))
+    accepting = dict(zip(type_names, (len(_accepting(consumers, types)) for types in satisfies)))
+    projected = sum(accepting[t] for m in nodes for t in set(m.outputs))
     if projected > max_edges:
         raise ConstructionError(
             f"projected candidate matches exceed the cap ({max_edges}); "
             "raise max_edges to construct this graph"
         )
 
-    # Each (provider, tag it provides) pair expands into that tag's consumers;
-    # both nonzero scans are row-major, so the result is in canonical order.
-    provides = _any_product(produced, satisfies)
-    provider, tag = np.nonzero(provides)
-    consumer_tag, consumer = np.nonzero(required.T)
-    per_tag = np.bincount(consumer_tag, minlength=len(type_names))
-    first = np.cumsum(per_tag) - per_tag
-    sizes = per_tag[tag]
-    offsets = np.repeat(first[tag] - (np.cumsum(sizes) - sizes), sizes)
-    heads = np.repeat(provider, sizes)
-    tails = consumer[offsets + np.arange(offsets.size)]
-    keep = heads != tails
+    # Providers ascending, their tags ascending, each tag's consumers
+    # ascending: the edges come out in canonical order.
+    heads: list[int] = []
+    tags: list[int] = []
+    tails: list[int] = []
+    for head, types in enumerate(provided):
+        for tag in sorted(types):
+            row = consumers[tag]
+            if tag in required[head]:
+                row = [tail for tail in row if tail != head]
+            heads += [head] * len(row)
+            tags += [tag] * len(row)
+            tails += row
     return Adg(
         nodes=nodes,
         hierarchy=hierarchy,
-        accepts=accepts,
+        type_index=type_index,
+        satisfies=satisfies,
         required=required,
-        provides=provides,
-        edge_ids=(heads[keep], np.repeat(tag, sizes)[keep], tails[keep]),
+        provided=provided,
+        consumers=consumers,
+        edges=(tuple(heads), tuple(tags), tuple(tails)),
     )
 
 
 def _edge_lines(adg: Adg) -> list[str]:
     """The edge rows of the canonical dump, in order."""
-    names = adg._type_names
-    heads, tags, tails = (ids.tolist() for ids in adg.edge_arrays)
-    return [f"edge {h} {names[t]} {c}" for h, t, c in zip(heads, tags, tails)]
+    names = adg.hierarchy.names
+    return [f"edge {h} {names[t]} {c}" for h, t, c in zip(*adg._edges)]
 
 
 def dump_graph(adg: Adg) -> str:

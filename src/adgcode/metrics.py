@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Tokens = Sequence[str]
 
@@ -20,8 +19,7 @@ Tokens = Sequence[str]
 MAX_N = 4
 
 
-@dataclass(frozen=True)
-class EvalPair:
+class EvalPair(NamedTuple):
     """One candidate token sequence with its reference."""
 
     candidate: tuple[str, ...]
@@ -279,8 +277,7 @@ def pov_toy(candidates: Iterable[Tokens]) -> float:
     return sum(1 for c in cands if accepts_call_chain(c)) / len(cands)
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Per-corpus scores in natural ranges (BLEU-family in [0,1])."""
 
     acc: float

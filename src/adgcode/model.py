@@ -24,8 +24,8 @@ import json
 import math
 import struct
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -109,16 +109,14 @@ class Vocabulary:
         return [(t, self.counts[t]) for t in self._tokens[len(RESERVED_TOKENS) :]]
 
 
-@dataclass(frozen=True)
-class TrainRecord:
+class TrainRecord(NamedTuple):
     step: int
     loss: float
     lrate: float
     val_bleu: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class QueryTable:
+class QueryTable(NamedTuple):
     """Decoder queries under query switching, as the rows of one table: the
     ``code_lut`` rows, then the embedded nodes' rows.  ``row_of[t]`` is code
     token t's row; -1 marks an API token whose node was not embedded."""
@@ -127,8 +125,7 @@ class QueryTable:
     row_of: np.ndarray
 
 
-@dataclass
-class BeamHypothesis:
+class BeamHypothesis(NamedTuple):
     """One live or finished beam entry; the decoder states of the live
     entries are the rows of one [ΣW, h] pair held by ``beam_search_many``."""
 

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -349,8 +348,7 @@ def lrate(step_num: int, d_model: int, warmup_steps: int) -> float:
     return d_model**-0.5 * min(step_num**-0.5, step_num * warmup_steps**-1.5)
 
 
-@dataclass
-class LstmParams:
+class LstmParams(NamedTuple):
     """Gate weights/biases of one LSTM cell; each W maps [h_prev, x]."""
 
     w_i: Parameter

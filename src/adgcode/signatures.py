@@ -18,8 +18,7 @@ empty, and no record may hold a token the model reserves.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Adg, ApiMethodNode, ParamType, TypeHierarchy
 
@@ -42,24 +41,21 @@ class DataFormatError(ValueError):
 RESERVED_TOKENS = ("⟨PAD⟩", "⟨BOS⟩", "⟨EOS⟩", "⟨UNK⟩")
 
 
-@dataclass(frozen=True)
-class TypeDecl:
+class TypeDecl(NamedTuple):
     name: str
     parent: str | None
     line: int
     implicit: bool = False
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(NamedTuple):
     name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     line: int
 
 
-@dataclass(frozen=True)
-class SignatureCorpus:
+class SignatureCorpus(NamedTuple):
     """Parsed type and method declarations with source-line provenance."""
 
     types: tuple[TypeDecl, ...]

@@ -12,7 +12,7 @@ recoverable from the dependency structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class SyntheticSpec:
             raise SyntheticGenerationError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class SyntheticCorpus:
+class SyntheticCorpus(NamedTuple):
     signature_text: str
     pairs: tuple[Pair, ...]
 

@@ -359,7 +359,7 @@ class TestLoadedModelImports:
                 ["build-graph"],
                 [
                     "adgcode.model", "adgcode.neural", "adgcode.embedder", "adgcode.metrics",
-                    "adgcode.synthetic", "numpy.random",
+                    "adgcode.synthetic", "numpy.random", "numpy",
                 ],
             ),
         ],
@@ -524,6 +524,26 @@ class TestEntryPoint:
                 os.close(write_end)
             assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, ""), args[0]
             assert graph.read_bytes() == expect
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stderr_ends_quietly(self, trained, unbuffered):
+        # the error line meets a closed pipe: exit 141 either way, not the
+        # interpreter's 120 when its exit-time flush of stderr fails again
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "adgcode.cli", "generate", "--config", trained,
+                 "--beam", "0", "read the file"],
+                env=env, stdout=subprocess.PIPE, stderr=write_end, text=True, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_PIPE, "")
 
     def test_run_in_process_freezes_nothing(self, trained):
         before = gc.get_freeze_count()

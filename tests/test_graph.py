@@ -325,6 +325,76 @@ class TestBuildAdg:
         assert edge_triples(a) == sorted(edge_triples(a))
 
 
+class TestTablesAndViews:
+    """The plain-Python tables ``build_adg`` stores and the read-only arrays
+    built from them on first use, against the all-pairs oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_types=st.integers(1, 8),
+        n_methods=st.integers(0, 25),
+        picks=st.lists(st.integers(0, 9), max_size=10),
+    )
+    def test_tables_and_views_match_the_oracles(self, seed, n_types, n_methods, picks):
+        rng = np.random.default_rng(seed)
+        hierarchy = random_hierarchy(rng, n_types, parent_prob=0.6)
+        methods = random_methods(rng, n_methods, hierarchy)
+        projected = projected_matches(methods, hierarchy)
+        adg = build_adg(methods, hierarchy, max_edges=projected)
+        if projected:
+            with pytest.raises(ConstructionError, match="cap"):
+                build_adg(methods, hierarchy, max_edges=projected - 1)
+        names = sorted(hierarchy.names)
+        ids = range(len(methods))
+
+        # the stored tables
+        assert list(adg._type_index) == names and list(adg._type_index.values()) == list(range(len(names)))
+        assert adg._satisfies == tuple(
+            {u for u, r in enumerate(names) if hierarchy.matches(t, r)} for t in names
+        )
+        assert adg._required == tuple({names.index(t) for t in m.inputs} for m in methods)
+        provided = [
+            {u for u, r in enumerate(names) if any(hierarchy.matches(o, r) for o in m.outputs)}
+            for m in methods
+        ]
+        assert adg._provided == tuple(provided)
+        assert adg._consumers == tuple(
+            tuple(m.id for m in methods if t in m.inputs) for t in names
+        )
+        edges = brute_force_edges(methods, hierarchy)
+        assert sorted(edge_triples(adg)) == edge_triples(adg)
+        assert set(edge_triples(adg)) == edges and adg.num_edges == len(edges)
+        assert adg.degrees() == (
+            tuple(sum(tail == m for _, _, tail in edges) for m in ids),
+            tuple(sum(head == m for head, _, _ in edges) for m in ids),
+        )
+        for t in names:
+            assert adg.iit_lookup(t) == brute_force_iit(methods, hierarchy, t)
+        assert adg.iit_lookup("NotAType") == set()
+
+        # the arrays: read-only, built once, equal to the tables
+        heads, tags, tails = adg.edge_arrays
+        assert all(ids.dtype == np.intp for ids in (heads, tags, tails))
+        assert list(zip(heads.tolist(), tags.tolist(), tails.tolist())) == list(zip(*adg._edges))
+        assert adg.provides.shape == (len(methods), len(names)) and adg.provides.dtype == bool
+        assert [set(np.flatnonzero(row).tolist()) for row in adg.provides] == provided
+        for view in (*adg.edge_arrays, adg.provides, adg._required_rows):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[...] = 0
+        assert adg.edge_arrays is adg.edge_arrays
+        assert adg.provides is adg.provides
+        assert adg._required_rows is adg._required_rows
+
+        available = {(names + ["NotAType", "T99"])[i % (len(names) + 2)] for i in picks}
+        got = adg.reachability_rows(list(ids), met_rows(adg, [available, set()]))
+        assert got.tolist() == [
+            [reachable_by_inclusion(adg, m, available) for m in ids],
+            [not m.inputs for m in methods],
+        ]
+
+
 class TestIitLookup:
     def test_toy(self, toy_adg):
         assert toy_adg.iit_lookup("C") == {3}
@@ -435,13 +505,13 @@ class TestReachability:
 class TestDegreeStats:
     def test_toy_m4(self, toy_adg):
         indegree, outdegree = toy_adg.degrees()
-        assert indegree.tolist() == [0, 1, 0, 2]
-        assert outdegree.tolist() == [1, 1, 1, 0]
+        assert indegree == (0, 1, 0, 2)
+        assert outdegree == (1, 1, 1, 0)
 
     def test_isolated_zeros(self):
         hierarchy = TypeHierarchy([ParamType("C")])
         adg = build_adg([ApiMethodNode(0, "m", (), ("C",))], hierarchy)
-        assert [d.tolist() for d in adg.degrees()] == [[0], [0]]
+        assert adg.degrees() == ((0,), (0,))
 
     def test_two_providers_one_tag(self):
         hierarchy = TypeHierarchy([ParamType("C")])
@@ -452,8 +522,8 @@ class TestDegreeStats:
         ]
         adg = build_adg(methods, hierarchy)
         indegree, outdegree = adg.degrees()
-        assert indegree.tolist() == [0, 0, 2]
-        assert outdegree.tolist() == [1, 1, 0]
+        assert indegree == (0, 0, 2)
+        assert outdegree == (1, 1, 0)
 
     def test_invariants_on_randoms(self):
         rng = np.random.default_rng(23)
@@ -461,12 +531,12 @@ class TestDegreeStats:
             adg, _, _ = random_adg(rng, 6, 25)
             indegree, outdegree = adg.degrees()
             edges = edge_triples(adg)
-            assert indegree.tolist() == [
+            assert indegree == tuple(
                 sum(tail == m for _, _, tail in edges) for m in range(adg.num_nodes)
-            ]
-            assert outdegree.tolist() == [
+            )
+            assert outdegree == tuple(
                 sum(head == m for head, _, _ in edges) for m in range(adg.num_nodes)
-            ]
+            )
 
 
 class TestEdgeInvariants:
