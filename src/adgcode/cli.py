@@ -7,8 +7,8 @@ the embedding meets, and settings whose arrays do not fit in memory),
 3 data/format (an input that is not UTF-8 included), 4 training divergence,
 141 when the reader of standard output or standard error goes away (a
 closed pipe), as for a tool that SIGPIPE ends; files the command wrote by
-then stay as written.  All commands are deterministic given --seed and never mutate their input
-files.
+then stay as written.  All commands are deterministic given --seed and
+never mutate their input files.
 
 Each command builds one frozen :class:`PipelineConfig` from the config file,
 then applies its flags through ``dataclasses.replace``.  The settings classes
@@ -19,8 +19,8 @@ Each command imports only what it runs.  At module level this module
 imports the standard library, ``config``, ``graph`` and ``signatures``, none
 of which imports numpy; that is all ``build-graph`` loads.  ``train``,
 ``generate``, ``evaluate`` and ``ablate`` also import ``model`` (and through
-it numpy, ``neural``, ``embedder`` and ``numpy.random``) on first use, and bind
-``MODEL_NAMES`` here.  Only the commands that score import ``metrics``:
+it numpy, ``neural``, ``embedder`` and ``numpy.random``) on first use, and
+bind ``MODEL_NAMES`` here.  Only the commands that score import ``metrics``:
 ``evaluate``, ``ablate``, and ``train`` when it has validation pairs (through
 ``model.validation_bleu``).  ``gen-synthetic`` imports ``synthetic`` and
 nothing of the model.

@@ -349,7 +349,7 @@ class TestTablesAndViews:
         ids = range(len(methods))
 
         # the stored tables
-        assert list(adg._type_index) == names and list(adg._type_index.values()) == list(range(len(names)))
+        assert adg._type_index == {name: i for i, name in enumerate(names)}
         assert adg._satisfies == tuple(
             {u for u, r in enumerate(names) if hierarchy.matches(t, r)} for t in names
         )
@@ -375,7 +375,7 @@ class TestTablesAndViews:
 
         # the arrays: read-only, built once, equal to the tables
         heads, tags, tails = adg.edge_arrays
-        assert all(ids.dtype == np.intp for ids in (heads, tags, tails))
+        assert all(column.dtype == np.intp for column in (heads, tags, tails))
         assert list(zip(heads.tolist(), tags.tolist(), tails.tolist())) == list(zip(*adg._edges))
         assert adg.provides.shape == (len(methods), len(names)) and adg.provides.dtype == bool
         assert [set(np.flatnonzero(row).tolist()) for row in adg.provides] == provided
