@@ -151,9 +151,10 @@ class PipelineConfig:
 def _load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    text = read_text(path)
+    try:  # also too deep a nesting and too long an integer
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: the top level must be a JSON object")
@@ -413,8 +414,16 @@ def cmd_gen_synthetic(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help goes straight to its stream:
+    argparse's own write swallows the error of a closed pipe."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adgcode",
         description="API dependency graphs and graph-aware code generation",
     )

@@ -11,9 +11,11 @@ use it.  Training is teacher-forced joint optimization of
 encoder, embedder, and decoder under a single mean cross-entropy loss, each
 batch run as one padded pass over [B, ·] rows, in which the encoder and the
 decoder recurrences are one sweep op each (``neural.lstm_runs``,
-``neural.attention_lstm_sweep``).  Decoding steps the decoder one
-``decode_step`` at a time over arrays: the sweep's own step,
-``neural.attention_lstm_step``, without a tape.  The settings,
+``neural.attention_lstm_sweep``).  Decoding takes one ``decode_step`` at a
+time over arrays, from the previous tokens to the masked log-probabilities
+of the next: query switching, the sweep's own step
+(``neural.attention_lstm_step``) without a tape, the readout, the
+log-softmax and the masks.  The settings,
 ``ModelConfig`` and ``TrainConfig``, live in ``config`` and check themselves
 when built, so neither the model nor ``train`` checks them again.
 """
@@ -267,23 +269,42 @@ class Seq2SeqModel:
 
     def decode_step(
         self,
-        query: np.ndarray,
+        prevs: Sequence[int],
         state: tuple[np.ndarray, np.ndarray],
         memory: np.ndarray,
-        mask: Optional[np.ndarray] = None,
+        mask: np.ndarray,
+        node_embeddings: QueryTable,
+        met: Optional[np.ndarray],
+        reach_filter: bool,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """The recurrent part of one decoder step, for decoding, over arrays:
-        attend over the encoder memory with the current state, then feed
-        [query; context] through the decoder LSTM.  The query and state are
-        N independent rows of shape [N, d]; ``mask`` is the additive
-        attention mask.  Returns the [N, 2h] readout input [state; context]
-        and the new state.  It is ``neural.attention_lstm_step``, the step
-        that training's ``neural.attention_lstm_sweep`` runs for all its
-        steps."""
+        """One decoder step for decoding, for N rows at once, over arrays:
+        row i continues after token ``prevs[i]`` from row i of ``state``,
+        attending over the memory rows that the [N, M] additive ``mask``
+        keeps.  Returns the masked [N, V] log-probabilities of the next token
+        and the new [N, h] state.
+
+        The query rows come from the query table (``query_rows``), and the
+        recurrent part is ``neural.attention_lstm_step``, the step that
+        training's ``neural.attention_lstm_sweep`` runs for all its steps;
+        the readout of [state; context] gives the logits.  Unselectable ids
+        are then set to -inf: ``_NEVER_EMITTED_IDS`` (PAD, BOS, UNK) always,
+        and with ``reach_filter`` also API methods with a required input type
+        that row i's ``met[i]`` does not mark (``met`` is read only then).
+        Masks apply after the log-softmax without renormalizing, so the
+        surviving entries stay the model's own log-probabilities.  EOS is
+        never masked, so every row has at least one selectable token."""
+        query = node_embeddings.table.data[self.query_rows(prevs, node_embeddings)]
         h, c, context, _ = neural.attention_lstm_step(
             query, *state, memory, mask, self.att_w.data, self.dec_lstm
         )
-        return np.concatenate([h, context], axis=1), (h, c)
+        logits = self.readout(neural.constant(np.concatenate([h, context], axis=1))).data
+        lp = neural.log_softmax(logits)
+        lp[:, list(_NEVER_EMITTED_IDS)] = -np.inf
+        if reach_filter:
+            api_tokens = np.flatnonzero(self.node_of_token >= 0)
+            rows, cols = np.nonzero(~self.adg.reachability_rows(self.node_of_token[api_tokens], met))
+            lp[rows, api_tokens[cols]] = -np.inf
+        return lp, (h, c)
 
     def readout(self, features: Tensor, hidden_mask: Optional[Tensor] = None) -> Tensor:
         """The [N, V] logits of [N, 2h] decoder outputs [state; context]: a
@@ -356,51 +377,6 @@ def _own_memory_mask(lengths: Sequence[int]) -> np.ndarray:
     b's states and -inf over the others'."""
     owner = np.repeat(np.arange(len(lengths)), lengths)  # description of each memory row
     return np.where(owner == np.arange(len(lengths))[:, None], 0.0, -np.inf)
-
-
-def _masked_log_probs(
-    model: Seq2SeqModel,
-    logits: np.ndarray,
-    met: np.ndarray,
-    reach_filter: bool,
-) -> np.ndarray:
-    """Log-probabilities of the next token for each row of [N, V] ``logits``,
-    with unselectable ids at -inf.
-
-    ``_NEVER_EMITTED_IDS`` (PAD, BOS, UNK) are always masked; with
-    ``reach_filter`` so are API methods with a required input type that row
-    i's ``met[i]`` does not mark.  Masks apply after the log-softmax without
-    renormalizing, so the surviving entries stay the model's own
-    log-probabilities.  EOS is never masked, so every row has at least one
-    selectable token.
-    """
-    lp = neural.log_softmax(logits)
-    lp[:, list(_NEVER_EMITTED_IDS)] = -np.inf
-    if reach_filter:
-        api_tokens = np.flatnonzero(model.node_of_token >= 0)
-        rows, cols = np.nonzero(~model.adg.reachability_rows(model.node_of_token[api_tokens], met))
-        lp[rows, api_tokens[cols]] = -np.inf
-    return lp
-
-
-def _next_log_probs(
-    model: Seq2SeqModel,
-    prevs: Sequence[int],
-    met: np.ndarray,
-    state: tuple[np.ndarray, np.ndarray],
-    memory: np.ndarray,
-    node_embeddings: QueryTable,
-    reach_filter: bool,
-    key_mask: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One decoder step for N rows at once: row i continues after token
-    ``prevs[i]`` from row i of ``state``, attending over the memory rows
-    that the [N, M] additive ``key_mask`` keeps (all of them without one).
-    Returns the masked [N, V] log-probabilities and the new [N, h] state."""
-    query = node_embeddings.table.data[model.query_rows(prevs, node_embeddings)]
-    features, state = model.decode_step(query, state, memory, key_mask)
-    logits = model.readout(neural.constant(features)).data
-    return _masked_log_probs(model, logits, met, reach_filter), state
 
 
 def generate_greedy(
@@ -503,8 +479,8 @@ def beam_search_many(
     for _ in range(max_len):
         prevs = [hyp.tokens[-1] if hyp.tokens else BOS_ID for d in active for hyp in live[d]]
         owners = np.repeat(active, [len(live[d]) for d in active])
-        lp, (h, c) = _next_log_probs(
-            model, prevs, met, (h, c), memory, node_embeddings, reach_filter, key_rows[owners]
+        lp, (h, c) = model.decode_step(
+            prevs, (h, c), memory, key_rows[owners], node_embeddings, met, reach_filter
         )
         ranked = np.argsort(-lp, axis=1, kind="stable")[:, :width]
         ranked_lp, ranked = np.take_along_axis(lp, ranked, axis=1).tolist(), ranked.tolist()
@@ -681,9 +657,10 @@ def load_checkpoint(data: bytes) -> Seq2SeqModel:
     reader = _Reader(data)
     if reader.take(len(CHECKPOINT_HEADER)) != CHECKPOINT_HEADER:
         raise CheckpointFormatError("bad checkpoint header")
-    try:
-        meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    block = reader.take(reader.u32())
+    try:  # not UTF-8, not JSON, too deeply nested or too long an integer
+        meta = json.loads(block.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise CheckpointFormatError(f"bad hyperparameter block: {exc}") from exc
     try:
         if not isinstance(meta["graph"], str):

@@ -278,14 +278,30 @@ def trained(workspace):
     return cfg
 
 
+def meta_span(blob: bytes) -> tuple[int, int]:
+    """Where a checkpoint's metadata block starts and ends."""
+    start = len(CHECKPOINT_HEADER) + 4
+    return start, start + struct.unpack_from("<I", blob, len(CHECKPOINT_HEADER))[0]
+
+
+def with_meta_block(blob: bytes, block: bytes) -> bytes:
+    """Checkpoint bytes whose metadata block is ``block``."""
+    return CHECKPOINT_HEADER + struct.pack("<I", len(block)) + block + blob[meta_span(blob)[1] :]
+
+
 def with_checkpoint_meta(blob: bytes, edit) -> bytes:
     """Checkpoint bytes whose metadata block ``edit(meta)`` has changed in place."""
-    start = len(CHECKPOINT_HEADER) + 4
-    end = start + struct.unpack_from("<I", blob, len(CHECKPOINT_HEADER))[0]
+    start, end = meta_span(blob)
     meta = json.loads(blob[start:end])
     edit(meta)
-    block = json.dumps(meta, sort_keys=True).encode("utf-8")
-    return CHECKPOINT_HEADER + struct.pack("<I", len(block)) + block + blob[end:]
+    return with_meta_block(blob, json.dumps(meta, sort_keys=True).encode("utf-8"))
+
+
+# JSON text that json.loads rejects with other errors than JSONDecodeError
+HOSTILE_JSON = {
+    "deep-nesting": "[" * 200_000,  # RecursionError
+    "long-integer": '{"seed": ' + "9" * 5000 + "}",  # ValueError: over 4300 digits
+}
 
 
 def single_error_line(err: str) -> str:
@@ -343,6 +359,15 @@ class TestGenerateCommand:
         code, out = run_cli(["generate", "--config", trained, "hello there"])
         assert code == EXIT_DATA and out == ""
         assert "vocabulary" in single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", HOSTILE_JSON.values(), ids=HOSTILE_JSON.keys())
+    def test_hostile_metadata_is_data_error(self, trained, workspace, capsys, text):
+        path = workspace / "model.ckpt"
+        path.write_bytes(with_meta_block(path.read_bytes(), text.encode("utf-8")))
+        capsys.readouterr()
+        code, out = run_cli(["generate", "--config", trained, "hello there"])
+        assert code == EXIT_DATA and out == ""
+        assert "hyperparameter block" in single_error_line(capsys.readouterr().err)
 
 
 class TestLoadedModelImports:
@@ -511,8 +536,10 @@ class TestEntryPoint:
         graph = workspace / "graph.adg"
         expect = graph.read_bytes()
         graph.unlink()
+        # help as well, which argparse would write through a call that swallows the error
         for args in (["build-graph", "--config", trained],
-                     ["generate", "--config", trained, "read the file"]):
+                     ["generate", "--config", trained, "read the file"],
+                     ["--help"], ["train", "--help"]):
             read_end, write_end = os.pipe()
             os.close(read_end)
             try:
@@ -758,6 +785,14 @@ class TestConfigValidation:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", HOSTILE_JSON.values(), ids=HOSTILE_JSON.keys())
+    def test_hostile_json_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code, _ = run_cli(["train", "--config", str(path)])
+        assert code == EXIT_USAGE
+        assert "not valid JSON" in single_error_line(capsys.readouterr().err)
 
 
 class TestAblateCommand:

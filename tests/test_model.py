@@ -217,24 +217,24 @@ class TestDecoderQuery:
             """The met row that beam search hands the step after emitting m4."""
             seen = []
 
-            def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter, key_mask=None):
+            def scripted(self, prevs, state, memory, mask, node_embeddings, met, reach_filter):
                 seen.append(met.copy())
-                lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
+                lp = np.full((len(prevs), len(self.code_vocab)), -np.inf)
                 lp[:, m4_token if len(seen) == 1 else EOS_ID] = 0.0
                 return lp, state
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(model_mod, "_next_log_probs", scripted)
+                patch.setattr(Seq2SeqModel, "decode_step", scripted)
                 assert beam_search(model, ("make", "c"), width=1, reach_filter=True) == ["m4"]
             return seen[1][0]
 
         with_link = decoder_query(model, [m4_token], model.embed_nodes())[0]
-        linked_lp = model_mod._masked_log_probs(model, logits, unmet, True)
+        linked_lp = masked_log_probs(model, logits, unmet, True)
         linked_met = met_after_m4()
         model.node_of_token[m4_token] = -1
         try:
             without_link = decoder_query(model, [m4_token], model.embed_nodes())[0]
-            unlinked_lp = model_mod._masked_log_probs(model, logits, unmet, True)
+            unlinked_lp = masked_log_probs(model, logits, unmet, True)
             unlinked_met = met_after_m4()
         finally:
             model.node_of_token[m4_token] = model.adg.id_of("m4")
@@ -258,11 +258,49 @@ def encode_arrays(model, descs):
     return memory.data, (h.data, c.data)
 
 
-def step_logits(model, query, state, memory):
-    """One decoder step's logits and new state, over arrays: ``decode_step``,
-    then the readout."""
-    features, state = model.decode_step(query, state, memory)
-    return model.readout(neural.constant(features)).data, state
+def attend_all(prevs, memory):
+    """The additive key mask of rows after ``prevs`` that attend over all of
+    ``memory``."""
+    return np.zeros((len(prevs), len(memory)))
+
+
+def step_logits(model, prevs, state, memory, node_emb):
+    """One decoder step's logits and new state, over arrays: the output of
+    the readout inside ``decode_step``, each row attending over all of
+    ``memory``."""
+    seen = []
+    readout = model.readout
+
+    def recording(features):
+        out = readout(features)
+        seen.append(out.data)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "readout", recording)
+        _, state = model.decode_step(prevs, state, memory, attend_all(prevs, memory), node_emb, None, False)
+    return seen[0], state
+
+
+def query_table(query):
+    """Previous tokens 0..N-1 and a query table that holds row i of the
+    [N, d] ``query`` as token i's query: decoder queries set by hand."""
+    return list(range(len(query))), model_mod.QueryTable(neural.constant(query), np.arange(len(query)))
+
+
+def masked_log_probs(model, logits, met, reach_filter):
+    """``decode_step``'s log-probabilities when its readout gives the [N, V]
+    ``logits``: N rows after BOS from a zero state, with the met rows
+    ``met``."""
+    n, hidden = len(logits), model.config.hidden_dim
+    zero, memory = np.zeros((n, hidden)), np.zeros((1, hidden))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "readout", lambda features: neural.constant(logits))
+        lp, _ = model.decode_step(
+            [BOS_ID] * n, (zero, zero), memory, attend_all(logits, memory), model.embed_nodes(),
+            met, reach_filter,
+        )
+    return lp
 
 
 class TestDecodeStep:
@@ -270,15 +308,15 @@ class TestDecodeStep:
         model, _ = tiny_model()
         states, s0 = encode_arrays(model, [[4, 5]])
         node_emb = model.embed_nodes()
-        logits, _ = step_logits(model, decoder_query(model, [BOS_ID], node_emb), s0, states)
+        logits, _ = step_logits(model, [BOS_ID], s0, states, node_emb)
         assert logits.shape == (1, len(model.code_vocab))
 
     def test_deterministic(self):
         model, _ = tiny_model()
         states, s0 = encode_arrays(model, [[4, 5]])
-        q = np.zeros((1, 8))
-        a, _ = step_logits(model, q, s0, states)
-        b, _ = step_logits(model, q, s0, states)
+        prevs, q = query_table(np.zeros((1, 8)))
+        a, _ = step_logits(model, prevs, s0, states, q)
+        b, _ = step_logits(model, prevs, s0, states, q)
         assert np.array_equal(a, b)
 
     def test_matches_composition_oracle(self):
@@ -286,7 +324,8 @@ class TestDecodeStep:
         states, (h0, c0) = encode_arrays(model, [[4, 5, 6]])
         rng = np.random.default_rng(1)
         q = rng.standard_normal((1, 8))
-        logits, (h1, c1) = step_logits(model, q, (h0, c0), states)
+        prevs, table = query_table(q)
+        logits, (h1, c1) = step_logits(model, prevs, (h0, c0), states, table)
 
         h0, c0 = neural.constant(h0), neural.constant(c0)
         _, ctx = attention(neural.constant(states), h0, model.att_w)
@@ -302,20 +341,25 @@ class TestDecodeStep:
         memory, _ = encode_arrays(model, [[4, 5, 6]])
         rng = np.random.default_rng(2)
         q, h0, c0 = (rng.standard_normal((4, d)) for d in (8, 12, 12))
-        logits, (h1, c1) = step_logits(model, q, (h0, c0), memory)
+        prevs, table = query_table(q)
+        logits, (h1, c1) = step_logits(model, prevs, (h0, c0), memory, table)
         assert logits.shape == (4, len(model.code_vocab))
         for i in range(4):
             row = np.s_[i : i + 1]
-            one, (h, c) = step_logits(model, q[row], (h0[row], c0[row]), memory)
+            prevs, table = query_table(q[row])
+            one, (h, c) = step_logits(model, prevs, (h0[row], c0[row]), memory, table)
             assert np.allclose(logits[i], one[0], rtol=0.0, atol=1e-12)
             assert np.allclose(h1[i], h[0], rtol=0.0, atol=1e-12)
             assert np.allclose(c1[i], c[0], rtol=0.0, atol=1e-12)
 
     def test_is_one_step_of_the_training_sweep(self, monkeypatch):
         # Ragged descriptions, each row masked to its own memory, and query
-        # rows that include node embeddings: each decode_step equals the same
-        # step of attention_lstm_sweep under no_grad, its features and its
-        # (h, c) bit for bit, and builds no Tensor.
+        # rows that include node embeddings: each attention_lstm_step equals
+        # the same step of attention_lstm_sweep under no_grad, its features
+        # and its (h, c) bit for bit, and builds no Tensor.  decode_step runs
+        # that step from the previous tokens: its log-probabilities are those
+        # of the readout of the sweep's rows, masked, and it builds only the
+        # readout's 4 Tensors, none of them on a tape.
         model, pairs = tiny_model(seed=6)
         descs = [model.desc_vocab.encode(d) for d, _ in pairs]
         assert len({len(d) for d in descs}) > 1  # descriptions of unequal length
@@ -344,12 +388,27 @@ class TestDecodeStep:
         state = h.data, c.data
         made = count_tensors(monkeypatch)
         for s, step_rows in enumerate(rows):
-            features, state = model.decode_step(node_emb.table.data[step_rows], state, memory.data, mask)
+            h_next, c_next, context, _ = neural.attention_lstm_step(
+                node_emb.table.data[step_rows], *state, memory.data, mask, model.att_w.data, model.dec_lstm
+            )
+            state = h_next, c_next
             block = sweep[s * n : (s + 1) * n]
-            assert features.tobytes() == block.tobytes(), s
+            assert np.concatenate([h_next, context], axis=1).tobytes() == block.tobytes(), s
             assert state[0].tobytes() == block[:, :hidden].tobytes(), s
             assert state[1].tobytes() == cells[s].tobytes(), s
         assert made == []
+        state = h.data, c.data
+        for s, step_prevs in enumerate(prevs):
+            block = sweep[s * n : (s + 1) * n]
+            with neural.no_grad():
+                expect = neural.log_softmax(model.readout(neural.constant(block)).data)
+                expect[:, [PAD_ID, BOS_ID, UNK_ID]] = -np.inf
+                made.clear()
+                lp, state = model.decode_step(step_prevs, state, memory.data, mask, node_emb, None, False)
+            assert len(made) == 4 and all(t.parents == () for t in made), s
+            assert lp.tobytes() == expect.tobytes(), s
+            assert state[0].tobytes() == block[:, :hidden].tobytes(), s
+            assert state[1].tobytes() == cells[s].tobytes(), s
 
 
 class TestLossSanity:
@@ -438,7 +497,7 @@ def argmax_rollout(model, desc, max_len, reach_filter=False):
     memory, state = encode_arrays(model, [model.desc_vocab.encode(desc)])
     prev, available, out = BOS_ID, set(), []
     for _ in range(max_len):
-        logits, state = step_logits(model, decoder_query(model, [prev], node_emb), state, memory)
+        logits, state = step_logits(model, [prev], state, memory, node_emb)
         lp = mask_by_names(model, neural.log_softmax(logits)[0], available, reach_filter)
         prev = int(np.argmax(lp))  # the first maximum, so the smallest id on ties
         if prev == EOS_ID:
@@ -561,8 +620,7 @@ class TestGeneration:
         results = []
 
         def log_probs(prev, state):
-            q = decoder_query(model, [prev], node_emb)
-            logits, new_state = step_logits(model, q, state, states)
+            logits, new_state = step_logits(model, [prev], state, states, node_emb)
             x = logits[0]
             m = np.max(x)
             return x - m - math.log(np.sum(np.exp(x - m))), new_state
@@ -606,9 +664,7 @@ class TestGeneration:
             prev = BOS_ID
             total = 0.0
             for tid in ids:
-                logits, state = step_logits(
-                    model, decoder_query(model, [prev], node_emb), state, states
-                )
+                logits, state = step_logits(model, [prev], state, states, node_emb)
                 x = logits[0]
                 m = np.max(x)
                 total += float(x[tid] - m - math.log(np.sum(np.exp(x - m))))
@@ -634,11 +690,10 @@ def full_length_beam(model, desc, width, max_len, node_embeddings, reach_filter=
     live, names = [model_mod.BeamHypothesis((), 0.0)], [set()]
     completed = []
     for _ in range(max_len):
-        lp, (h, c) = model_mod._next_log_probs(
-            model,
-            [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live],
-            None,  # no met rows: the oracle masks by names below
-            state, memory, node_embeddings, False,
+        prevs = [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in live]
+        lp, (h, c) = model.decode_step(
+            prevs, state, memory, attend_all(prevs, memory), node_embeddings,
+            None, False,  # no met rows: the oracle masks by names below
         )
         for row, available in enumerate(names):
             mask_by_names(model, lp[row], available, reach_filter)
@@ -738,8 +793,8 @@ class TestBeamStopping:
         first[[a, b, EOS_ID]] = [first_a, -1.0, -100.0]
         after = {a: {a: 0.0, EOS_ID: -64.0}, b: {EOS_ID: 0.0, b: -64.0}}
 
-        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter, key_mask=None):
-            lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
+        def scripted(self, prevs, state, memory, mask, node_embeddings, met, reach_filter):
+            lp = np.full((len(prevs), len(self.code_vocab)), -np.inf)
             for row, prev in enumerate(prevs):
                 if prev == BOS_ID:
                     lp[row] = first
@@ -749,7 +804,7 @@ class TestBeamStopping:
             rows = np.zeros((len(prevs), 1))
             return lp, (rows, rows)
 
-        monkeypatch.setattr(model_mod, "_next_log_probs", scripted)
+        monkeypatch.setattr(Seq2SeqModel, "decode_step", scripted)
         node_emb = model.embed_nodes()
         expect = [model.code_vocab.token(a)] * 4
         assert full_length_beam(model, ("make", "c"), 2, 4, node_emb) == expect
@@ -798,7 +853,7 @@ class TestReachFilter:
             for _ in range(40)
         ]
         logits = rng.standard_normal((len(availables), len(code_vocab)))
-        lp = model_mod._masked_log_probs(model, logits, met_rows(adg, availables), True)
+        lp = masked_log_probs(model, logits, met_rows(adg, availables), True)
         for row, available in zip(lp, availables):
             expect = {PAD_ID, BOS_ID, UNK_ID} | {
                 token_id
@@ -806,7 +861,7 @@ class TestReachFilter:
                 if not adg.is_reachable(node_id, available)
             }
             assert set(np.flatnonzero(row == -np.inf)) == expect
-        unfiltered = model_mod._masked_log_probs(model, logits, met_rows(adg, availables), False)
+        unfiltered = masked_log_probs(model, logits, met_rows(adg, availables), False)
         assert {int(j) for j in np.flatnonzero(np.isinf(unfiltered).any(axis=0))} == {PAD_ID, BOS_ID, UNK_ID}
 
     def test_one_query_per_step_matches_per_row_oracle(self, monkeypatch):
@@ -826,7 +881,7 @@ class TestReachFilter:
             type(adg), "reachability_rows",
             lambda self, ids, met: queries.append(len(met)) or reachability_rows(self, ids, met),
         )
-        lp = model_mod._masked_log_probs(model, logits, met_rows(adg, availables), True)
+        lp = masked_log_probs(model, logits, met_rows(adg, availables), True)
         assert queries == [len(availables)]
         plain = neural.log_softmax(logits)
         for row, plain_row, available in zip(lp, plain, availables):
@@ -865,14 +920,14 @@ class TestReachFilter:
         script = [code_vocab.id(m.name) for m in emitted] + [EOS_ID]
         seen = []
 
-        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter, key_mask=None):
+        def scripted(self, prevs, state, memory, mask, node_embeddings, met, reach_filter):
             seen.append(met.copy())
             lp = np.full((len(prevs), len(code_vocab)), -np.inf)
             lp[:, script[len(seen) - 1]] = 0.0
             return lp, state
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model_mod, "_next_log_probs", scripted)
+            patch.setattr(Seq2SeqModel, "decode_step", scripted)
             out = beam_search(model, ("go",), width=1, reach_filter=True)
         assert out == [m.name for m in emitted] and len(seen) == len(script)
         all_ids = list(range(adg.num_nodes))
@@ -953,11 +1008,11 @@ class TestBatchedBeam:
         a, b = 4, 5
         sizes = []
 
-        def scripted(model, prevs, met, state, memory, node_embeddings, reach_filter, key_mask=None):
+        def scripted(self, prevs, state, memory, mask, node_embeddings, met, reach_filter):
             sizes.append(len(prevs))
-            lp = np.full((len(prevs), len(model.code_vocab)), -np.inf)
+            lp = np.full((len(prevs), len(self.code_vocab)), -np.inf)
             for row, prev in enumerate(prevs):
-                length = int(np.sum(key_mask[row] == 0.0))
+                length = int(np.sum(mask[row] == 0.0))
                 if length == 1:
                     lp[row, [a, EOS_ID]] = [0.0, -1.0] if prev == BOS_ID else [-np.inf, 0.0]
                     lp[row, b] = -np.inf if prev == BOS_ID else -1.0
@@ -968,7 +1023,7 @@ class TestBatchedBeam:
             rows = np.zeros((len(prevs), 1))
             return lp, (rows, rows)
 
-        monkeypatch.setattr(model_mod, "_next_log_probs", scripted)
+        monkeypatch.setattr(Seq2SeqModel, "decode_step", scripted)
         descs = [("make",), ("make", "c"), ("combine", "c", "d")]
         node_emb = model.embed_nodes()
         token = model.code_vocab.token
