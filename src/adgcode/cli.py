@@ -151,8 +151,8 @@ class PipelineConfig:
 def _load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    text = read_text(path)
-    try:  # also too deep a nesting and too long an integer
+    text = read_text(path)  # its DataFormatError is a ValueError too: exit 3, not 2
+    try:  # ValueError and RecursionError: also too long an integer, too deep a nesting
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc

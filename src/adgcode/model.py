@@ -11,11 +11,9 @@ use it.  Training is teacher-forced joint optimization of
 encoder, embedder, and decoder under a single mean cross-entropy loss, each
 batch run as one padded pass over [B, ·] rows, in which the encoder and the
 decoder recurrences are one sweep op each (``neural.lstm_runs``,
-``neural.attention_lstm_sweep``).  Decoding takes one ``decode_step`` at a
-time over arrays, from the previous tokens to the masked log-probabilities
-of the next: query switching, the sweep's own step
-(``neural.attention_lstm_step``) without a tape, the readout, the
-log-softmax and the masks.  The settings,
+``neural.attention_lstm_sweep``).  Decoding runs one ``decode_step`` per
+token over arrays, from the previous tokens to the masked log-probabilities
+of the next, through the sweep's own step without a tape.  The settings,
 ``ModelConfig`` and ``TrainConfig``, live in ``config`` and check themselves
 when built, so neither the model nor ``train`` checks them again.
 """
@@ -277,22 +275,21 @@ class Seq2SeqModel:
         met: Optional[np.ndarray],
         reach_filter: bool,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """One decoder step for decoding, for N rows at once, over arrays:
-        row i continues after token ``prevs[i]`` from row i of ``state``,
-        attending over the memory rows that the [N, M] additive ``mask``
-        keeps.  Returns the masked [N, V] log-probabilities of the next token
-        and the new [N, h] state.
+        """One decoding step for N rows, over arrays: row i continues after
+        token ``prevs[i]`` from row i of ``state``, attending over the memory
+        rows that the [N, M] additive ``mask`` keeps.  The query rows come
+        from the query table (``query_rows``), the recurrent part is
+        ``neural.attention_lstm_step``, the step that training's
+        ``neural.attention_lstm_sweep`` runs for all its steps, and the
+        readout of [h; context] gives the logits.  Returns the [N, V]
+        log-probabilities of the next token and the new [N, h] state.
 
-        The query rows come from the query table (``query_rows``), and the
-        recurrent part is ``neural.attention_lstm_step``, the step that
-        training's ``neural.attention_lstm_sweep`` runs for all its steps;
-        the readout of [state; context] gives the logits.  Unselectable ids
-        are then set to -inf: ``_NEVER_EMITTED_IDS`` (PAD, BOS, UNK) always,
-        and with ``reach_filter`` also API methods with a required input type
-        that row i's ``met[i]`` does not mark (``met`` is read only then).
-        Masks apply after the log-softmax without renormalizing, so the
-        surviving entries stay the model's own log-probabilities.  EOS is
-        never masked, so every row has at least one selectable token."""
+        PAD, BOS and UNK (``_NEVER_EMITTED_IDS``) are always at -inf; with
+        ``reach_filter`` so are API methods with a required input type that
+        ``met[i]`` does not mark (``met`` is read only then).  Masks apply
+        after the log-softmax without renormalizing, so the surviving
+        entries stay the model's own log-probabilities.  EOS is never
+        masked, so every row has at least one selectable token."""
         query = node_embeddings.table.data[self.query_rows(prevs, node_embeddings)]
         h, c, context, _ = neural.attention_lstm_step(
             query, *state, memory, mask, self.att_w.data, self.dec_lstm
@@ -657,8 +654,8 @@ def load_checkpoint(data: bytes) -> Seq2SeqModel:
     reader = _Reader(data)
     if reader.take(len(CHECKPOINT_HEADER)) != CHECKPOINT_HEADER:
         raise CheckpointFormatError("bad checkpoint header")
-    block = reader.take(reader.u32())
-    try:  # not UTF-8, not JSON, too deeply nested or too long an integer
+    block = reader.take(reader.u32())  # a truncation keeps its own message
+    try:  # not UTF-8, not JSON, too long an integer or too deep a nesting
         meta = json.loads(block.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise CheckpointFormatError(f"bad hyperparameter block: {exc}") from exc

@@ -314,9 +314,9 @@ class TestDecodeStep:
     def test_deterministic(self):
         model, _ = tiny_model()
         states, s0 = encode_arrays(model, [[4, 5]])
-        prevs, q = query_table(np.zeros((1, 8)))
-        a, _ = step_logits(model, prevs, s0, states, q)
-        b, _ = step_logits(model, prevs, s0, states, q)
+        prevs, table = query_table(np.zeros((1, 8)))
+        a, _ = step_logits(model, prevs, s0, states, table)
+        b, _ = step_logits(model, prevs, s0, states, table)
         assert np.array_equal(a, b)
 
     def test_matches_composition_oracle(self):
