@@ -9,9 +9,12 @@ held once, as the array ``Seq2SeqModel.node_of_token``: query switching,
 training's choice of nodes to embed and the reach filter read it where they
 use it.  Training is teacher-forced joint optimization of
 encoder, embedder, and decoder under a single mean cross-entropy loss, each
-batch run as one padded pass over [B, ·] rows, in which the encoder and the
-decoder recurrences are one sweep op each (``neural.lstm_runs``,
-``neural.attention_lstm_sweep``).  Decoding runs one ``decode_step`` per
+batch run as one pass over rows one pair after another, in which the
+encoder and the decoder recurrences are one sweep op each
+(``neural.lstm_runs``, ``neural.attention_lstm_sweep``).  The sweeps take
+and return rows run after run, so the model neither pads nor reorders
+rows: the encoder's states are the memory, and the decoder's rows go
+straight to the readout.  Decoding runs one ``decode_step`` per
 token over arrays, from the previous tokens to the masked log-probabilities
 of the next, through the sweep's own step without a tape.  The settings,
 ``ModelConfig`` and ``TrainConfig``, live in ``config`` and check themselves
@@ -211,8 +214,8 @@ class Seq2SeqModel:
         memory_mask: Optional[Tensor] = None,
     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Lookup, windowed ReLU feature layers, then one LSTM sweep with the
-        descriptions ``descs`` as the rows of one [B, h] state.  Returns every
-        description's hidden states, one description after another, as a
+        descriptions ``descs`` as the rows of one [B, h] state.  Returns the
+        sweep's hidden states, one description after another, as the
         [ΣT, h] memory, and the final (h, c) as [B, h] rows.  Training passes
         inverted-dropout factors for the features and the memory."""
         lengths = [len(d) for d in descs]
@@ -223,13 +226,8 @@ class Seq2SeqModel:
         if feature_mask is not None:
             feats = neural.mul(feats, feature_mask)
         hs, cs = neural.lstm_runs(feats, lengths, self.enc_lstm)
-        state = (neural.last_steps(hs, lengths), neural.last_steps(cs, lengths))
-        # step t of description b is row t*B + b of the step-major stack
-        order = [t * len(descs) + b for b, n in enumerate(lengths) for t in range(n)]
-        memory = neural.take_rows(hs, order)
-        if memory_mask is not None:
-            memory = neural.mul(memory, memory_mask)
-        return memory, state
+        memory = hs if memory_mask is None else neural.mul(hs, memory_mask)
+        return memory, (neural.last_steps(hs, lengths), neural.last_steps(cs, lengths))
 
     # -- embedder bridge ---------------------------------------------------
 
@@ -316,18 +314,17 @@ class Seq2SeqModel:
         self,
         batch: Sequence[tuple[Sequence[int], Sequence[int]]],
         node_embeddings: QueryTable,
-        train: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> Tensor:
         """Teacher-forced loss of a batch of (description ids, code ids)
         pairs: the mean over pairs of each pair's mean cross-entropy over its
         code sequence plus the end marker.
 
-        The batch runs as one padded pass over [B, ·] rows: the encoder as
-        one ``lstm_runs`` sweep, the decoder steps as one
+        The batch runs as one pass over rows one pair after another: the
+        encoder as one ``lstm_runs`` sweep, the decoder steps as one
         ``attention_lstm_sweep``, each decoder row attending only to its own
-        description's states.  The readout then runs once, over the rows
-        that carry a target.  Training draws the
+        description's states, and the readout once over the sweep's rows,
+        one per target.  With ``rng`` (training) it draws the
         inverted-dropout factors pair by pair: the pair's features, then its
         memory, then its decoder hidden layer."""
         if not batch:
@@ -335,13 +332,8 @@ class Seq2SeqModel:
         cfg, size = self.config, len(batch)
         descs = [d for d, _ in batch]
         targets = [list(c) + [EOS_ID] for _, c in batch]
-        steps = max(len(t) for t in targets)
-        # decoder step s of pair b is row s*B + b of the padded [steps*B, ·] rows
-        rows = [s * size + b for b, t in enumerate(targets) for s in range(len(t))]
         feature_mask = memory_mask = hidden_mask = None
-        if train and cfg.dropout > 0.0:
-            if rng is None:
-                raise ValueError("training-mode dropout requires an explicit rng")
+        if rng is not None and cfg.dropout > 0.0:
             shapes = [
                 ((len(d), cfg.word_dim), (len(d), cfg.hidden_dim), (len(t), cfg.mlp_hidden))
                 for d, t in zip(descs, targets)
@@ -350,19 +342,18 @@ class Seq2SeqModel:
             masks = (neural.constant(np.concatenate(parts)) for parts in zip(*draws))
             feature_mask, memory_mask, hidden_mask = masks
         memory, state = self.encode(descs, feature_mask, memory_mask)
-        prevs = np.full(steps * size, PAD_ID)
-        prevs[rows] = [p for t in targets for p in [BOS_ID] + t[:-1]]
+        prevs = [p for t in targets for p in [BOS_ID] + t[:-1]]
         features = neural.attention_lstm_sweep(
             node_embeddings.table,
-            self.query_rows(prevs, node_embeddings).reshape(steps, size),
+            self.query_rows(prevs, node_embeddings),
+            [len(t) for t in targets],
             memory,
             _own_memory_mask([len(d) for d in descs]),
             state,
             self.att_w,
             self.dec_lstm,
         )
-        # the target rows, pair by pair, in the order of the hidden-layer draws
-        logits = self.readout(neural.take_rows(features, rows), hidden_mask)
+        logits = self.readout(features, hidden_mask)
         weights = [(1.0 / size) * (1.0 / len(t)) for t in targets for _ in t]
         tokens = [tok for t in targets for tok in t]
         return neural.softmax_xent(logits, tokens, weights)
@@ -574,7 +565,7 @@ def train(
             step += 1
             nodes = model.node_of_token[np.concatenate([np.asarray(c, dtype=np.intp) for _, c in batch])]
             node_embeddings = model.embed_nodes(nodes[nodes >= 0])
-            loss = model.sequence_loss(batch, node_embeddings, train=True, rng=dropout_rng)
+            loss = model.sequence_loss(batch, node_embeddings, rng=dropout_rng)
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(step)

@@ -5,10 +5,13 @@ inverted-dropout masks, Glorot initialization, Adam with an
 inverse-square-root warmup schedule.
 
 Training's two recurrences are sweep ops, each one op on the tape whatever
-its length: ``lstm_runs`` steps sequences of unequal length together as
-often as the longest and reads each at its own steps (tape nodes: the h and
-c stacks), and ``attention_lstm_sweep`` runs a teacher-forced attention
-decoder (one tape node).  The decoder step lives once, over arrays
+its length: ``lstm_runs`` (tape nodes: the h and c stacks) and
+``attention_lstm_sweep``, a teacher-forced attention decoder (one tape
+node).  Like ``window_relu_stack`` and ``segment_reduce``, both take their
+input rows one run after another with the runs' ``lengths`` and return one
+row per input row in that order.  One plan (``_steps``) steps the runs of
+either sweep together, as often as the longest, so the padding to the
+longest run stays inside the sweep.  The decoder step lives once, over arrays
 (``attention_lstm_step``): the sweep runs it per step, and beam search runs
 it one step at a time.  The gate arithmetic also lives once (``_cell_forward``,
 ``_h_backward``, ``_c_backward``), for both sweeps; a sweep's backward runs
@@ -25,9 +28,9 @@ reaches a freed node raises ``RuntimeError``, where it would otherwise drop
 the gradient below that node.  Inside ``no_grad()`` ops record no tape:
 decoding runs there, since nothing backpropagates through it.  The layers take N
 independent rows of shape [N, d] only: training runs each batch as one
-padded pass over such rows (with the loss and the order of dropout draws of
-one pair at a time), beam search its live hypotheses, the embedder every
-node of a hop.  All randomness comes from explicitly passed numpy
+pass over such rows (with the loss and the order of dropout draws of one
+pair at a time), beam search its live hypotheses, the embedder every node
+of a hop.  All randomness comes from explicitly passed numpy
 Generators.
 """
 
@@ -232,6 +235,25 @@ def _runs(lengths: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     if counts.ndim != 1 or counts.size == 0 or np.any(counts < 1) or counts.sum() != n:
         raise ValueError(f"run lengths must be positive and cover the {n} rows")
     return counts, np.cumsum(counts) - counts
+
+
+def _steps(lengths: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """How a sweep steps the runs of ``lengths`` that cover ``n`` rows: all
+    runs as the rows of one state, as often as the longest run.  Returns the
+    [steps, runs] row each run reads at each step (an ended run its own last
+    row again) and, for each of the ``n`` rows, run i's step t, its place
+    i·steps + t in the [runs, steps] grid of the steps' outputs."""
+    counts, starts = _runs(lengths, n)
+    step = np.arange(counts.max())
+    return starts + np.minimum(step[:, None], counts - 1), np.flatnonzero(step < counts[:, None])
+
+
+def _on_grid(g: np.ndarray, grid: np.ndarray, runs: int, steps: int) -> np.ndarray:
+    """The gradient ``g`` of a sweep's rows on its [runs, steps] grid (see
+    ``_steps``), zero at the steps of ended runs."""
+    out = np.zeros((runs, steps, g.shape[1]))
+    out.reshape(-1, g.shape[1])[grid] = g
+    return out
 
 
 def segment_reduce(x: Tensor, sizes: Sequence[int], kind: str) -> Tensor:
@@ -439,12 +461,12 @@ def _c_backward(
 
 def lstm_runs(seq: Tensor, lengths: Sequence[int], cell: LstmParams) -> tuple[Tensor, Tensor]:
     """Run ``cell`` from a zero state over each run of ``lengths[i]``
-    consecutive rows of ``seq``, the n runs as the rows of one [n, h] state.
-    Every row steps as often as the longest run (an ended run repeats its
-    last row, and nothing reads those steps).  Returns the step-major
-    [steps·n, h] stacks of hidden and cell states (row t·n + i is run i
-    after step t); ``last_steps`` takes each run's state after its own last
-    step from either.
+    consecutive rows of ``seq``, the runs as the rows of one [runs, h]
+    state.  Returns the [N, h] stacks of hidden and cell states, one row per
+    row of ``seq`` in its order: row j is its run's state after reading row
+    j.  Every run steps as often as the longest (an ended run reads its last
+    row again), and nothing returns those steps; ``last_steps`` takes each
+    run's final state from either stack.
 
     The sweep is one op with two tape nodes: the h stack, whose one parent
     is the c stack.  The forward steps the cell over arrays and keeps each
@@ -454,57 +476,55 @@ def lstm_runs(seq: Tensor, lengths: Sequence[int], cell: LstmParams) -> tuple[Te
     per-step cells does."""
     if seq.data.ndim != 2 or seq.data.shape[1] != cell.input_dim:
         raise ShapeError(f"lstm_runs input shape {seq.data.shape}, expected [N, {cell.input_dim}]")
-    counts, starts = _runs(lengths, seq.data.shape[0])
-    n, hidden, steps = counts.size, cell.hidden_dim, int(counts.max())
+    reads, grid = _steps(lengths, seq.data.shape[0])
+    (steps, n), hidden = reads.shape, cell.hidden_dim
     params = cell.parameters()
     keep = _records([seq, *params])
-    hs, cs = np.empty((steps * n, hidden)), np.empty((steps * n, hidden))
+    hs, cs = np.empty((n, steps, hidden)), np.empty((n, steps, hidden))
     h = c = np.zeros((n, hidden))
     saved = []  # per step: z = [h_prev, x], c_prev and the gate values
     for t in range(steps):
-        z = np.concatenate([h, seq.data[starts + np.minimum(t, counts - 1)]], axis=1)
+        z = np.concatenate([h, seq.data[reads[t]]], axis=1)
         h, c_next, gates = _cell_forward(z, c, cell)
         if keep:
             saved.append((z, c, gates))
         c = c_next
-        hs[t * n : (t + 1) * n] = h
-        cs[t * n : (t + 1) * n] = c
-    # the seq row each step reads, last step first: the order of the tape's gathers
-    reads = (starts + np.minimum(np.arange(steps)[::-1, None], counts - 1)).reshape(-1)
+        hs[:, t] = h
+        cs[:, t] = c
     d_hs = [None]  # the h stack's gradient, left by its backward
 
     def c_bw(d_cs):
+        d_h, d_c = (None if d is None else _on_grid(d, grid, n, steps) for d in (d_hs[0], d_cs))
         d_x = np.empty((steps * n, cell.input_dim))
         dh_next = dc_next = None
         for t in range(steps - 1, -1, -1):
             z, c_prev, gates = saved[t]
-            block = slice(t * n, (t + 1) * n)
-            dh = _plus(None if d_hs[0] is None else d_hs[0][block], dh_next)
+            dh = _plus(None if d_h is None else d_h[:, t], dh_next)
             d_o = dc = None
             if dh is not None:
                 d_o, dc = _h_backward(dh, gates)
-            dc = _plus(_plus(None if d_cs is None else d_cs[block], dc), dc_next)
+            dc = _plus(_plus(None if d_c is None else d_c[:, t], dc), dc_next)
             d_z, dc_next = _c_backward(dc, d_o, z, c_prev, gates, cell)
             dh_next = d_z[:, :hidden]
             d_x[(steps - 1 - t) * n : (steps - t) * n] = d_z[:, hidden:]
         if seq.requires_grad:
             grad = np.zeros_like(seq.data)
-            np.add.at(grad, reads, d_x)
+            # last step first: the order of the tape's gathers
+            np.add.at(grad, reads[::-1].reshape(-1), d_x)
             _accum(seq, grad)
 
-    c_stack = Tensor(cs, parents=(seq, *params), bw=c_bw)
+    c_stack = Tensor(cs.reshape(-1, hidden)[grid], parents=(seq, *params), bw=c_bw)
 
     def h_bw(d):
         d_hs[0] = d
 
-    return Tensor(hs, parents=(c_stack,), bw=h_bw), c_stack
+    return Tensor(hs.reshape(-1, hidden)[grid], parents=(c_stack,), bw=h_bw), c_stack
 
 
 def last_steps(stack: Tensor, lengths: Sequence[int]) -> Tensor:
-    """Row i of the result is run i's row after its own last step, from a
-    step-major stack of ``lstm_runs`` over runs of ``lengths``."""
-    counts = np.asarray(lengths, dtype=np.intp)
-    return take_rows(stack, (counts - 1) * counts.size + np.arange(counts.size))
+    """Row i of the result is the last row of run i, from a stack of rows
+    one run after another (``lstm_runs``' states: run i's final state)."""
+    return take_rows(stack, np.cumsum(np.asarray(lengths, dtype=np.intp)) - 1)
 
 
 def window_relu_stack(
@@ -599,16 +619,20 @@ def attention_lstm_step(
 def attention_lstm_sweep(
     table: Tensor,
     rows: np.ndarray,
+    lengths: Sequence[int],
     memory: Tensor,
     mask: np.ndarray | None,
     state: tuple[Tensor, Tensor],
     w: Tensor,
     cell: LstmParams,
 ) -> Tensor:
-    """A teacher-forced attention decoder over N rows, as one op.  Step s is
-    ``attention_lstm_step`` with the query rows table[rows[s]], starting
-    from ``state``.  Returns the step-major [steps·N, h + d_m] stack of
-    [h; context] rows: row s·N + i is row i at step s.
+    """A teacher-forced attention decoder over runs of ``lengths[i]``
+    consecutive query rows, table[rows], as one op: the runs are the N rows
+    of one state, starting from ``state``, and each step is
+    ``attention_lstm_step`` with each run's next query row (an ended run
+    reads its last row again).  Returns the [len(rows), h + d_m] stack of
+    [h; context] rows, one per query row in its order: row j is its run's
+    step on query row j.
 
     The forward keeps each step's attention and gate values.  The backward
     runs each step's closed-form products from the last step to the first,
@@ -616,9 +640,10 @@ def attention_lstm_sweep(
     gather of the query rows, the attention weights and context, the joined
     cell input, the cell; the tests' ``per_step_decoder``) does."""
     h0, c0 = state
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ShapeError(f"attention_lstm_sweep needs [steps, N] table rows, got {rows.shape}")
-    steps, n = rows.shape
+    if rows.ndim != 1:
+        raise ShapeError(f"attention_lstm_sweep needs one table row per query, got {rows.shape}")
+    reads, grid = _steps(lengths, rows.size)
+    queries, (steps, n) = rows[reads], reads.shape  # the table row of each run at each step
     hidden, width = cell.hidden_dim, table.data.shape[1]
     _check_attention(memory.data, h0.data, w.data)
     if width + memory.data.shape[1] != cell.input_dim:
@@ -628,24 +653,25 @@ def attention_lstm_sweep(
     mem = memory.data
     parents = (table, memory, w, h0, c0, *cell.parameters())
     keep = _records(parents)
-    out = np.empty((steps * n, hidden + mem.shape[1]))
+    out = np.empty((n, steps, hidden + mem.shape[1]))
     h, c = h0.data, c0.data
     saved = []  # per step: h_prev, c_prev, the attention's values, z and the gate values
     for s in range(steps):
-        h_next, c_next, context, reads = attention_lstm_step(
-            table.data[rows[s]], h, c, mem, mask, w.data, cell
+        h_next, c_next, context, kept = attention_lstm_step(
+            table.data[queries[s]], h, c, mem, mask, w.data, cell
         )
         if keep:
-            saved.append((h, c, *reads))
+            saved.append((h, c, *kept))
         h, c = h_next, c_next
-        out[s * n : (s + 1) * n, :hidden] = h
-        out[s * n : (s + 1) * n, hidden:] = context
+        out[:, s, :hidden] = h
+        out[:, s, hidden:] = context
 
     def bw(g):
+        g = _on_grid(g, grid, n, steps)
         dh_cell = dh_att = dc_next = None  # step s+1's gradients of h_s (via cell, attention) and c_s
         for s in range(steps - 1, -1, -1):
             h_prev, c_prev, projected, alpha, z, gates = saved[s]
-            g_s = g[s * n : (s + 1) * n]
+            g_s = g[:, s]
             dh = g_s[:, :hidden]
             if dh_cell is not None:
                 dh = dh + dh_cell + dh_att
@@ -656,7 +682,7 @@ def attention_lstm_sweep(
             dh_cell = d_z[:, :hidden]
             d_context = g_s[:, hidden:] + d_z[:, hidden + width :]
             grad = np.zeros_like(table.data)
-            np.add.at(grad, rows[s], d_z[:, hidden : hidden + width])
+            np.add.at(grad, queries[s], d_z[:, hidden : hidden + width])
             _accum(table, grad)
             _accum(memory, alpha.T @ d_context)
             d_memory, dh_att, d_w = _attend_backward(
@@ -668,7 +694,7 @@ def attention_lstm_sweep(
         _accum(h0, dh_cell)
         _accum(h0, dh_att)
 
-    return Tensor(out, parents=parents, bw=bw)
+    return Tensor(out.reshape(steps * n, -1)[grid], parents=parents, bw=bw)
 
 
 ADAM_BETA1 = 0.9

@@ -131,10 +131,16 @@ def attention(
     return alphas, matmul(alphas, memory)
 
 
+def _run_after_run(lengths):
+    """For runs of ``lengths`` stepped together, the place t·runs + i of run
+    i's step t in a step-major stack, run after run."""
+    return [t * len(lengths) + i for i, n in enumerate(lengths) for t in range(n)]
+
+
 def masked_lstm_runs(seq, lengths, cell):
     """A reference for ``neural.lstm_runs``: a run that has ended holds its
-    state through 0/1 masks on every step, so every row of the step-major
-    stacks is its run's latest state."""
+    state through 0/1 masks on every step, and each run's states at its own
+    steps are gathered run after run from the step-major stacks."""
     counts = np.asarray(lengths)
     starts = np.cumsum(counts) - counts
     h = c = neural.zeros((len(counts), cell.hidden_dim))
@@ -149,23 +155,28 @@ def masked_lstm_runs(seq, lengths, cell):
         c = add(neural.mul(c_new, step), neural.mul(c, hold))
         hs.append(h)
         cs.append(c)
-    return neural.concat(hs, axis=0), neural.concat(cs, axis=0)
+    order = _run_after_run(counts)
+    return tuple(neural.take_rows(neural.concat(s, axis=0), order) for s in (hs, cs))
 
 
-def per_step_decoder(table, rows, memory, mask, state, w, cell):
+def per_step_decoder(table, rows, lengths, memory, mask, state, w, cell):
     """A reference for ``neural.attention_lstm_sweep``, with its arguments:
-    per decoder step, one ``take_rows`` gather of the query rows
-    table[rows[s]], ``attention`` over ``memory`` with the additive ``mask``,
-    and one ``lstm_cell`` step on [query; context]; the [h; context] rows of
-    every step are joined step after step."""
+    per decoder step, one ``take_rows`` gather of each run's next query row
+    of table[rows] (an ended run's last), ``attention`` over ``memory`` with
+    the additive ``mask``, and one ``lstm_cell`` step on [query; context];
+    each run's [h; context] rows at its own steps are gathered run after run
+    from the rows of every step, joined step after step."""
+    counts = np.asarray(lengths)
+    starts = np.cumsum(counts) - counts
     h, c = state
     key_mask = neural.constant(mask)
     features = []
-    for step_rows in rows:
+    for t in range(int(counts.max())):
         _, context = attention(memory, h, w, key_mask)
-        h, c = lstm_cell(neural.concat([neural.take_rows(table, step_rows), context]), h, c, cell)
+        query = neural.take_rows(table, rows[starts + np.minimum(t, counts - 1)])
+        h, c = lstm_cell(neural.concat([query, context]), h, c, cell)
         features.append(neural.concat([h, context]))
-    return neural.concat(features, axis=0)
+    return neural.take_rows(neural.concat(features, axis=0), _run_after_run(counts))
 
 
 def gradient_check(

@@ -377,6 +377,27 @@ class TestEmbedAll:
         for m in range(adg.num_nodes):
             assert np.max(np.abs(got[m] - expect[m])) < 1e-10
 
+    def test_relu_activation_matches_naive_reference(self):
+        # every aggregator and virtualization, with a ReLU after each hop
+        for seed, hops, aggregator, virtualization in itertools.product(
+            (1, 2, 3), (1, 2), ("mean", "pooling", "lstm"), ("mean", "concat")
+        ):
+            rng = np.random.default_rng(seed)
+            adg, _, _ = random_adg(rng, 5, 12)
+            config = EmbedderConfig(
+                dim=4,
+                hops=hops,
+                aggregator=aggregator,
+                virtualization=virtualization,
+                concat_cap=adg.num_nodes if virtualization == "concat" else None,
+                activation="relu",
+            )
+            params = EmbedderParams.create(adg, config, rng)
+            got = embed_tensors(adg, params, config).data
+            expect = naive_embed(adg, params, config)
+            for m in range(adg.num_nodes):
+                assert np.max(np.abs(got[m] - expect[m])) < 1e-10, (seed, hops, aggregator, m)
+
     def test_outputs_finite(self):
         rng = np.random.default_rng(6)
         adg, _, _ = random_adg(rng, 5, 15)

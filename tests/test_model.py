@@ -366,7 +366,7 @@ class TestDecodeStep:
         node_emb = model.embed_nodes()
         prevs = [[BOS_ID] * len(pairs), [model.code_vocab.id(c[2]) for _, c in pairs]]
         assert all(t in api_links(model) for t in prevs[1])
-        rows = np.stack([model.query_rows(p, node_emb) for p in prevs])
+        rows = np.stack([model.query_rows(p, node_emb) for p in prevs])  # [steps, N]
         mask = model_mod._own_memory_mask([len(d) for d in descs])
         cells = []  # each step's c, recorded from the sweep's cell
         forward = neural._cell_forward
@@ -381,10 +381,11 @@ class TestDecodeStep:
             with monkeypatch.context() as patch:
                 patch.setattr(neural, "_cell_forward", recording)
                 sweep = neural.attention_lstm_sweep(
-                    node_emb.table, rows, memory, mask, (h, c), model.att_w, model.dec_lstm
+                    node_emb.table, rows.T.reshape(-1), [len(prevs)] * len(pairs), memory, mask,
+                    (h, c), model.att_w, model.dec_lstm,
                 ).data
         assert len(cells) == len(prevs)
-        n, hidden = len(pairs), model.config.hidden_dim
+        hidden = model.config.hidden_dim
         state = h.data, c.data
         made = count_tensors(monkeypatch)
         for s, step_rows in enumerate(rows):
@@ -392,14 +393,14 @@ class TestDecodeStep:
                 node_emb.table.data[step_rows], *state, memory.data, mask, model.att_w.data, model.dec_lstm
             )
             state = h_next, c_next
-            block = sweep[s * n : (s + 1) * n]
+            block = sweep[s :: len(prevs)]  # step s of every row
             assert np.concatenate([h_next, context], axis=1).tobytes() == block.tobytes(), s
             assert state[0].tobytes() == block[:, :hidden].tobytes(), s
             assert state[1].tobytes() == cells[s].tobytes(), s
         assert made == []
         state = h.data, c.data
         for s, step_prevs in enumerate(prevs):
-            block = sweep[s * n : (s + 1) * n]
+            block = sweep[s :: len(prevs)]
             with neural.no_grad():
                 expect = neural.log_softmax(model.readout(neural.constant(block)).data)
                 expect[:, [PAD_ID, BOS_ID, UNK_ID]] = -np.inf
@@ -1099,7 +1100,7 @@ class TestTraining:
         batch = [(model.desc_vocab.encode(d), model.code_vocab.encode(c)) for d, c in pairs]
         params = model.parameters()
         neural.zero_grads(params)
-        loss = model.sequence_loss(batch, model.embed_nodes(), train=True, rng=np.random.default_rng(5))
+        loss = model.sequence_loss(batch, model.embed_nodes(), rng=np.random.default_rng(5))
         loss.backward()
         batched = {p.name: p.grad for p in params}
 
@@ -1108,7 +1109,7 @@ class TestTraining:
         mean_grads = {p.name: np.zeros_like(p.data) for p in params}
         for pair in batch:
             neural.zero_grads(params)
-            one = model.sequence_loss([pair], model.embed_nodes(), train=True, rng=rng)
+            one = model.sequence_loss([pair], model.embed_nodes(), rng=rng)
             one.backward()
             mean_loss += float(one.data) / len(batch)
             for p in params:
@@ -1181,9 +1182,8 @@ class TestLstmRunsReference:
         lengths = np.array([4, 1, 4])
         hs, cs = neural.lstm_runs(seq, lengths, cell)
         ref_hs, ref_cs = masked_lstm_runs(seq, lengths, cell)
-        assert hs.data.shape == ref_hs.data.shape == (4 * 3, 4)
-        live = np.arange(4)[:, None] < lengths  # [step, run]
-        assert np.array_equal(hs.data[live.reshape(-1)], ref_hs.data[live.reshape(-1)])
+        assert hs.data.shape == ref_hs.data.shape == (9, 4)  # one row per live step
+        assert np.array_equal(hs.data, ref_hs.data)
         for stack, ref in ((hs, ref_hs), (cs, ref_cs)):  # the final h, then the final c
             last, ref_last = neural.last_steps(stack, lengths), neural.last_steps(ref, lengths)
             assert np.array_equal(last.data, ref_last.data)
@@ -1213,7 +1213,7 @@ class TestDecoderSweepReference:
             if reference:
                 patch.setattr(neural, "attention_lstm_sweep", per_step_decoder)
             made = count_tensors(patch)
-            loss = model.sequence_loss(batch, node_emb, train=True, rng=np.random.default_rng(9))
+            loss = model.sequence_loss(batch, node_emb, rng=np.random.default_rng(9))
             params = model.parameters()
             neural.zero_grads(params)
             loss.backward()
@@ -1252,7 +1252,7 @@ class TestTrainingTapeSize:
             node_emb = model.embed_nodes()  # a backward frees the table's tape
             with monkeypatch.context() as patch:
                 made = count_tensors(patch)
-                loss = model.sequence_loss(batch, node_emb, train=True, rng=np.random.default_rng(1))
+                loss = model.sequence_loss(batch, node_emb, rng=np.random.default_rng(1))
                 neural.zero_grads(model.parameters())
                 loss.backward()
             counts.append(len(made))

@@ -28,7 +28,9 @@ from adgcode.neural import (
     window_relu_stack,
 )
 
-from per_step import add, attention, gradient_check, lstm_cell, matmul, per_step_decoder, vsum
+from per_step import (
+    add, attention, gradient_check, lstm_cell, masked_lstm_runs, matmul, per_step_decoder, vsum,
+)
 
 RNG = np.random.default_rng
 
@@ -315,21 +317,17 @@ class TestLstmCell:
         p = LstmParams.create("cell", 3, 4, rng)
         seq = tensor_param("seq", rng, (9, 3))
         lengths = np.array([4, 1, 4])
-        live = np.flatnonzero(np.arange(4)[:, None] < lengths)  # rows t*3 + i of the stack
         probes = [neural.constant(rng.standard_normal(shape)) for shape in ((9, 4), (3, 4), (3, 4))]
 
         def loss():
             hs, cs = neural.lstm_runs(seq, lengths, p)
             h, c = neural.last_steps(hs, lengths), neural.last_steps(cs, lengths)
-            outs = [
-                vsum(neural.mul(t, probe))
-                for t, probe in zip((neural.take_rows(hs, live), h, c), probes)
-            ]
+            outs = [vsum(neural.mul(t, probe)) for t, probe in zip((hs, h, c), probes)]
             return add(add(outs[0], outs[1]), outs[2])
 
         hs, _ = neural.lstm_runs(seq, lengths, p)
         h = neural.last_steps(hs, lengths)
-        assert np.array_equal(h.data, hs.data[(lengths - 1) * 3 + np.arange(3)])
+        assert np.array_equal(h.data, hs.data[np.cumsum(lengths) - 1])
         err = gradient_check(loss, p.parameters() + [seq])
         assert err < 1e-4
 
@@ -563,6 +561,8 @@ class TestAttentionLstmSweep:
     and against finite differences."""
 
     STEP_ROWS = np.array([[0, 2, 2], [5, 1, 2], [3, 3, 0], [4, 4, 4]])  # [steps, N], repeats in a step
+    # the same table rows run after run: decoder row i's queries are column i
+    ROWS, LENGTHS = STEP_ROWS.T.reshape(-1), [4, 4, 4]
 
     @staticmethod
     def _operands(rng):
@@ -585,7 +585,7 @@ class TestAttentionLstmSweep:
         results = []
         for sweep in (neural.attention_lstm_sweep, per_step_decoder):
             neural.zero_grads(leaves)
-            out = sweep(table, self.STEP_ROWS, memory, mask, state, w, cell)
+            out = sweep(table, self.ROWS, self.LENGTHS, memory, mask, state, w, cell)
             vsum(neural.mul(out, probe)).backward()
             results.append((out.data, [t.grad for t in leaves]))
         (out, grads), (ref_out, ref_grads) = results
@@ -600,7 +600,9 @@ class TestAttentionLstmSweep:
         probe = neural.constant(rng.standard_normal((12, 8)))
 
         def loss():
-            out = neural.attention_lstm_sweep(table, self.STEP_ROWS, memory, mask, state, w, cell)
+            out = neural.attention_lstm_sweep(
+                table, self.ROWS, self.LENGTHS, memory, mask, state, w, cell
+            )
             return vsum(neural.mul(out, probe))
 
         err = gradient_check(loss, [table, memory, w, *state, *cell.parameters()])
@@ -609,13 +611,19 @@ class TestAttentionLstmSweep:
     def test_shape_mismatch(self):
         rng = RNG(62)
         table, memory, w, cell, (h0, c0), mask = self._operands(rng)
-        with pytest.raises(ShapeError):  # a [N] row list, not [steps, N]
-            neural.attention_lstm_sweep(table, self.STEP_ROWS[0], memory, mask, (h0, c0), w, cell)
-        with pytest.raises(ShapeError):  # state rows do not match the table rows
-            neural.attention_lstm_sweep(table, self.STEP_ROWS[:, :2], memory, mask, (h0, c0), w, cell)
+        with pytest.raises(ShapeError):  # a [steps, N] grid, not one row per query
+            neural.attention_lstm_sweep(
+                table, self.STEP_ROWS, self.LENGTHS, memory, mask, (h0, c0), w, cell
+            )
+        with pytest.raises(ShapeError):  # state rows do not match the runs
+            neural.attention_lstm_sweep(
+                table, self.STEP_ROWS[:, :2].T.reshape(-1), [4, 4], memory, mask, (h0, c0), w, cell
+            )
         with pytest.raises(ShapeError):  # query and context do not fill the cell's input
             wide = LstmParams.create("wide", 3 + 5, 4, rng)
-            neural.attention_lstm_sweep(table, self.STEP_ROWS, memory, mask, (h0, c0), w, wide)
+            neural.attention_lstm_sweep(
+                table, self.ROWS, self.LENGTHS, memory, mask, (h0, c0), w, wide
+            )
 
 
 def test_sweeps_keep_no_step_arrays_without_grad(monkeypatch):
@@ -640,12 +648,51 @@ def test_sweeps_keep_no_step_arrays_without_grad(monkeypatch):
             outs = [
                 neural.lstm_runs(seq, [4, 1, 2], runs_cell),
                 neural.attention_lstm_sweep(
-                    table, TestAttentionLstmSweep.STEP_ROWS, memory, mask, state, w, cell
+                    table, TestAttentionLstmSweep.ROWS, TestAttentionLstmSweep.LENGTHS,
+                    memory, mask, state, w, cell,
                 ),
             ]
         assert len(kept) == 4 + 4
         assert sum(ref() is not None for ref in kept) == (len(kept) if grad else 0)
         del outs
+
+
+def test_sweeps_return_one_row_per_input_row_run_after_run():
+    """Over runs of unsorted lengths, ``lstm_runs`` (h and c) and
+    ``attention_lstm_sweep`` each return one row per input row, run after
+    run: row j is bit for bit the per-step reference's row for the same run
+    and step, and no row lies past a run's end."""
+    rng = RNG(67)
+    table, memory, w, cell, state, mask = TestAttentionLstmSweep._operands(rng)
+    runs_cell = LstmParams.create("runs", 3, 4, rng)
+    seq = tensor_param("seq", rng, (7, 3))
+    rows = np.array([0, 5, 3, 4, 2, 1, 1])  # the decoder's query rows, run after run
+    lengths = np.array([4, 1, 2])
+    hs, cs = neural.lstm_runs(seq, lengths, runs_cell)
+    out = neural.attention_lstm_sweep(table, rows, lengths, memory, mask, state, w, cell)
+    assert hs.shape == cs.shape == (7, 4) and out.shape == (7, 8)
+    ref_hs, ref_cs = masked_lstm_runs(seq, lengths, runs_cell)
+    ref_out = per_step_decoder(table, rows, lengths, memory, mask, state, w, cell)
+    for got, ref in ((hs, ref_hs), (cs, ref_cs), (out, ref_out)):
+        assert got.data.tobytes() == ref.data.tobytes()
+    # the same per-step ops, one step at a time: run i's step t is row starts[i] + t
+    starts = np.cumsum(lengths) - lengths
+    h = c = neural.zeros((3, 4))
+    dh, dc = state
+    seen = []
+    for t in range(int(lengths.max())):
+        at = starts + np.minimum(t, lengths - 1)
+        h, c = lstm_cell(neural.take_rows(seq, at), h, c, runs_cell)
+        _, context = attention(memory, dh, w, neural.constant(mask))
+        dh, dc = lstm_cell(neural.concat([neural.take_rows(table, rows[at]), context]), dh, dc, cell)
+        for i in np.flatnonzero(t < lengths):
+            j = starts[i] + t
+            seen.append(j)
+            assert hs.data[j].tobytes() == h.data[i].tobytes(), (i, t)
+            assert cs.data[j].tobytes() == c.data[i].tobytes(), (i, t)
+            assert out.data[j, :4].tobytes() == dh.data[i].tobytes(), (i, t)
+            assert out.data[j, 4:].tobytes() == context.data[i].tobytes(), (i, t)
+    assert sorted(seen) == list(range(7))
 
 
 class TestFreedTape:
@@ -669,7 +716,8 @@ class TestFreedTape:
         seq = tensor_param("seq", rng, (7, 3))
         hs, cs = neural.lstm_runs(seq, [4, 1, 2], runs_cell)
         out = neural.attention_lstm_sweep(
-            table, TestAttentionLstmSweep.STEP_ROWS, memory, mask, state, w, cell
+            table, TestAttentionLstmSweep.ROWS, TestAttentionLstmSweep.LENGTHS,
+            memory, mask, state, w, cell,
         )
         loss = add(add(vsum(hs), vsum(cs)), vsum(out))
         assert len(kept) == 4 + 4 and all(ref() is not None for ref in kept)
