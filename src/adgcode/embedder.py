@@ -9,9 +9,10 @@ through a per-hop affine map plus nonlinearity.  Hop updates are synchronous:
 hop-k vectors read only hop-(k-1) vectors.  Each hop runs as a few array ops
 over every node it needs: one sort of the graph's edge rows to plan its
 groups, one gather and segment reduction per virtualization, one segment
-reduction or one batched LSTM pass per aggregation (``neural.lstm_runs``,
-which steps every sequence as often as the longest and takes each node's
-state after its own last element), one affine map.  The settings,
+reduction or one batched LSTM pass per aggregation (``neural.lstm_sweep``
+without attention over the virtualized rows, which steps every sequence as
+often as the longest; each node's state after its own last element is
+``neural.last_steps`` of its rows), one affine map.  The settings,
 ``EmbedderConfig``, live in ``config`` and check themselves when built.
 """
 
@@ -163,7 +164,7 @@ def embed_tensors(
     for k, (members, sizes, lengths) in enumerate(plans):
         seq = _virtualize(z, np.searchsorted(levels[k], members), sizes, config)
         if config.aggregator == "lstm":
-            hs, _ = neural.lstm_runs(seq, lengths, params.hop_lstms[k])
+            hs, _ = neural.lstm_sweep(seq, np.arange(lengths.sum()), lengths, params.hop_lstms[k])
             agg = neural.last_steps(hs, lengths)
         elif config.aggregator == "mean":
             agg = neural.segment_reduce(seq, lengths, "mean")

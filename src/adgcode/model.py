@@ -10,13 +10,14 @@ training's choice of nodes to embed and the reach filter read it where they
 use it.  Training is teacher-forced joint optimization of
 encoder, embedder, and decoder under a single mean cross-entropy loss, each
 batch run as one pass over rows one pair after another, in which the
-encoder and the decoder recurrences are one sweep op each
-(``neural.lstm_runs``, ``neural.attention_lstm_sweep``).  The sweeps take
-and return rows run after run, so the model neither pads nor reorders
-rows: the encoder's states are the memory, and the decoder's rows go
-straight to the readout.  Decoding runs one ``decode_step`` per
-token over arrays, from the previous tokens to the masked log-probabilities
-of the next, through the sweep's own step without a tape.  The settings,
+encoder and the decoder recurrences are one call each of the one sweep op,
+``neural.lstm_sweep`` (the decoder's with attention).  The sweep takes and
+returns rows run after run, so the model neither pads nor reorders rows:
+the encoder's states are the memory, its final c is the decoder's initial
+c, and the decoder's rows go straight to the readout.  Decoding runs one
+``decode_step`` per token over arrays, from the previous tokens to the
+masked log-probabilities of the next, through the sweep's own step without
+a tape.  The settings,
 ``ModelConfig`` and ``TrainConfig``, live in ``config`` and check themselves
 when built, so neither the model nor ``train`` checks them again.
 """
@@ -216,7 +217,8 @@ class Seq2SeqModel:
         """Lookup, windowed ReLU feature layers, then one LSTM sweep with the
         descriptions ``descs`` as the rows of one [B, h] state.  Returns the
         sweep's hidden states, one description after another, as the
-        [ΣT, h] memory, and the final (h, c) as [B, h] rows.  Training passes
+        [ΣT, h] memory, and the final (h, c) as [B, h] rows: the last of
+        each description's states and the sweep's final c.  Training passes
         inverted-dropout factors for the features and the memory."""
         lengths = [len(d) for d in descs]
         if not descs or min(lengths) == 0:
@@ -225,9 +227,9 @@ class Seq2SeqModel:
         feats = neural.window_relu_stack(x, lengths, self.stack_weights, self.config.relu_window)
         if feature_mask is not None:
             feats = neural.mul(feats, feature_mask)
-        hs, cs = neural.lstm_runs(feats, lengths, self.enc_lstm)
+        hs, c = neural.lstm_sweep(feats, np.arange(sum(lengths)), lengths, self.enc_lstm)
         memory = hs if memory_mask is None else neural.mul(hs, memory_mask)
-        return memory, (neural.last_steps(hs, lengths), neural.last_steps(cs, lengths))
+        return memory, (neural.last_steps(hs, lengths), c)
 
     # -- embedder bridge ---------------------------------------------------
 
@@ -278,7 +280,7 @@ class Seq2SeqModel:
         rows that the [N, M] additive ``mask`` keeps.  The query rows come
         from the query table (``query_rows``), the recurrent part is
         ``neural.attention_lstm_step``, the step that training's
-        ``neural.attention_lstm_sweep`` runs for all its steps, and the
+        ``neural.lstm_sweep`` runs for all its steps, and the
         readout of [h; context] gives the logits.  Returns the [N, V]
         log-probabilities of the next token and the new [N, h] state.
 
@@ -321,10 +323,10 @@ class Seq2SeqModel:
         code sequence plus the end marker.
 
         The batch runs as one pass over rows one pair after another: the
-        encoder as one ``lstm_runs`` sweep, the decoder steps as one
-        ``attention_lstm_sweep``, each decoder row attending only to its own
-        description's states, and the readout once over the sweep's rows,
-        one per target.  With ``rng`` (training) it draws the
+        encoder as one ``lstm_sweep``, the decoder steps as one
+        ``lstm_sweep`` with attention, each decoder row attending only to
+        its own description's states, and the readout once over the
+        sweep's rows, one per target.  With ``rng`` (training) it draws the
         inverted-dropout factors pair by pair: the pair's features, then its
         memory, then its decoder hidden layer."""
         if not batch:
@@ -343,15 +345,13 @@ class Seq2SeqModel:
             feature_mask, memory_mask, hidden_mask = masks
         memory, state = self.encode(descs, feature_mask, memory_mask)
         prevs = [p for t in targets for p in [BOS_ID] + t[:-1]]
-        features = neural.attention_lstm_sweep(
+        features, _ = neural.lstm_sweep(
             node_embeddings.table,
             self.query_rows(prevs, node_embeddings),
             [len(t) for t in targets],
-            memory,
-            _own_memory_mask([len(d) for d in descs]),
-            state,
-            self.att_w,
             self.dec_lstm,
+            state,
+            (memory, _own_memory_mask([len(d) for d in descs]), self.att_w),
         )
         logits = self.readout(features, hidden_mask)
         weights = [(1.0 / size) * (1.0 / len(t)) for t in targets for _ in t]

@@ -1,23 +1,24 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays, plus the layers
-this model family needs: windowed ReLU feature layers, LSTM runs, a masked
-multiplicative attention decoder, stabilized softmax/weighted cross-entropy,
-inverted-dropout masks, Glorot initialization, Adam with an
+this model family needs: windowed ReLU feature layers, one LSTM sweep with
+optional multiplicative attention, stabilized softmax/weighted
+cross-entropy, inverted-dropout masks, Glorot initialization, Adam with an
 inverse-square-root warmup schedule.
 
-Training's two recurrences are sweep ops, each one op on the tape whatever
-its length: ``lstm_runs`` (tape nodes: the h and c stacks) and
-``attention_lstm_sweep``, a teacher-forced attention decoder (one tape
-node).  Like ``window_relu_stack`` and ``segment_reduce``, both take their
-input rows one run after another with the runs' ``lengths`` and return one
-row per input row in that order.  One plan (``_steps``) steps the runs of
-either sweep together, as often as the longest, so the padding to the
-longest run stays inside the sweep.  The decoder step lives once, over arrays
-(``attention_lstm_step``): the sweep runs it per step, and beam search runs
-it one step at a time.  The gate arithmetic also lives once (``_cell_forward``,
-``_h_backward``, ``_c_backward``), for both sweeps; a sweep's backward runs
-the per-step closed-form products from the last step to the first and adds
-into each gradient in the order a tape of per-step ops would, so its
-results equal that tape's bit for bit.
+Training's three recurrences (the encoder, the embedder's aggregator and
+the teacher-forced attention decoder) run one sweep op, ``lstm_sweep``: one
+op on the tape whatever its length, with two tape nodes, its rows and each
+run's final c.  Like ``window_relu_stack`` and ``segment_reduce``, it takes
+its input rows one run after another with the runs' ``lengths`` and returns
+one row per input row in that order.  One plan (``_steps``) steps the runs
+together, as often as the longest, so the padding to the longest run stays
+inside the sweep.  The step lives once, over arrays
+(``attention_lstm_step``; without a memory it does not attend): the sweep
+runs it per step, and beam search runs it one step at a time.  The gate
+arithmetic also lives once (``_cell_forward``, ``_h_backward``,
+``_c_backward``); the sweep's backward runs the per-step closed-form
+products from the last step to the first and adds into each gradient in the
+order a tape of per-step ops would, so its results equal that tape's bit
+for bit.
 
 Tensors form a tape through parent links; ``backward()`` runs an iterative
 topological sweep.  A tape backpropagates once: as each node's closure runs,
@@ -136,8 +137,9 @@ class Parameter(Tensor):
         self.name = name
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(t: Tensor, g: np.ndarray | None) -> None:
+    """Add ``g`` into ``t``'s gradient; None adds nothing."""
+    if g is None or not t.requires_grad:
         return
     if t.data.shape != g.shape:  # broadcast scalar operand
         g = np.sum(g).reshape(t.data.shape)
@@ -459,74 +461,6 @@ def _c_backward(
     return d_z, dc * f
 
 
-def lstm_runs(seq: Tensor, lengths: Sequence[int], cell: LstmParams) -> tuple[Tensor, Tensor]:
-    """Run ``cell`` from a zero state over each run of ``lengths[i]``
-    consecutive rows of ``seq``, the runs as the rows of one [runs, h]
-    state.  Returns the [N, h] stacks of hidden and cell states, one row per
-    row of ``seq`` in its order: row j is its run's state after reading row
-    j.  Every run steps as often as the longest (an ended run reads its last
-    row again), and nothing returns those steps; ``last_steps`` takes each
-    run's final state from either stack.
-
-    The sweep is one op with two tape nodes: the h stack, whose one parent
-    is the c stack.  The forward steps the cell over arrays and keeps each
-    step's gate values.  The h stack's backward leaves its gradient for the
-    c stack's, which runs the per-step closed-form products from the last
-    step to the first and adds into every gradient in the order a tape of
-    per-step cells does."""
-    if seq.data.ndim != 2 or seq.data.shape[1] != cell.input_dim:
-        raise ShapeError(f"lstm_runs input shape {seq.data.shape}, expected [N, {cell.input_dim}]")
-    reads, grid = _steps(lengths, seq.data.shape[0])
-    (steps, n), hidden = reads.shape, cell.hidden_dim
-    params = cell.parameters()
-    keep = _records([seq, *params])
-    hs, cs = np.empty((n, steps, hidden)), np.empty((n, steps, hidden))
-    h = c = np.zeros((n, hidden))
-    saved = []  # per step: z = [h_prev, x], c_prev and the gate values
-    for t in range(steps):
-        z = np.concatenate([h, seq.data[reads[t]]], axis=1)
-        h, c_next, gates = _cell_forward(z, c, cell)
-        if keep:
-            saved.append((z, c, gates))
-        c = c_next
-        hs[:, t] = h
-        cs[:, t] = c
-    d_hs = [None]  # the h stack's gradient, left by its backward
-
-    def c_bw(d_cs):
-        d_h, d_c = (None if d is None else _on_grid(d, grid, n, steps) for d in (d_hs[0], d_cs))
-        d_x = np.empty((steps * n, cell.input_dim))
-        dh_next = dc_next = None
-        for t in range(steps - 1, -1, -1):
-            z, c_prev, gates = saved[t]
-            dh = _plus(None if d_h is None else d_h[:, t], dh_next)
-            d_o = dc = None
-            if dh is not None:
-                d_o, dc = _h_backward(dh, gates)
-            dc = _plus(_plus(None if d_c is None else d_c[:, t], dc), dc_next)
-            d_z, dc_next = _c_backward(dc, d_o, z, c_prev, gates, cell)
-            dh_next = d_z[:, :hidden]
-            d_x[(steps - 1 - t) * n : (steps - t) * n] = d_z[:, hidden:]
-        if seq.requires_grad:
-            grad = np.zeros_like(seq.data)
-            # last step first: the order of the tape's gathers
-            np.add.at(grad, reads[::-1].reshape(-1), d_x)
-            _accum(seq, grad)
-
-    c_stack = Tensor(cs.reshape(-1, hidden)[grid], parents=(seq, *params), bw=c_bw)
-
-    def h_bw(d):
-        d_hs[0] = d
-
-    return Tensor(hs.reshape(-1, hidden)[grid], parents=(c_stack,), bw=h_bw), c_stack
-
-
-def last_steps(stack: Tensor, lengths: Sequence[int]) -> Tensor:
-    """Row i of the result is the last row of run i, from a stack of rows
-    one run after another (``lstm_runs``' states: run i's final state)."""
-    return take_rows(stack, np.cumsum(np.asarray(lengths, dtype=np.intp)) - 1)
-
-
 def window_relu_stack(
     x: Tensor, lengths: Sequence[int], weights: Sequence[Parameter], window: int
 ) -> Tensor:
@@ -597,104 +531,134 @@ def attention_lstm_step(
     x: np.ndarray,
     h: np.ndarray,
     c: np.ndarray,
-    memory: np.ndarray,
+    memory: np.ndarray | None,
     mask: np.ndarray | None,
-    w: np.ndarray,
+    w: np.ndarray | None,
     cell: LstmParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """One step of the attention decoder over arrays, for N rows: attend
-    over the [M, h] ``memory`` with the hidden state ``h`` (scores h_m . (W
-    h), plus the additive [N, M] ``mask`` when given: 0 keeps a state, -inf
-    hides it, and each row needs one finite score), then feed z = [h; x;
-    context] through ``cell`` from ``c``.
+    """One LSTM step over arrays, for N rows: attend over the [M, h]
+    ``memory`` with the hidden state ``h`` (scores h_m . (W h), plus the
+    additive [N, M] ``mask`` when given: 0 keeps a state, -inf hides it, and
+    each row needs one finite score), then feed z = [h; x; context] through
+    ``cell`` from ``c``.  A ``memory`` of None is a context of width 0, so
+    z = [h; x] and nothing attends.
     Returns the new h and c, the context rows, and what a backward reads:
     the projected queries, the attention weights, z and the gate values."""
-    projected, alpha = _attend(memory, h, w, mask)
-    context = alpha @ memory
+    if memory is None:
+        projected = alpha = None
+        context = np.empty((h.shape[0], 0))
+    else:
+        projected, alpha = _attend(memory, h, w, mask)
+        context = alpha @ memory
     z = np.concatenate([h, x, context], axis=1)
     h_next, c_next, gates = _cell_forward(z, c, cell)
     return h_next, c_next, context, (projected, alpha, z, gates)
 
 
-def attention_lstm_sweep(
+def lstm_sweep(
     table: Tensor,
     rows: np.ndarray,
     lengths: Sequence[int],
-    memory: Tensor,
-    mask: np.ndarray | None,
-    state: tuple[Tensor, Tensor],
-    w: Tensor,
     cell: LstmParams,
-) -> Tensor:
-    """A teacher-forced attention decoder over runs of ``lengths[i]``
-    consecutive query rows, table[rows], as one op: the runs are the N rows
-    of one state, starting from ``state``, and each step is
-    ``attention_lstm_step`` with each run's next query row (an ended run
-    reads its last row again).  Returns the [len(rows), h + d_m] stack of
-    [h; context] rows, one per query row in its order: row j is its run's
-    step on query row j.
+    state: tuple[Tensor, Tensor] | None = None,
+    attention: tuple[Tensor, np.ndarray | None, Tensor] | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Run ``cell`` over runs of ``lengths[i]`` consecutive input rows,
+    table[rows], as one op: the runs are the rows of one [runs, h] state,
+    starting from ``state`` (default zeros), and each step is
+    ``attention_lstm_step`` on each run's next input row (an ended run reads
+    its last row again).  With ``attention`` = (memory, mask, W) each step
+    first attends over the memory; without it the context has width 0.
+    Returns one row per input row in its order, row j its run's step on
+    input row j: h, or [h; context] with attention; and each run's final c
+    as [runs, h] rows.
 
-    The forward keeps each step's attention and gate values.  The backward
-    runs each step's closed-form products from the last step to the first,
-    and adds into every gradient in the order a tape of per-step ops (a
-    gather of the query rows, the attention weights and context, the joined
-    cell input, the cell; the tests' ``per_step_decoder``) does."""
-    h0, c0 = state
+    The sweep is one op with two tape nodes: the rows, whose one parent is
+    the final c.  The forward keeps each step's attention and gate values.
+    The rows' backward leaves their gradient for the final c's, which runs
+    each step's closed-form products from the last step to the first and
+    adds into every gradient in the order a tape of per-step ops (a gather
+    of the input rows, the attention weights and context, the joined cell
+    input, the cell; the tests' ``masked_lstm_runs`` and
+    ``per_step_decoder``) does.  So each step scatters its own input rows'
+    gradient into the table, last step first: a table row that several
+    steps read sums its gradient in that order."""
     if rows.ndim != 1:
-        raise ShapeError(f"attention_lstm_sweep needs one table row per query, got {rows.shape}")
+        raise ShapeError(f"lstm_sweep needs one table row per input, got {rows.shape}")
     reads, grid = _steps(lengths, rows.size)
-    queries, (steps, n) = rows[reads], reads.shape  # the table row of each run at each step
-    hidden, width = cell.hidden_dim, table.data.shape[1]
-    _check_attention(memory.data, h0.data, w.data)
-    if width + memory.data.shape[1] != cell.input_dim:
-        raise ShapeError("query and context widths do not add up to the cell's input")
-    if h0.data.shape != (n, hidden) or c0.data.shape != (n, hidden):
-        raise ShapeError("attention_lstm_sweep state shapes do not match the cell size")
-    mem = memory.data
-    parents = (table, memory, w, h0, c0, *cell.parameters())
+    inputs, (steps, n) = rows[reads], reads.shape  # the table row of each run at each step
+    ends = np.asarray(lengths) - 1  # the step at which each run ends
+    hidden, width = cell.hidden_dim, table.data.shape[-1]
+    h, c = (np.zeros((n, hidden)),) * 2 if state is None else (t.data for t in state)
+    memory, mask, w = attention or (None, None, None)
+    mem, w_data = (None, None) if attention is None else (memory.data, w.data)
+    if attention is not None:
+        _check_attention(mem, h, w_data)
+    context_width = 0 if mem is None else mem.shape[1]
+    if table.data.ndim != 2 or width + context_width != cell.input_dim:
+        raise ShapeError("input and context widths do not add up to the cell's input")
+    if h.shape != (n, hidden) or c.shape != (n, hidden):
+        raise ShapeError("lstm_sweep state shapes do not match the cell size")
+    parents = (table, *((memory, w) if attention else ()), *(state or ()), *cell.parameters())
     keep = _records(parents)
-    out = np.empty((n, steps, hidden + mem.shape[1]))
-    h, c = h0.data, c0.data
+    out = np.empty((n, steps, hidden + context_width))
+    c_end = np.empty((n, hidden))
     saved = []  # per step: h_prev, c_prev, the attention's values, z and the gate values
     for s in range(steps):
         h_next, c_next, context, kept = attention_lstm_step(
-            table.data[queries[s]], h, c, mem, mask, w.data, cell
+            table.data[inputs[s]], h, c, mem, mask, w_data, cell
         )
         if keep:
             saved.append((h, c, *kept))
         h, c = h_next, c_next
         out[:, s, :hidden] = h
         out[:, s, hidden:] = context
+        last = ends == s
+        c_end[last] = c[last]
+    d_out = [None]  # the rows' gradient, left by their backward
 
-    def bw(g):
-        g = _on_grid(g, grid, n, steps)
+    def bw(d_end):
+        d = np.zeros((rows.size, out.shape[2])) if d_out[0] is None else d_out[0]
+        g = _on_grid(d, grid, n, steps)
+        d_c = None if d_end is None else _on_grid(d_end, np.arange(n) * steps + ends, n, steps)
         dh_cell = dh_att = dc_next = None  # step s+1's gradients of h_s (via cell, attention) and c_s
         for s in range(steps - 1, -1, -1):
             h_prev, c_prev, projected, alpha, z, gates = saved[s]
-            g_s = g[:, s]
-            dh = g_s[:, :hidden]
-            if dh_cell is not None:
-                dh = dh + dh_cell + dh_att
+            dh = _plus(_plus(g[:, s, :hidden], dh_cell), dh_att)
             d_o, dc = _h_backward(dh, gates)
-            if dc_next is not None:
-                dc = dc_next + dc
+            dc = _plus(_plus(None if d_c is None else d_c[:, s], dc), dc_next)
             d_z, dc_next = _c_backward(dc, d_o, z, c_prev, gates, cell)
             dh_cell = d_z[:, :hidden]
-            d_context = g_s[:, hidden:] + d_z[:, hidden + width :]
-            grad = np.zeros_like(table.data)
-            np.add.at(grad, queries[s], d_z[:, hidden : hidden + width])
-            _accum(table, grad)
-            _accum(memory, alpha.T @ d_context)
-            d_memory, dh_att, d_w = _attend_backward(
-                d_context @ mem.T, alpha, projected, mem, h_prev, w.data
-            )
-            _accum(memory, d_memory)
-            _accum(w, d_w)
-        _accum(c0, dc_next)
-        _accum(h0, dh_cell)
-        _accum(h0, dh_att)
+            if table.requires_grad:
+                grad = np.zeros_like(table.data)
+                np.add.at(grad, inputs[s], d_z[:, hidden : hidden + width])
+                _accum(table, grad)
+            if mem is not None:
+                d_context = g[:, s, hidden:] + d_z[:, hidden + width :]
+                _accum(memory, alpha.T @ d_context)
+                d_memory, dh_att, d_w = _attend_backward(
+                    d_context @ mem.T, alpha, projected, mem, h_prev, w_data
+                )
+                _accum(memory, d_memory)
+                _accum(w, d_w)
+        if state is not None:
+            h0, c0 = state
+            _accum(c0, dc_next)
+            _accum(h0, dh_cell)
+            _accum(h0, dh_att)
 
-    return Tensor(out.reshape(steps * n, -1)[grid], parents=parents, bw=bw)
+    final_c = Tensor(c_end, parents=parents, bw=bw)
+
+    def rows_bw(d):
+        d_out[0] = d
+
+    return Tensor(out.reshape(steps * n, -1)[grid], parents=(final_c,), bw=rows_bw), final_c
+
+
+def last_steps(stack: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Row i of the result is the last row of run i, from a stack of rows
+    one run after another (``lstm_sweep``'s rows: run i's final state)."""
+    return take_rows(stack, np.cumsum(np.asarray(lengths, dtype=np.intp)) - 1)
 
 
 ADAM_BETA1 = 0.9

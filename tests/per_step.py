@@ -1,12 +1,14 @@
 """The per-step tape reference for the program's recurrences.
 
-The program runs its recurrences over arrays: training as sweep ops
-(``neural.lstm_runs``, ``neural.attention_lstm_sweep``), decoding one
+The program runs its recurrences over arrays: training as one sweep op,
+``neural.lstm_sweep`` (the encoder and the embedder's aggregator without
+attention, the decoder with it), decoding one
 ``neural.attention_lstm_step`` at a time.  The tests compare them with the
 same arithmetic built one tape op per step: the fused LSTM cell
 (``lstm_cell``), multiplicative attention (``attention``, with ``matmul``
 for its context), and two loops over them, ``masked_lstm_runs`` and
-``per_step_decoder``.  It also holds the two tape ops that only the tests
+``per_step_decoder``, which ``reference_sweep`` puts in the sweep's place
+for the tests that patch it.  It also holds the two tape ops that only the tests
 build: ``add``, which ``masked_lstm_runs`` holds ended runs with, and
 ``vsum``, the scalar of the finite-difference losses; and the two helpers
 that only the tests call: ``gradient_check``, the finite-difference check
@@ -138,9 +140,10 @@ def _run_after_run(lengths):
 
 
 def masked_lstm_runs(seq, lengths, cell):
-    """A reference for ``neural.lstm_runs``: a run that has ended holds its
-    state through 0/1 masks on every step, and each run's states at its own
-    steps are gathered run after run from the step-major stacks."""
+    """A reference for ``neural.lstm_sweep`` without attention, over the
+    rows of ``seq``: a run that has ended holds its state through 0/1 masks
+    on every step, and each run's h and c at its own steps are gathered run
+    after run from the step-major stacks."""
     counts = np.asarray(lengths)
     starts = np.cumsum(counts) - counts
     h = c = neural.zeros((len(counts), cell.hidden_dim))
@@ -160,8 +163,8 @@ def masked_lstm_runs(seq, lengths, cell):
 
 
 def per_step_decoder(table, rows, lengths, memory, mask, state, w, cell):
-    """A reference for ``neural.attention_lstm_sweep``, with its arguments:
-    per decoder step, one ``take_rows`` gather of each run's next query row
+    """A reference for ``neural.lstm_sweep`` with attention = (``memory``,
+    ``mask``, ``w``), returning its rows: per decoder step, one ``take_rows`` gather of each run's next query row
     of table[rows] (an ended run's last), ``attention`` over ``memory`` with
     the additive ``mask``, and one ``lstm_cell`` step on [query; context];
     each run's [h; context] rows at its own steps are gathered run after run
@@ -177,6 +180,25 @@ def per_step_decoder(table, rows, lengths, memory, mask, state, w, cell):
         h, c = lstm_cell(neural.concat([query, context]), h, c, cell)
         features.append(neural.concat([h, context]))
     return neural.take_rows(neural.concat(features, axis=0), _run_after_run(counts))
+
+
+def reference_sweep(attending: bool):
+    """``neural.lstm_sweep`` with its calls with attention (``attending``) or
+    without it run by their reference instead, in the sweep's signature:
+    ``per_step_decoder`` (no final c: None), or ``masked_lstm_runs`` from a
+    zero state over table[rows].  The other calls run the sweep."""
+    sweep = neural.lstm_sweep
+
+    def run(table, rows, lengths, cell, state=None, attention=None):
+        if (attention is not None) != attending:
+            return sweep(table, rows, lengths, cell, state, attention)
+        if attention is None:
+            hs, cs = masked_lstm_runs(neural.take_rows(table, rows), lengths, cell)
+            return hs, neural.last_steps(cs, lengths)
+        memory, mask, w = attention
+        return per_step_decoder(table, rows, lengths, memory, mask, state, w, cell), None
+
+    return run
 
 
 def gradient_check(

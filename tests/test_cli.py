@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adgcode import cli, neural
@@ -687,6 +688,60 @@ class TestInputFiles:
             fh.write("call nothing\t\n")
         (workspace / "valid.tsv").write_bytes(b"")
         assert run_cli(["train", "--config", cfg])[0] == EXIT_OK
+
+
+# what a TSV mutant inserts: field and line breaks (``\x85`` is NEL, which
+# ``str.splitlines`` also splits on), NUL, a byte that is not UTF-8 and a
+# reserved token
+TSV_INSERTS = (b"\t", b"\n", b"\r", "\x85".encode(), b"\x00", b"\xff", "⟨UNK⟩".encode())
+
+
+def tsv_mutant(data: bytes, rng: np.random.Generator) -> bytes:
+    """One seeded byte mutant of ``data``: a bit flip, an insertion from
+    ``TSV_INSERTS``, a deletion or a duplicated span."""
+    at, span = int(rng.integers(len(data))), int(rng.integers(1, 16))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return data[:at] + bytes([data[at] ^ 1 << int(rng.integers(8))]) + data[at + 1 :]
+    if kind == 1:
+        return data[:at] + TSV_INSERTS[int(rng.integers(len(TSV_INSERTS)))] + data[at:]
+    if kind == 2:
+        return data[:at] + data[at + span :]
+    return data[: at + span] + data[at:]
+
+
+class TestTsvMutations:
+    """Byte mutants of the train and test TSVs, through ``cli.run``: each
+    command exits 0 with nothing on stderr, or 3 with one error line, and
+    none ends in a traceback."""
+
+    def test_train_and_evaluate_exit_cleanly(self, workspace, capsys):
+        cfg = write_config(workspace)
+        raw = json.loads((workspace / "config.json").read_text())
+        raw["train"]["max_steps"] = 1
+        (workspace / "config.json").write_text(json.dumps(raw))
+        assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
+        assert run_cli(["train", "--config", cfg])[0] == EXIT_OK
+        checkpoint = (workspace / "model.ckpt").read_bytes()
+        rng = np.random.default_rng(28)
+        for command, name in (("train", "train.tsv"), ("evaluate", "test.tsv")):
+            path = workspace / name
+            original = path.read_bytes()
+            codes = set()
+            for _ in range(60):
+                path.write_bytes(tsv_mutant(original, rng))
+                capsys.readouterr()
+                code, _ = run_cli([command, "--config", cfg])
+                err = capsys.readouterr().err
+                (workspace / "model.ckpt").write_bytes(checkpoint)
+                assert code in (EXIT_OK, EXIT_DATA), (command, code, err)
+                if code == EXIT_OK:
+                    assert err == "", (command, err)
+                else:
+                    single_error_line(err)
+                codes.add(code)
+            path.write_bytes(original)
+            assert codes == {EXIT_OK, EXIT_DATA}, command
 
 
 class TestConfigValidation:

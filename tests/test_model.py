@@ -38,7 +38,9 @@ from adgcode.signatures import parse_signatures
 from adgcode.synthetic import SyntheticSpec, generate
 
 from conftest import corrupt_parameter, edge_triples, met_rows, random_adg
-from per_step import attention, embed_all, gradient_check, lstm_cell, masked_lstm_runs, per_step_decoder
+from per_step import (
+    add, attention, embed_all, gradient_check, lstm_cell, masked_lstm_runs, reference_sweep, vsum,
+)
 
 
 def tiny_model(seed=0, **overrides):
@@ -355,7 +357,7 @@ class TestDecodeStep:
     def test_is_one_step_of_the_training_sweep(self, monkeypatch):
         # Ragged descriptions, each row masked to its own memory, and query
         # rows that include node embeddings: each attention_lstm_step equals
-        # the same step of attention_lstm_sweep under no_grad, its features
+        # the same step of lstm_sweep with attention under no_grad, its features
         # and its (h, c) bit for bit, and builds no Tensor.  decode_step runs
         # that step from the previous tokens: its log-probabilities are those
         # of the readout of the sweep's rows, masked, and it builds only the
@@ -380,10 +382,10 @@ class TestDecodeStep:
             memory, (h, c) = model.encode(descs)
             with monkeypatch.context() as patch:
                 patch.setattr(neural, "_cell_forward", recording)
-                sweep = neural.attention_lstm_sweep(
-                    node_emb.table, rows.T.reshape(-1), [len(prevs)] * len(pairs), memory, mask,
-                    (h, c), model.att_w, model.dec_lstm,
-                ).data
+                sweep = neural.lstm_sweep(
+                    node_emb.table, rows.T.reshape(-1), [len(prevs)] * len(pairs), model.dec_lstm,
+                    (h, c), (memory, mask, model.att_w),
+                )[0].data
         assert len(cells) == len(prevs)
         hidden = model.config.hidden_dim
         state = h.data, c.data
@@ -1149,7 +1151,7 @@ class TestTraining:
 
 class TestLstmRunsReference:
     def _batch_forward(self, monkeypatch, runs):
-        monkeypatch.setattr(neural, "lstm_runs", runs)
+        monkeypatch.setattr(neural, "lstm_sweep", runs)
         made = []
         init = neural.Tensor.__init__
 
@@ -1169,24 +1171,42 @@ class TestLstmRunsReference:
         return len(made), float(loss.data), [p.grad.copy() for p in params]
 
     def test_sequence_loss_bit_equal_with_fewer_tensors(self, monkeypatch):
-        made, loss, grads = self._batch_forward(monkeypatch, neural.lstm_runs)
-        ref_made, ref_loss, ref_grads = self._batch_forward(monkeypatch, masked_lstm_runs)
+        made, loss, grads = self._batch_forward(monkeypatch, neural.lstm_sweep)
+        ref_made, ref_loss, ref_grads = self._batch_forward(monkeypatch, reference_sweep(attending=False))
         assert made < ref_made
         assert loss == ref_loss
         assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
     def test_live_rows_and_final_state_bit_equal(self):
+        # runs of 4, 1 and 4 rows, then one run of 1, runs of equal length
+        # and runs of length 1; the rows, the final h and c and the
+        # gradients of a loss over them equal the reference's
         rng = np.random.default_rng(3)
         cell = neural.LstmParams.create("c", 3, 4, rng)
-        seq = neural.constant(rng.standard_normal((9, 3)))
-        lengths = np.array([4, 1, 4])
-        hs, cs = neural.lstm_runs(seq, lengths, cell)
-        ref_hs, ref_cs = masked_lstm_runs(seq, lengths, cell)
-        assert hs.data.shape == ref_hs.data.shape == (9, 4)  # one row per live step
-        assert np.array_equal(hs.data, ref_hs.data)
-        for stack, ref in ((hs, ref_hs), (cs, ref_cs)):  # the final h, then the final c
-            last, ref_last = neural.last_steps(stack, lengths), neural.last_steps(ref, lengths)
-            assert np.array_equal(last.data, ref_last.data)
+        seq = neural.Parameter("seq", rng.standard_normal((9, 3)))
+        leaves = [seq, *cell.parameters()]
+        for lengths in (np.array([4, 1, 4]), np.array([1]), np.array([3, 3, 3]), np.array([1, 1, 1])):
+            n = int(lengths.sum())
+            probes = [neural.constant(rng.standard_normal(s)) for s in ((n, 4), (len(lengths), 4))]
+            results = []
+            for ref in (False, True):
+                neural.zero_grads(leaves)
+                if ref:
+                    hs, cs = masked_lstm_runs(seq, lengths, cell)
+                    c = neural.last_steps(cs, lengths)
+                else:
+                    hs, c = neural.lstm_sweep(seq, np.arange(n), lengths, cell)
+                h = neural.last_steps(hs, lengths)
+                loss = add(vsum(neural.mul(hs, probes[0])), vsum(neural.mul(c, probes[1])))
+                results.append((hs.data, h.data, c.data))
+                loss.backward()
+                results.append([t.grad for t in leaves])
+            (rows, h, c), grads, (ref_rows, ref_h, ref_c), ref_grads = results
+            assert rows.shape == ref_rows.shape == (n, 4)  # one row per live step
+            assert np.array_equal(rows, ref_rows), lengths
+            assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c), lengths  # final h, then c
+            for t, g, r in zip(leaves, grads, ref_grads):
+                assert np.array_equal(g, r), (lengths, t.name)
 
 
 def count_tensors(monkeypatch):
@@ -1211,7 +1231,7 @@ class TestDecoderSweepReference:
         node_emb = model.embed_nodes()
         with monkeypatch.context() as patch:
             if reference:
-                patch.setattr(neural, "attention_lstm_sweep", per_step_decoder)
+                patch.setattr(neural, "lstm_sweep", reference_sweep(attending=True))
             made = count_tensors(patch)
             loss = model.sequence_loss(batch, node_emb, rng=np.random.default_rng(9))
             params = model.parameters()

@@ -320,12 +320,12 @@ class TestLstmCell:
         probes = [neural.constant(rng.standard_normal(shape)) for shape in ((9, 4), (3, 4), (3, 4))]
 
         def loss():
-            hs, cs = neural.lstm_runs(seq, lengths, p)
-            h, c = neural.last_steps(hs, lengths), neural.last_steps(cs, lengths)
+            hs, c = neural.lstm_sweep(seq, np.arange(9), lengths, p)
+            h = neural.last_steps(hs, lengths)
             outs = [vsum(neural.mul(t, probe)) for t, probe in zip((hs, h, c), probes)]
             return add(add(outs[0], outs[1]), outs[2])
 
-        hs, _ = neural.lstm_runs(seq, lengths, p)
+        hs, _ = neural.lstm_sweep(seq, np.arange(9), lengths, p)
         h = neural.last_steps(hs, lengths)
         assert np.array_equal(h.data, hs.data[np.cumsum(lengths) - 1])
         err = gradient_check(loss, p.parameters() + [seq])
@@ -346,7 +346,7 @@ class TestLstmCell:
         for lengths in ([3, 3, 3], [3, 1, 2], [1, 3, 1], [2, 2, 3]):  # three steps each
             seq = tensor_param("seq", rng, (sum(lengths), 3))
             before = len(made)
-            neural.lstm_runs(seq, lengths, p)
+            neural.lstm_sweep(seq, np.arange(sum(lengths)), lengths, p)
             counts.append(len(made) - before)
         assert len(set(counts)) == 1, counts
 
@@ -557,8 +557,8 @@ class TestAttention:
 
 
 class TestAttentionLstmSweep:
-    """The decoder sweep against the per-step reference ``per_step_decoder``
-    and against finite differences."""
+    """The sweep with attention, the decoder's, against the per-step
+    reference ``per_step_decoder`` and against finite differences."""
 
     STEP_ROWS = np.array([[0, 2, 2], [5, 1, 2], [3, 3, 0], [4, 4, 4]])  # [steps, N], repeats in a step
     # the same table rows run after run: decoder row i's queries are column i
@@ -580,19 +580,32 @@ class TestAttentionLstmSweep:
     def test_bit_equal_to_per_step_ops(self):
         rng = RNG(60)
         table, memory, w, cell, state, mask = self._operands(rng)
-        leaves = [table, memory, w, *state, *cell.parameters()]
-        probe = neural.constant(rng.standard_normal((12, 8)))
-        results = []
-        for sweep in (neural.attention_lstm_sweep, per_step_decoder):
-            neural.zero_grads(leaves)
-            out = sweep(table, self.ROWS, self.LENGTHS, memory, mask, state, w, cell)
-            vsum(neural.mul(out, probe)).backward()
-            results.append((out.data, [t.grad for t in leaves]))
-        (out, grads), (ref_out, ref_grads) = results
-        assert out.shape == (12, 8)
-        assert np.array_equal(out, ref_out)
-        for t, g, r in zip(leaves, grads, ref_grads):
-            assert g.tobytes() == r.tobytes(), t.name
+        # runs of equal length, then unsorted ragged runs, runs of length 1,
+        # and one run of length 1 (its own one-row state and mask)
+        one_run = (tensor_param("enc.h", rng, (1, 4)), tensor_param("enc.c", rng, (1, 4)))
+        cases = [
+            (self.ROWS, self.LENGTHS, state, mask),
+            (np.array([0, 5, 3, 4, 2, 1, 1]), [4, 1, 2], state, mask),
+            (np.array([3, 5, 0]), [1, 1, 1], state, mask),
+            (np.array([2]), [1], one_run, mask[1:2]),
+        ]
+        for rows, lengths, state, mask in cases:
+            leaves = [table, memory, w, *state, *cell.parameters()]
+            probe = neural.constant(rng.standard_normal((rows.size, 8)))
+            results = []
+            for sweep in (
+                lambda: neural.lstm_sweep(table, rows, lengths, cell, state, (memory, mask, w))[0],
+                lambda: per_step_decoder(table, rows, lengths, memory, mask, state, w, cell),
+            ):
+                neural.zero_grads(leaves)
+                out = sweep()
+                vsum(neural.mul(out, probe)).backward()
+                results.append((out.data, [t.grad for t in leaves]))
+            (out, grads), (ref_out, ref_grads) = results
+            assert out.shape == (rows.size, 8)
+            assert np.array_equal(out, ref_out), lengths
+            for t, g, r in zip(leaves, grads, ref_grads):
+                assert g.tobytes() == r.tobytes(), (lengths, t.name)
 
     def test_gradients_vs_finite_differences(self):
         rng = RNG(61)
@@ -600,8 +613,8 @@ class TestAttentionLstmSweep:
         probe = neural.constant(rng.standard_normal((12, 8)))
 
         def loss():
-            out = neural.attention_lstm_sweep(
-                table, self.ROWS, self.LENGTHS, memory, mask, state, w, cell
+            out, _ = neural.lstm_sweep(
+                table, self.ROWS, self.LENGTHS, cell, state, (memory, mask, w)
             )
             return vsum(neural.mul(out, probe))
 
@@ -612,23 +625,24 @@ class TestAttentionLstmSweep:
         rng = RNG(62)
         table, memory, w, cell, (h0, c0), mask = self._operands(rng)
         with pytest.raises(ShapeError):  # a [steps, N] grid, not one row per query
-            neural.attention_lstm_sweep(
-                table, self.STEP_ROWS, self.LENGTHS, memory, mask, (h0, c0), w, cell
+            neural.lstm_sweep(
+                table, self.STEP_ROWS, self.LENGTHS, cell, (h0, c0), (memory, mask, w)
             )
         with pytest.raises(ShapeError):  # state rows do not match the runs
-            neural.attention_lstm_sweep(
-                table, self.STEP_ROWS[:, :2].T.reshape(-1), [4, 4], memory, mask, (h0, c0), w, cell
+            neural.lstm_sweep(
+                table, self.STEP_ROWS[:, :2].T.reshape(-1), [4, 4], cell, (h0, c0), (memory, mask, w)
             )
         with pytest.raises(ShapeError):  # query and context do not fill the cell's input
             wide = LstmParams.create("wide", 3 + 5, 4, rng)
-            neural.attention_lstm_sweep(
-                table, self.ROWS, self.LENGTHS, memory, mask, (h0, c0), w, wide
+            neural.lstm_sweep(
+                table, self.ROWS, self.LENGTHS, wide, (h0, c0), (memory, mask, w)
             )
 
 
 def test_sweeps_keep_no_step_arrays_without_grad(monkeypatch):
-    """Under ``no_grad`` neither sweep keeps a step's gate values once it
-    returns; with the tape on, the backward holds every step's."""
+    """Under ``no_grad`` the sweep keeps no step's gate values once it
+    returns, with attention or without; with the tape on, the backward holds
+    every step's."""
     kept = []
     forward = neural._cell_forward
 
@@ -646,10 +660,10 @@ def test_sweeps_keep_no_step_arrays_without_grad(monkeypatch):
         kept.clear()
         with contextlib.nullcontext() if grad else neural.no_grad():
             outs = [
-                neural.lstm_runs(seq, [4, 1, 2], runs_cell),
-                neural.attention_lstm_sweep(
+                neural.lstm_sweep(seq, np.arange(7), [4, 1, 2], runs_cell),
+                neural.lstm_sweep(
                     table, TestAttentionLstmSweep.ROWS, TestAttentionLstmSweep.LENGTHS,
-                    memory, mask, state, w, cell,
+                    cell, state, (memory, mask, w),
                 ),
             ]
         assert len(kept) == 4 + 4
@@ -658,41 +672,45 @@ def test_sweeps_keep_no_step_arrays_without_grad(monkeypatch):
 
 
 def test_sweeps_return_one_row_per_input_row_run_after_run():
-    """Over runs of unsorted lengths, ``lstm_runs`` (h and c) and
-    ``attention_lstm_sweep`` each return one row per input row, run after
-    run: row j is bit for bit the per-step reference's row for the same run
-    and step, and no row lies past a run's end."""
+    """Over runs of unsorted lengths (and of equal lengths, and of length
+    1), ``lstm_sweep`` returns one row per input row, run after run, without
+    attention (h) and with it ([h; context]): row j is bit for bit the
+    per-step reference's row for the same run and step, and no row lies past
+    a run's end.  Its final c rows are each run's c after its own last
+    step."""
     rng = RNG(67)
     table, memory, w, cell, state, mask = TestAttentionLstmSweep._operands(rng)
     runs_cell = LstmParams.create("runs", 3, 4, rng)
     seq = tensor_param("seq", rng, (7, 3))
     rows = np.array([0, 5, 3, 4, 2, 1, 1])  # the decoder's query rows, run after run
-    lengths = np.array([4, 1, 2])
-    hs, cs = neural.lstm_runs(seq, lengths, runs_cell)
-    out = neural.attention_lstm_sweep(table, rows, lengths, memory, mask, state, w, cell)
-    assert hs.shape == cs.shape == (7, 4) and out.shape == (7, 8)
-    ref_hs, ref_cs = masked_lstm_runs(seq, lengths, runs_cell)
-    ref_out = per_step_decoder(table, rows, lengths, memory, mask, state, w, cell)
-    for got, ref in ((hs, ref_hs), (cs, ref_cs), (out, ref_out)):
-        assert got.data.tobytes() == ref.data.tobytes()
-    # the same per-step ops, one step at a time: run i's step t is row starts[i] + t
-    starts = np.cumsum(lengths) - lengths
-    h = c = neural.zeros((3, 4))
-    dh, dc = state
-    seen = []
-    for t in range(int(lengths.max())):
-        at = starts + np.minimum(t, lengths - 1)
-        h, c = lstm_cell(neural.take_rows(seq, at), h, c, runs_cell)
-        _, context = attention(memory, dh, w, neural.constant(mask))
-        dh, dc = lstm_cell(neural.concat([neural.take_rows(table, rows[at]), context]), dh, dc, cell)
-        for i in np.flatnonzero(t < lengths):
-            j = starts[i] + t
-            seen.append(j)
-            assert hs.data[j].tobytes() == h.data[i].tobytes(), (i, t)
-            assert cs.data[j].tobytes() == c.data[i].tobytes(), (i, t)
-            assert out.data[j, :4].tobytes() == dh.data[i].tobytes(), (i, t)
-            assert out.data[j, 4:].tobytes() == context.data[i].tobytes(), (i, t)
-    assert sorted(seen) == list(range(7))
+    for lengths in (np.array([4, 1, 2]), np.array([2, 2, 2]), np.array([1, 1, 1])):
+        n = int(lengths.sum())
+        hs, c_end = neural.lstm_sweep(seq, np.arange(n), lengths, runs_cell)
+        out, _ = neural.lstm_sweep(table, rows[:n], lengths, cell, state, (memory, mask, w))
+        assert hs.shape == (n, 4) and c_end.shape == (3, 4) and out.shape == (n, 8)
+        ref_hs, ref_cs = masked_lstm_runs(seq, lengths, runs_cell)
+        ref_out = per_step_decoder(table, rows[:n], lengths, memory, mask, state, w, cell)
+        for got, ref in ((hs, ref_hs), (c_end, neural.last_steps(ref_cs, lengths)), (out, ref_out)):
+            assert got.data.tobytes() == ref.data.tobytes(), lengths
+        # the same per-step ops, one step at a time: run i's step t is row starts[i] + t
+        starts = np.cumsum(lengths) - lengths
+        h = c = neural.zeros((3, 4))
+        dh, dc = state
+        seen = []
+        for t in range(int(lengths.max())):
+            at = starts + np.minimum(t, lengths - 1)
+            h, c = lstm_cell(neural.take_rows(seq, at), h, c, runs_cell)
+            _, context = attention(memory, dh, w, neural.constant(mask))
+            dh, dc = lstm_cell(neural.concat([neural.take_rows(table, rows[at]), context]), dh, dc, cell)
+            for i in np.flatnonzero(t < lengths):
+                j = starts[i] + t
+                seen.append(j)
+                assert hs.data[j].tobytes() == h.data[i].tobytes(), (i, t)
+                assert out.data[j, :4].tobytes() == dh.data[i].tobytes(), (i, t)
+                assert out.data[j, 4:].tobytes() == context.data[i].tobytes(), (i, t)
+            for i in np.flatnonzero(t == lengths - 1):
+                assert c_end.data[i].tobytes() == c.data[i].tobytes(), (i, t)
+        assert sorted(seen) == list(range(n))
 
 
 class TestFreedTape:
@@ -714,12 +732,12 @@ class TestFreedTape:
         table, memory, w, cell, state, mask = TestAttentionLstmSweep._operands(rng)
         runs_cell = LstmParams.create("runs", 3, 4, rng)
         seq = tensor_param("seq", rng, (7, 3))
-        hs, cs = neural.lstm_runs(seq, [4, 1, 2], runs_cell)
-        out = neural.attention_lstm_sweep(
+        hs, c_end = neural.lstm_sweep(seq, np.arange(7), [4, 1, 2], runs_cell)
+        out, _ = neural.lstm_sweep(
             table, TestAttentionLstmSweep.ROWS, TestAttentionLstmSweep.LENGTHS,
-            memory, mask, state, w, cell,
+            cell, state, (memory, mask, w),
         )
-        loss = add(add(vsum(hs), vsum(cs)), vsum(out))
+        loss = add(add(vsum(hs), vsum(c_end)), vsum(out))
         assert len(kept) == 4 + 4 and all(ref() is not None for ref in kept)
         loss.backward()
         assert [ref() for ref in kept] == [None] * len(kept)
