@@ -603,13 +603,13 @@ def lstm_sweep(
     keep = _records(parents)
     out = np.empty((n, steps, hidden + context_width))
     c_end = np.empty((n, hidden))
-    saved = []  # per step: h_prev, c_prev, the attention's values, z and the gate values
+    saved = []  # per step: c_prev, the attention's values, z = [h_prev; x; context] and the gate values
     for s in range(steps):
         h_next, c_next, context, kept = attention_lstm_step(
             table.data[inputs[s]], h, c, mem, mask, w_data, cell
         )
         if keep:
-            saved.append((h, c, *kept))
+            saved.append((c, *kept))
         h, c = h_next, c_next
         out[:, s, :hidden] = h
         out[:, s, hidden:] = context
@@ -623,7 +623,7 @@ def lstm_sweep(
         d_c = None if d_end is None else _on_grid(d_end, np.arange(n) * steps + ends, n, steps)
         dh_cell = dh_att = dc_next = None  # step s+1's gradients of h_s (via cell, attention) and c_s
         for s in range(steps - 1, -1, -1):
-            h_prev, c_prev, projected, alpha, z, gates = saved[s]
+            c_prev, projected, alpha, z, gates = saved[s]
             dh = _plus(_plus(g[:, s, :hidden], dh_cell), dh_att)
             d_o, dc = _h_backward(dh, gates)
             dc = _plus(_plus(None if d_c is None else d_c[:, s], dc), dc_next)
@@ -637,7 +637,7 @@ def lstm_sweep(
                 d_context = g[:, s, hidden:] + d_z[:, hidden + width :]
                 _accum(memory, alpha.T @ d_context)
                 d_memory, dh_att, d_w = _attend_backward(
-                    d_context @ mem.T, alpha, projected, mem, h_prev, w_data
+                    d_context @ mem.T, alpha, projected, mem, z[:, :hidden], w_data
                 )
                 _accum(memory, d_memory)
                 _accum(w, d_w)
