@@ -8,8 +8,8 @@ same arithmetic built one tape op per step: the fused LSTM cell
 (``lstm_cell``), multiplicative attention (``attention``, with ``matmul``
 for its context), and two loops over them, ``masked_lstm_runs`` and
 ``per_step_decoder``, which ``reference_sweep`` puts in the sweep's place
-for the tests that patch it.  It also holds the two tape ops that only the tests
-build: ``add``, which ``masked_lstm_runs`` holds ended runs with, and
+for the tests that patch it.  It also holds the two tape ops that only the
+tests build: ``add``, which ``masked_lstm_runs`` holds ended runs with, and
 ``vsum``, the scalar of the finite-difference losses; and the two helpers
 that only the tests call: ``gradient_check``, the finite-difference check
 of backprop, and ``embed_all``, every node's embedding as a plain array.
