@@ -11,9 +11,9 @@ then stay as written.  All commands are deterministic given --seed and
 never mutate their input files.
 
 Each command builds one frozen :class:`PipelineConfig` from the config file,
-then applies its flags through ``dataclasses.replace``.  The settings classes
-(``adgcode.config``) check themselves when built, so a bad value from either
-place raises there, once, and exits 2 with one ``error:`` line.
+then applies its flags through its ``replace``.  The settings classes
+(``adgcode.config.Settings``) check themselves when built, so a bad value from
+either place raises there, once, and exits 2 with one ``error:`` line.
 
 Each command imports only what it runs.  At module level this module
 imports the standard library, ``config``, ``graph`` and ``signatures``, none
@@ -33,7 +33,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .config import (
@@ -41,6 +40,7 @@ from .config import (
     ConcatCapError,
     EmbedderConfig,
     ModelConfig,
+    Settings,
     TrainConfig,
     TrainingDivergedError,
     check_field_types,
@@ -122,22 +122,20 @@ class ConfigError(ValueError):
     """Missing or inconsistent pipeline configuration."""
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Settings):
     signatures: Optional[str] = None
     graph: Optional[str] = None
     train_data: Optional[str] = None
     valid_data: Optional[str] = None
     test_data: Optional[str] = None
     checkpoint: Optional[str] = None
-    model: ModelConfig = field(default_factory=ModelConfig)
-    embedder: EmbedderConfig = field(
-        default_factory=lambda: EmbedderConfig(dim=ModelConfig().code_dim)
-    )
-    train_cfg: TrainConfig = field(default_factory=TrainConfig)
+    # shared by every PipelineConfig that keeps them; they are frozen
+    model: ModelConfig = ModelConfig()
+    embedder: EmbedderConfig = EmbedderConfig(dim=ModelConfig.code_dim)
+    train_cfg: TrainConfig = TrainConfig()
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_field_types(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -207,10 +205,9 @@ def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineC
         if getattr(args, name, None):
             top[name] = getattr(args, name)
     try:
-        return replace(
-            cfg,
-            model=replace(cfg.model, **model),
-            train_cfg=replace(cfg.train_cfg, **train_cfg),
+        return cfg.replace(
+            model=cfg.model.replace(**model),
+            train_cfg=cfg.train_cfg.replace(**train_cfg),
             **top,
         )
     except (TypeError, ValueError) as exc:
@@ -371,7 +368,7 @@ def cmd_ablate(cfg: PipelineConfig, axes: Sequence[str], out) -> int:
     rows = []
     for axis, value in variants:
         setting = {EMBEDDER_KEYS[axis]: ABLATION_AXES[axis][value]}
-        vcfg = replace(cfg, embedder=replace(cfg.embedder, **setting))
+        vcfg = cfg.replace(embedder=cfg.embedder.replace(**setting))
         model = _build_model(vcfg, adg, train_pairs)
         train(model, train_pairs, valid_pairs, vcfg.train_cfg)
         report = _evaluate_model(vcfg, model, test_pairs)

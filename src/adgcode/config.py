@@ -1,20 +1,19 @@
 """Settings of the model, the graph embedder and training, checked when built.
 
-Each config is a frozen dataclass that checks its fields in
-``__post_init__``, so no config object holds a bad value: building one,
-directly or through ``dataclasses.replace``, raises TypeError for a value of
-the wrong type and ValueError for one out of range.  The module imports only
-the standard library, so a command can read and check its settings before it
-loads numpy or the model.  It also holds the errors of the model layer that
-the CLI maps to exit codes (``ConcatCapError``, ``CheckpointFormatError``,
+Each config is a frozen :class:`Settings` record that checks its fields in
+``_check``, so no config object holds a bad value: building one, directly or
+through its ``replace``, raises TypeError for a value of the wrong type and
+ValueError for one out of range.  The module imports only the standard
+library, and not ``dataclasses``, which would load ``inspect`` and more into
+every command, so a command can read and check its settings before it loads
+numpy or the model.  It also holds the errors of the model layer that the
+CLI maps to exit codes (``ConcatCapError``, ``CheckpointFormatError``,
 ``TrainingDivergedError``), so the CLI can name them without loading it.
 """
 
 from __future__ import annotations
 
-import functools
 import numbers
-from dataclasses import dataclass, fields
 from typing import Optional
 
 AGGREGATORS = ("mean", "pooling", "lstm")
@@ -62,16 +61,11 @@ class TrainingDivergedError(RuntimeError):
 _FIELD_KINDS = {"bool": bool, "int": int, "Optional[int]": Optional[int], "float": float}
 
 
-@functools.cache
-def _field_types(cls: type) -> dict[str, object]:
-    return {f.name: _FIELD_KINDS.get(f.type, f.type) for f in fields(cls)}
-
-
 def check_field_types(config) -> None:
     """Raise TypeError for a field annotated ``bool`` that holds a non-bool,
     an ``int`` (or ``Optional[int]``) field that holds a bool or a non-integer,
     or a ``float`` field that holds a bool or a non-number."""
-    for name, kind in _field_types(type(config)).items():
+    for name, kind in config._field_kinds.items():
         value = getattr(config, name)
         if kind is bool:
             if not isinstance(value, bool):
@@ -84,8 +78,57 @@ def check_field_types(config) -> None:
                 raise TypeError(f"{name} must be a number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class EmbedderConfig:
+class Settings:
+    """Base of the settings classes: a frozen record of the fields its subclass
+    annotates, in that order, with the class attributes as their defaults.
+
+    A record is built from positional and keyword arguments; a missing,
+    unknown or repeated one raises TypeError.  Building one, directly or
+    through :meth:`replace`, runs the subclass's ``_check``.  Assigning or
+    deleting an attribute raises AttributeError.
+    """
+
+    def __init_subclass__(cls) -> None:
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(annotations)
+        cls._field_kinds = {name: _FIELD_KINDS.get(kind, kind) for name, kind in annotations.items()}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}.__init__() takes at most {len(names)} positional arguments, "
+                f"got {len(args)}"
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__name__}.__init__() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}.__init__() got multiple values for argument {name!r}")
+            values[name] = value
+        for name in names:  # an unset field reads its default from the class
+            if name not in values and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}.__init__() missing required argument {name!r}")
+        self.__dict__.update(values)
+        self._check()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with ``changes`` in place of its fields, checked as it is built."""
+        return type(self)(**{**self.as_dict(), **changes})
+
+    def as_dict(self) -> dict:
+        """The fields and their values, in field order."""
+        return {name: getattr(self, name) for name in self._fields}
+
+
+class EmbedderConfig(Settings):
     dim: int
     hops: int = 2
     aggregator: str = "lstm"
@@ -95,7 +138,7 @@ class EmbedderConfig:
     concat_cap: Optional[int] = None
     activation: str = "tanh"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_field_types(self)
         if self.dim < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {self.dim}")
@@ -120,8 +163,7 @@ class EmbedderConfig:
         return self.dim
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Settings):
     word_dim: int = 100
     code_dim: int = 64
     hidden_dim: int = 256
@@ -132,7 +174,7 @@ class ModelConfig:
     beam_width: int = 5
     max_len: int = 200
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_field_types(self)
         for names, low, high in (
             (("word_dim", "code_dim", "hidden_dim", "mlp_hidden"), 1, DIM_BOUND),
@@ -150,8 +192,7 @@ class ModelConfig:
             raise ValueError(f"max_len must be in [1, {MAX_LEN_BOUND}], got {self.max_len}")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Settings):
     batch_size: int = 8
     max_epochs: int = 1000
     max_steps: Optional[int] = None
@@ -161,7 +202,7 @@ class TrainConfig:
     seed: int = 0
     reach_filter: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_field_types(self)
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")

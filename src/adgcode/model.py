@@ -28,7 +28,6 @@ import json
 import math
 import struct
 from collections import Counter
-from dataclasses import asdict
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -598,8 +597,8 @@ def save_checkpoint(model: Seq2SeqModel) -> bytes:
     vocabularies, graph dump), then the named-parameter table in canonical
     name order as little-endian float32."""
     meta = {
-        "model_config": asdict(model.config),
-        "embedder_config": asdict(model.embedder_config),
+        "model_config": model.config.as_dict(),
+        "embedder_config": model.embedder_config.as_dict(),
         "desc_vocab": model.desc_vocab.entries(),
         "code_vocab": model.code_vocab.entries(),
         "graph": dump_graph(model.adg),

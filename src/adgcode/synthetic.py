@@ -11,11 +11,11 @@ recoverable from the dependency structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .config import Settings
 from .graph import ParamType, TypeHierarchy
 from .signatures import Pair
 
@@ -29,8 +29,7 @@ class SyntheticGenerationError(ValueError):
     """The requested specification cannot produce a valid corpus."""
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Settings):
     """A corpus request, checked when built: a non-positive count, chain
     bound or a negative seed raises :class:`SyntheticGenerationError`."""
 
@@ -42,7 +41,7 @@ class SyntheticSpec:
     min_chain_len: int = 1
     order_sensitive: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n_types < 1 or self.n_methods < 1 or self.corpus_size < 1:
             raise SyntheticGenerationError(
                 "type count, method count, and corpus size must be positive"

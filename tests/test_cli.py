@@ -113,11 +113,12 @@ class TestGenSynthetic:
 
     def test_other_commands_do_not_import_the_generator(self):
         # nor the metrics, which only the scoring commands import; and the
-        # settings alone load neither numpy nor any other adgcode module
+        # settings alone load neither numpy, dataclasses nor any other
+        # adgcode module
         root = Path(__file__).resolve().parents[1]
         probe = (
             "import sys, adgcode.config; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'numpy' "
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy' or m == 'dataclasses' "
             "or m.startswith('adgcode.') and m != 'adgcode.config']); "
             "import adgcode.cli; "
             "print([m for m in ('adgcode.synthetic', 'adgcode.metrics') if m in sys.modules])"
@@ -373,23 +374,29 @@ class TestGenerateCommand:
 
 class TestLoadedModelImports:
     """A loaded model takes every parameter from the checkpoint, so decoding
-    never imports ``numpy.random``; only scoring imports ``metrics``; and
-    ``build-graph`` imports nothing of the model."""
+    never imports ``numpy.random``; only scoring imports ``metrics``;
+    ``build-graph`` imports nothing of the model; and no command imports
+    ``dataclasses`` (nor, in ``build-graph``, which loads no numpy, the
+    ``inspect`` that it and numpy load)."""
 
     @pytest.mark.parametrize(
         "command, absent",
         [
-            (["generate", "call the first method"], ["numpy.random", "adgcode.metrics"]),
-            (["evaluate"], ["numpy.random"]),
+            (
+                ["generate", "call the first method"],
+                ["numpy.random", "adgcode.metrics", "dataclasses"],
+            ),
+            (["evaluate"], ["numpy.random", "dataclasses"]),
+            (["train"], ["dataclasses"]),
             (
                 ["build-graph"],
                 [
                     "adgcode.model", "adgcode.neural", "adgcode.embedder", "adgcode.metrics",
-                    "adgcode.synthetic", "numpy.random", "numpy",
+                    "adgcode.synthetic", "numpy.random", "numpy", "dataclasses", "inspect",
                 ],
             ),
         ],
-        ids=["generate", "evaluate", "build-graph"],
+        ids=["generate", "evaluate", "train", "build-graph"],
     )
     def test_command_leaves_modules_unimported(self, trained, command, absent):
         root = Path(__file__).resolve().parents[1]
@@ -711,9 +718,11 @@ def tsv_mutant(data: bytes, rng: np.random.Generator) -> bytes:
 
 
 class TestTsvMutations:
-    """Byte mutants of the train and test TSVs, through ``cli.run``: each
-    command exits 0 with nothing on stderr, or 3 with one error line, and
-    none ends in a traceback."""
+    """Byte mutants of every input kind, through ``cli.run``: of the train
+    and test TSVs (through ``train`` and ``evaluate``), of the checkpoint
+    (through ``generate``), of the graph dump (through ``train``) and of the
+    signatures (through ``build-graph``).  Each command exits 0 with nothing
+    on stderr, or 3 with one error line, and none ends in a traceback."""
 
     def test_train_and_evaluate_exit_cleanly(self, workspace, capsys):
         cfg = write_config(workspace)
@@ -722,26 +731,34 @@ class TestTsvMutations:
         (workspace / "config.json").write_text(json.dumps(raw))
         assert run_cli(["build-graph", "--config", cfg])[0] == EXIT_OK
         assert run_cli(["train", "--config", cfg])[0] == EXIT_OK
-        checkpoint = (workspace / "model.ckpt").read_bytes()
+        # the files that the commands write, restored after each run
+        written = {name: (workspace / name).read_bytes() for name in ("model.ckpt", "graph.adg")}
         rng = np.random.default_rng(28)
-        for command, name in (("train", "train.tsv"), ("evaluate", "test.tsv")):
+        for command, name in (
+            (["train"], "train.tsv"),
+            (["evaluate"], "test.tsv"),
+            (["generate", "call the first method"], "model.ckpt"),
+            (["train"], "graph.adg"),
+            (["build-graph"], "signatures.sig"),
+        ):
             path = workspace / name
             original = path.read_bytes()
             codes = set()
             for _ in range(60):
                 path.write_bytes(tsv_mutant(original, rng))
                 capsys.readouterr()
-                code, _ = run_cli([command, "--config", cfg])
+                code, _ = run_cli([command[0], "--config", cfg, *command[1:]])
                 err = capsys.readouterr().err
-                (workspace / "model.ckpt").write_bytes(checkpoint)
-                assert code in (EXIT_OK, EXIT_DATA), (command, code, err)
+                for kept, data in written.items():
+                    (workspace / kept).write_bytes(data)
+                assert code in (EXIT_OK, EXIT_DATA), (command, name, code, err)
                 if code == EXIT_OK:
-                    assert err == "", (command, err)
+                    assert err == "", (command, name, err)
                 else:
                     single_error_line(err)
                 codes.add(code)
             path.write_bytes(original)
-            assert codes == {EXIT_OK, EXIT_DATA}, command
+            assert codes == {EXIT_OK, EXIT_DATA}, (command, name)
 
 
 class TestConfigValidation:

@@ -1,10 +1,9 @@
 """Settings check themselves when built: a bad value raises from the
-constructor and from ``dataclasses.replace``, and no field can be assigned
-afterwards."""
+constructor and from the record's ``replace``, an unknown field name raises
+TypeError, and no field can be assigned or deleted afterwards."""
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import pytest
@@ -61,9 +60,13 @@ def test_bad_value_raises_when_built(build, name, bad, error):
     with pytest.raises(error):
         build(**{name: bad})
     with pytest.raises(error):
-        dataclasses.replace(good, **{name: bad})
-    with pytest.raises(dataclasses.FrozenInstanceError):
+        good.replace(**{name: bad})
+    with pytest.raises(TypeError):
+        good.replace(**{name + "_": getattr(good, name)})
+    with pytest.raises(AttributeError):
         setattr(good, name, getattr(good, name))
+    with pytest.raises(AttributeError):
+        delattr(good, name)
 
 
 def test_decoding_bounds_are_inclusive():
