@@ -376,8 +376,8 @@ class TestLoadedModelImports:
     """A loaded model takes every parameter from the checkpoint, so decoding
     never imports ``numpy.random``; only scoring imports ``metrics``;
     ``build-graph`` imports nothing of the model; and no command imports
-    ``dataclasses`` (nor, in ``build-graph``, which loads no numpy, the
-    ``inspect`` that it and numpy load)."""
+    ``dataclasses``.  ``build-graph``, which loads no numpy, also leaves out
+    ``inspect``, which both ``dataclasses`` and numpy import."""
 
     @pytest.mark.parametrize(
         "command, absent",
